@@ -191,43 +191,6 @@ func BenchmarkAblationSharedReserve(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedSweep measures the batched-replay engine on the
-// canonical 6-point timing sweep of one sliced workload: each iteration
-// is a fresh Runner, so it pays one trace capture plus one shared-decode
-// batch over all six configurations — the full cost a sweeping caller
-// sees. Compare against six times BenchmarkSimThroughput-style live runs
-// for the sweep-cost multiple.
-func BenchmarkBatchedSweep(b *testing.B) {
-	scale := scaled("cc", benchDelta)
-	sweep := []Options{
-		{Benchmark: "cc", Scale: scale, Mode: SliceOuter},
-		{Benchmark: "cc", Scale: scale, Mode: SliceOuter, Predictor: "oracle"},
-		{Benchmark: "cc", Scale: scale, Mode: SliceOuter, FRQSize: 2},
-		{Benchmark: "cc", Scale: scale, Mode: SliceOuter, ROBBlockSize: 4},
-		{Benchmark: "cc", Scale: scale, Mode: SliceOuter, Reserve: 16},
-		{Benchmark: "cc", Scale: scale, Mode: SliceOuter, WrongPathMemAccess: true},
-	}
-	// Warm the memoized input generation; it is not part of the sweep cost.
-	if _, err := Run(sweep[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewRunner(1)
-		if _, err := r.RunAll(sweep); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			st := r.Stats()
-			if st.Batched != len(sweep) || st.BatchGroups != 1 {
-				b.Fatalf("sweep did not run as one batch: %+v", st)
-			}
-			b.ReportMetric(float64(st.SegHits), "seg_hits")
-			b.ReportMetric(float64(st.SegInvalidated), "seg_invalidated")
-		}
-	}
-}
-
 // BenchmarkSimThroughput measures raw simulator speed (simulated cycles
 // per wall second drives every experiment's cost).
 func BenchmarkSimThroughput(b *testing.B) {

@@ -310,8 +310,7 @@ func runContext(ctx context.Context, o Options, tr *trace.Trace) (*Result, error
 }
 
 // simConfig maps normalized options to the sim configuration — everything
-// but the frontend source (Replay and batch views are wired by the
-// caller).
+// but the frontend source (Replay is wired by the caller).
 func simConfig(ctx context.Context, n Options) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = n.Cores

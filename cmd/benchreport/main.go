@@ -77,7 +77,6 @@ func main() {
 	delta := flag.Int("delta", 0, "input-scale delta passed to the figures (negative = smaller/faster)")
 	figs := flag.String("figs", "4,9", "comma-separated figure list to measure")
 	singles := flag.String("singles", "pr,bfs", "comma-separated benchmarks for single-run throughput entries")
-	sweeps := flag.String("sweeps", "cc", "comma-separated benchmarks for 6-point sweep entries (live vs batched replay)")
 	baseline := flag.String("baseline", "", "earlier BENCH_<n>.json to gate against")
 	threshold := flag.Float64("threshold", 0.20, "max tolerated wall-clock regression vs the baseline")
 	stamp := flag.Bool("stamp", false, "record the generation time (off for committed reports, to keep them reproducible)")
@@ -100,9 +99,6 @@ func main() {
 
 	for _, name := range split(*singles) {
 		rep.Entries = append(rep.Entries, measureSingle(name, *delta))
-	}
-	for _, name := range split(*sweeps) {
-		rep.Entries = append(rep.Entries, measureSweep(name, *delta)...)
 	}
 	for _, f := range split(*figs) {
 		rep.Entries = append(rep.Entries, measureFigure(f, *delta))
@@ -192,58 +188,6 @@ func measureSingle(bench string, delta int) Entry {
 	log.Printf("%-12s %8.2fs  %12d cycles  %10.0f simcycles/s  %9d allocs",
 		e.Name, e.WallSeconds, e.SimCycles, e.SimCyclesPerSec, e.Allocs)
 	return e
-}
-
-// sweepOptions is the canonical 6-point timing sweep over one sliced
-// workload: the batched-replay headline scenario (one capture, one
-// shared-decode batch) and its live-serial reference.
-func sweepOptions(bench string, delta int) []blp.Options {
-	scale := blp.DefaultScale(bench) + delta
-	return []blp.Options{
-		{Benchmark: bench, Scale: scale, Mode: blp.SliceOuter},
-		{Benchmark: bench, Scale: scale, Mode: blp.SliceOuter, Predictor: "oracle"},
-		{Benchmark: bench, Scale: scale, Mode: blp.SliceOuter, FRQSize: 2},
-		{Benchmark: bench, Scale: scale, Mode: blp.SliceOuter, ROBBlockSize: 4},
-		{Benchmark: bench, Scale: scale, Mode: blp.SliceOuter, Reserve: 16},
-		{Benchmark: bench, Scale: scale, Mode: blp.SliceOuter, WrongPathMemAccess: true},
-	}
-}
-
-// measureSweep times the 6-point sweep twice: live (six independent
-// simulations, each running the functional emulator — the pre-replay
-// cost of a sweep) and through a serial Runner, which captures the trace
-// once and runs all six configurations as one batched replay over a
-// shared decode ring and wrong-path segment cache.
-func measureSweep(bench string, delta int) []Entry {
-	sweep := sweepOptions(bench, delta)
-	if _, err := kernels.Build(kernels.Spec{Kernel: bench, Scale: sweep[0].Scale}); err != nil {
-		log.Fatalf("sweep %s build: %v", bench, err)
-	}
-	liveWall, liveAllocs := measure(func() {
-		for _, o := range sweep {
-			if _, err := blp.Run(o); err != nil {
-				log.Fatalf("sweep %s live: %v", bench, err)
-			}
-		}
-	})
-	var st blp.RunnerStats
-	batchWall, batchAllocs := measure(func() {
-		r := blp.NewRunner(1)
-		if _, err := r.RunAll(sweep); err != nil {
-			log.Fatalf("sweep %s batched: %v", bench, err)
-		}
-		st = r.Stats()
-	})
-	if st.Batched != len(sweep) || st.Captured != 1 {
-		log.Fatalf("sweep %s did not run as one batch: %+v", bench, st)
-	}
-	live := Entry{Name: "sweep6/" + bench + "/live", WallSeconds: liveWall, Allocs: liveAllocs}
-	bat := Entry{Name: "sweep6/" + bench + "/batched", WallSeconds: batchWall, Allocs: batchAllocs}
-	log.Printf("%-12s %8.2fs  %9d allocs", live.Name, live.WallSeconds, live.Allocs)
-	log.Printf("%-12s %8.2fs  %9d allocs  (%.2fx vs live; seg hits %d misses %d invalidated %d bypassed %d)",
-		bat.Name, bat.WallSeconds, bat.Allocs, liveWall/batchWall,
-		st.SegHits, st.SegMisses, st.SegInvalidated, st.SegBypassed)
-	return []Entry{live, bat}
 }
 
 // measureFigure times one figure end to end, serially and with a fresh run

@@ -14,15 +14,6 @@ import (
 // model may ignore.
 type BranchDir func(pc int, in isa.Inst, actual bool) bool
 
-// ReadObserver receives the base-memory component of every in-range
-// wrong-path load: which bytes of the access came from the forked memory
-// image (mask bit i set = byte i read from base memory, clear = served by
-// the store overlay) and their value with overlay bytes zeroed. The trace
-// layer uses it to fingerprint the memory a recorded wrong-path segment
-// consumed, so a later fork can validate the segment against its own
-// memory image. Out-of-range loads are not reported.
-type ReadObserver func(addr uint64, size int, mask uint8, base uint64)
-
 // Shadow is the wrong-path engine: a fork of a Machine's architectural
 // state that executes down a mispredicted path. Stores are buffered in an
 // overlay and never reach real memory; loads read through the overlay.
@@ -34,8 +25,7 @@ type Shadow struct {
 	regs    [isa.NumRegs]uint64
 	pc      int
 	overlay map[uint64]byte // allocated lazily on the first buffered store
-	onRead  ReadObserver
-	dead    bool // ran off the code, halted, or otherwise cannot continue
+	dead    bool            // ran off the code, halted, or otherwise cannot continue
 
 	inSlice bool
 	sliceID uint64
@@ -64,9 +54,6 @@ func NewShadow(prog *isa.Program, mem []byte, regs [isa.NumRegs]uint64,
 		sliceID: sliceID,
 	}
 }
-
-// SetReadObserver installs fn as the shadow's load observer (nil detaches).
-func (s *Shadow) SetReadObserver(fn ReadObserver) { s.onRead = fn }
 
 // Dead reports whether the shadow can no longer produce instructions.
 func (s *Shadow) Dead() bool { return s.dead }
@@ -100,26 +87,14 @@ func (s *Shadow) load(addr uint64, size int) (uint64, bool) {
 	} else {
 		v = binary.LittleEndian.Uint64(s.mem[addr:])
 	}
-	// Patch in overlay bytes from buffered wrong-path stores. mask tracks
-	// which bytes still came from base memory.
-	mask := uint8(uint(1)<<uint(size) - 1)
+	// Patch in overlay bytes from buffered wrong-path stores.
 	if len(s.overlay) != 0 {
 		for i := 0; i < size; i++ {
 			if b, ok := s.overlay[addr+uint64(i)]; ok {
 				shift := uint(8 * i)
 				v = v&^(0xff<<shift) | uint64(b)<<shift
-				mask &^= 1 << uint(i)
 			}
 		}
-	}
-	if s.onRead != nil {
-		base := v
-		for i := 0; i < size; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				base &^= 0xff << uint(8*i)
-			}
-		}
-		s.onRead(addr, size, mask, base)
 	}
 	return v, true
 }

@@ -98,11 +98,8 @@ func runSim(c *Case, selective, cycleAccurate bool) (res *sim.Result, mem []byte
 //	conv      core sim, conventional full flush
 //	replay    core sim, selective flush, frontend fed from a captured
 //	          trace (single-threaded cases only — replay's domain)
-//	batch     the sel/ca/conv variants re-run as lanes of one batched
-//	          replay: a shared trace decode ring and a shared wrong-path
-//	          segment cache (single-threaded cases only)
 //	policy    when Cfg.Policy is set: the sampled recovery policy run
-//	          event-driven and cycle-accurate (the seventh leg; see
+//	          event-driven and cycle-accurate (the sixth leg; see
 //	          RunPolicy)
 //
 // Oracles: every sim variant must finish (no watchdog hang, no panic, and
@@ -111,8 +108,7 @@ func runSim(c *Case, selective, cycleAccurate bool) (res *sim.Result, mem []byte
 // variant's final memory must equal the reference image; every variant
 // must commit exactly the expected instruction count; the event-driven
 // and cycle-accurate selective runs must produce byte-identical results;
-// the replayed run must be byte-identical to the live selective run; and
-// every batched lane must be byte-identical to its serial counterpart.
+// and the replayed run must be byte-identical to the live selective run.
 func RunCase(c *Case) *Violation {
 	refMem, wantCommits, err := runRef(c)
 	if err != nil {
@@ -194,63 +190,8 @@ func RunCase(c *Case) *Violation {
 				"%s: replayed and live selective runs diverge: %s",
 				c.Name, diffResults(res, results["sel"]))
 		}
-
-		// PR8's guarantee: batched replay — one shared decode ring, one
-		// shared wrong-path segment cache — is indistinguishable from a
-		// serial run, lane by lane, even with flush modes and stepping
-		// styles mixed in the same batch.
-		tr.EnsureSegs(0, nil)
-		keys := []string{"sel", "ca", "conv"}
-		bres, bmems, err := runBatch(c, tr)
-		if err != nil {
-			return violationf("batch-run", "%s: %v", c.Name, err)
-		}
-		for i, k := range keys {
-			if !bytes.Equal(bmems[i], refMem) {
-				j := firstDiff(bmems[i], refMem)
-				return violationf("mem-batch",
-					"%s: batched %s lane's final memory diverges from reference at byte %#x (got %#x want %#x)",
-					c.Name, k, j, bmems[i][j], refMem[j])
-			}
-			if !reflect.DeepEqual(*bres[i], *results[k]) {
-				return violationf("batch-equiv",
-					"%s: batched %s lane diverges from its serial run: %s",
-					c.Name, k, diffResults(bres[i], results[k]))
-			}
-		}
 	}
 	return nil
-}
-
-// runBatch re-runs the three live variants as lanes of one sim.RunBatch
-// call over tr, in the same order as RunCase's variants table. The
-// independence checker is off for the same reason as runReplay.
-func runBatch(c *Case, tr *trace.Trace) (res []*sim.Result, mems [][]byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	variants := []struct{ selective, cycleAccur bool }{
-		{true, false}, {true, true}, {false, false},
-	}
-	cfgs := make([]sim.Config, len(variants))
-	ws := make([]*sim.Workload, len(variants))
-	mems = make([][]byte, len(variants))
-	for i, vr := range variants {
-		mems[i] = append([]byte(nil), c.Mem...)
-		ws[i] = &sim.Workload{Name: c.Name, Progs: c.Progs, Mem: mems[i]}
-		cfg := c.Cfg.simConfig(vr.selective, vr.cycleAccur)
-		cfg.CheckIndependence = false
-		cfgs[i] = cfg
-	}
-	results, errs := sim.RunBatch(tr, cfgs, ws)
-	for i, e := range errs {
-		if e != nil {
-			return nil, nil, fmt.Errorf("lane %d: %w", i, e)
-		}
-	}
-	return results, mems, nil
 }
 
 // runReplay is runSim for the trace-fed variant: selective flush,

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -78,6 +79,41 @@ func TestPolicyConformance(t *testing.T) {
 						t.Fatalf("%v", v)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestOraclePredictorPoliciesAgree is a metamorphic check that needs no
+// reference result: under a perfect predictor no branch mispredicts, so no
+// recovery ever fires and the recovery policy cannot matter. Across the
+// corpus, conventional, partial:16 and throttle:2 (the oracle predictor's
+// confidence never falls below the throttle threshold) must produce
+// byte-identical results with no mispredicts and no wrong-path dispatch.
+func TestOraclePredictorPoliciesAgree(t *testing.T) {
+	for _, c := range conformanceCases(t) {
+		c := *c
+		c.Cfg.Predictor = "oracle"
+		t.Run(c.Name, func(t *testing.T) {
+			var first *sim.Result
+			for _, pol := range []string{"conventional", "partial:16", "throttle:2"} {
+				spec, err := core.ParsePolicy(pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := runPolicySim(&c, spec, false)
+				if err != nil {
+					t.Fatalf("%s: %v", pol, err)
+				}
+				if res.Total.Mispredicts != 0 || res.Total.DispWrong != 0 {
+					t.Fatalf("%s: %d mispredicts, %d wrong-path dispatches under the oracle predictor",
+						pol, res.Total.Mispredicts, res.Total.DispWrong)
+				}
+				if first == nil {
+					first = res
+				} else if !reflect.DeepEqual(*res, *first) {
+					t.Fatalf("%s diverges from conventional: %s", pol, diffResults(res, first))
+				}
 			}
 		})
 	}

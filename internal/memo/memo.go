@@ -135,18 +135,6 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // waiter and then re-raised in the first caller, so duplicates are never
 // stranded.
 func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, err error, shared bool) {
-	return c.DoWithJoin(ctx, key, fn, nil)
-}
-
-// DoWithJoin is Do with a hook invoked when this request attaches to an
-// in-flight computation of the same key instead of running fn — called
-// exactly once, before blocking on the shared call. Callers coordinating
-// groups of computations use it to release resources that must not wait
-// for a foreign computation (a batch group must learn immediately that a
-// member will not contribute a lane, or the group would stall behind the
-// joined call). The hook does not run for requests answered by a
-// resident entry (those never block) or for requests that run fn.
-func (c *Cache[V]) DoWithJoin(ctx context.Context, key string, fn func() (V, error), onJoin func()) (v V, err error, shared bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if el, ok := s.done[key]; ok {
@@ -158,9 +146,6 @@ func (c *Cache[V]) DoWithJoin(ctx context.Context, key string, fn func() (V, err
 	}
 	if cl, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
-		if onJoin != nil {
-			onJoin()
-		}
 		select {
 		case <-cl.done:
 			// Only a successful share counts as joined; an error is
@@ -207,37 +192,6 @@ func (c *Cache[V]) DoWithJoin(ctx context.Context, key string, fn func() (V, err
 	cl.val, cl.err = fn()
 	finished = true
 	return cl.val, cl.err, false
-}
-
-// Reprice recomputes the cost of key's resident entry with the cache's
-// cost function and adjusts the shard's byte accounting, evicting older
-// entries if the new cost pushes the shard over budget. Callers use it
-// when a cached value's footprint grows after insertion (a trace whose
-// wrong-path segment cache filled up). Reports whether the key was
-// resident; the repriced entry itself is touched (so it is the last to
-// go) but entries evicted to make room fire the eviction hook as usual.
-func (c *Cache[V]) Reprice(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.done[key]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	s.lru.MoveToFront(el)
-	e := el.Value.(*entry[V])
-	nc := c.cost(key, e.val)
-	s.bytes += nc - e.cost
-	e.cost = nc
-	evicted := s.evictToLocked(c.budget)
-	s.mu.Unlock()
-	for _, ev := range evicted {
-		c.evictions.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(ev.key, ev.val)
-		}
-	}
-	return true
 }
 
 // Get returns the resident value for key without computing, touching the

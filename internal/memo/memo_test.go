@@ -408,43 +408,3 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Fatalf("resident bytes %d exceed budget", st.Bytes)
 	}
 }
-
-// TestRepriceAdjustsBytesAndEvicts: when a resident value's footprint
-// grows after insertion (measured through the cost function), Reprice
-// must fold the new cost into the shard's accounting and trim older
-// entries back under budget — the mechanism trace segment caches use to
-// stay inside the trace budget as they fill.
-func TestRepriceAdjustsBytesAndEvicts(t *testing.T) {
-	extra := map[string]int64{}
-	cost := func(key string, v string) int64 { return int64(len(v)) + extra[key] }
-	c := New[string](1, 10, cost)
-	var evicted []string
-	c.OnEvict(func(key string, _ string) { evicted = append(evicted, key) })
-	put := func(k string) {
-		c.Do(bg(), k, func() (string, error) { return "xxxx", nil })
-	}
-	put("a")
-	put("b") // 8 bytes resident
-
-	if c.Reprice("missing") {
-		t.Fatal("repricing an absent key reported resident")
-	}
-	// b's footprint grows by 5: 13 > 10, so the older a is evicted and b
-	// (just touched) survives.
-	extra["b"] = 5
-	if !c.Reprice("b") {
-		t.Fatal("resident key reported absent")
-	}
-	if len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("evicted %v, want [a]", evicted)
-	}
-	if st := c.Stats(); st.Bytes != 9 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 9 bytes / 1 entry", st)
-	}
-	// Shrinking reprices too: accounting must follow the cost down.
-	extra["b"] = 1
-	c.Reprice("b")
-	if st := c.Stats(); st.Bytes != 5 {
-		t.Fatalf("bytes = %d after shrink, want 5", st.Bytes)
-	}
-}

@@ -35,7 +35,12 @@ import (
 // unclustered server), MetricsSnapshot gained cluster (ring membership
 // plus per-peer forwarded/failed/fallback counters; null when
 // unclustered), and /healthz gained the cluster section.
-const SchemaVersion = 6
+//
+// v7: MetricsSnapshot lost the v4 batched-replay and segment-cache
+// fields — sims.batched, sims.batch_groups, sims.seg_* and
+// batch_group_sizes — with the batched replay and wrong-path segment
+// cache they counted.
+const SchemaVersion = 7
 
 // Zero is the wire spelling of blp.Zero: integer options whose zero
 // value means "default" accept -1 to request an explicit 0.

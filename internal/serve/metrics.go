@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -101,23 +100,21 @@ type StoreMetrics struct {
 
 // SimMetrics mirrors blp.RunnerStats on the wire. Captured/Replayed
 // expose the trace-once/simulate-many accounting: the functional
-// emulator ran simulated - replayed + captured times. Batched counts
-// the replayed runs that rode a shared-decode batch (BatchGroups of
-// them), and the seg_* counters expose the wrong-path segment cache:
-// hits replayed a memoized wrong path with zero shadow emulation,
-// invalidated counts fingerprint mismatches that fell back to live.
+// emulator ran simulated - replayed + captured times. Batched and the
+// Seg* fields are always zero and never on the wire (schema v7); they
+// mirror the RunnerStats fields of the same names, kept only for the
+// benchmark harness.
 type SimMetrics struct {
 	Simulated      int   `json:"simulated"`
 	Cached         int   `json:"cached"`
 	InFlight       int   `json:"in_flight"`
 	Captured       int   `json:"captured"`
 	Replayed       int   `json:"replayed"`
-	Batched        int   `json:"batched"`
-	BatchGroups    int   `json:"batch_groups"`
-	SegHits        int64 `json:"seg_hits"`
-	SegMisses      int64 `json:"seg_misses"`
-	SegInvalidated int64 `json:"seg_invalidated"`
-	SegBypassed    int64 `json:"seg_bypassed"`
+	Batched        int   `json:"-"`
+	SegHits        int64 `json:"-"`
+	SegMisses      int64 `json:"-"`
+	SegInvalidated int64 `json:"-"`
+	SegBypassed    int64 `json:"-"`
 }
 
 // PeerMetrics is one peer's forwarding counters from this node's point
@@ -182,10 +179,6 @@ type MetricsSnapshot struct {
 	// under — it changes exactly when the simulator's numbers do.
 	Store           *StoreMetrics `json:"store"`
 	BehaviorVersion string        `json:"behavior_version"`
-	// BatchGroupSizes histograms the Runner's batch groups by lane
-	// count: key "6" -> 1 means one six-configuration sweep was run as
-	// a single shared-decode batch. Empty until a batch has run.
-	BatchGroupSizes map[string]int `json:"batch_group_sizes"`
 	// Cluster is the peer-forwarding view (null when unclustered).
 	Cluster *ClusterMetrics `json:"cluster"`
 	Latency LatencyMetrics  `json:"latency"`
@@ -216,13 +209,6 @@ func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, c *cluster, drain
 	snap.Sims = SimMetrics{
 		Simulated: rs.Simulated, Cached: rs.Cached, InFlight: rs.InFlight,
 		Captured: rs.Captured, Replayed: rs.Replayed,
-		Batched: rs.Batched, BatchGroups: rs.BatchGroups,
-		SegHits: rs.SegHits, SegMisses: rs.SegMisses,
-		SegInvalidated: rs.SegInvalidated, SegBypassed: rs.SegBypassed,
-	}
-	snap.BatchGroupSizes = make(map[string]int)
-	for k, v := range runner.BatchHistogram() {
-		snap.BatchGroupSizes[strconv.Itoa(k)] = v
 	}
 	cs := runner.CacheStats()
 	snap.Cache = CacheMetrics{

@@ -561,12 +561,9 @@ func TestPanicContained(t *testing.T) {
 	}
 }
 
-// TestMetricsSchemaV4Fields pins the v4 additions to GET /metrics: the
-// wrong-path segment-cache counters surface once a replayed run has
-// exercised the cache, and the batch fields are on the wire. (The sweep
-// endpoint runs items individually to stream them in completion order,
-// so the batch counters stay zero here; they count RunAllContext groups
-// on an embedded Runner.)
+// TestMetricsSchemaV4Fields pins the fate of the v4 additions to GET
+// /metrics: schema v7 took the batched-replay and segment-cache fields
+// off the wire, while the replay counters they sat beside stay.
 func TestMetricsSchemaV4Fields(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"runs":[
@@ -581,20 +578,26 @@ func TestMetricsSchemaV4Fields(t *testing.T) {
 		t.Fatalf("got %d items, want 2", len(items))
 	}
 	snap := getMetrics(t, ts.URL)
-	if snap.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema_version %d, want %d", snap.SchemaVersion, SchemaVersion)
+	if snap.SchemaVersion != 7 || SchemaVersion != 7 {
+		t.Fatalf("schema_version %d (const %d), want 7", snap.SchemaVersion, SchemaVersion)
 	}
-	if snap.Sims.Replayed == 0 {
-		t.Fatalf("two timing configs of one workload did not replay: %+v", snap.Sims)
+	if snap.Sims.Captured != 1 || snap.Sims.Replayed != 2 {
+		t.Fatalf("two timing configs of one workload did not capture once and replay: %+v", snap.Sims)
 	}
-	if snap.Sims.SegMisses == 0 {
-		t.Fatalf("segment-cache counters missing from the wire: %+v", snap.Sims)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.BatchGroupSizes == nil {
-		t.Fatal("batch_group_sizes absent from the snapshot")
+	var raw map[string]any
+	decodeInto(t, resp, &raw)
+	if _, ok := raw["batch_group_sizes"]; ok {
+		t.Error("batch_group_sizes still on the wire")
 	}
-	if snap.Sims.Batched != 0 || snap.Sims.BatchGroups != 0 || len(snap.BatchGroupSizes) != 0 {
-		t.Fatalf("per-item sweep reported batch groups: %+v sizes=%v",
-			snap.Sims, snap.BatchGroupSizes)
+	sims, _ := raw["sims"].(map[string]any)
+	for _, k := range []string{"batched", "batch_groups", "seg_hits", "seg_misses", "seg_invalidated", "seg_bypassed"} {
+		if _, ok := sims[k]; ok {
+			t.Errorf("sims.%s still on the wire", k)
+		}
 	}
 }

@@ -186,10 +186,7 @@ const ctxCheckIters = 1024
 
 // lane is one simulation in flight: the assembled cores and hierarchy
 // plus the driver loop's cursor state. Run is newLane + step-until-done +
-// finish; RunBatch interleaves several single-thread lanes, each holding
-// a view over one shared trace decode. The split changes nothing about
-// what a step does — step() is the body of Run's historical driver loop,
-// verbatim.
+// finish.
 type lane struct {
 	cfg Config
 	w   *Workload
@@ -212,18 +209,12 @@ type lane struct {
 }
 
 // newLane validates the configuration and assembles cores, hierarchies
-// and the uncore. fes, when non-nil, supplies one prebuilt frontend per
-// hardware thread (RunBatch's trace views); otherwise frontends come from
-// cfg.Replay or a live emulator as before.
-func newLane(cfg Config, w *Workload, fes []emu.Frontend) (*lane, error) {
+// and the uncore. Frontends come from cfg.Replay or a live emulator.
+func newLane(cfg Config, w *Workload) (*lane, error) {
 	threadsTotal := cfg.Cores * cfg.Core.SMT
 	if len(w.Progs) != threadsTotal {
 		return nil, fmt.Errorf("sim: workload %s has %d programs for %d hardware threads",
 			w.Name, len(w.Progs), threadsTotal)
-	}
-	if fes != nil && len(fes) != threadsTotal {
-		return nil, fmt.Errorf("sim: workload %s has %d prebuilt frontends for %d hardware threads",
-			w.Name, len(fes), threadsTotal)
 	}
 
 	watchdog := cfg.WatchdogCycles
@@ -265,9 +256,7 @@ func newLane(cfg Config, w *Workload, fes []emu.Frontend) (*lane, error) {
 	for i := range cores {
 		lfes := make([]emu.Frontend, cfg.Core.SMT)
 		for j := range lfes {
-			if fes != nil {
-				lfes[j] = fes[ti]
-			} else if cfg.Replay != nil {
+			if cfg.Replay != nil {
 				r, err := trace.NewReplay(cfg.Replay, w.Progs[ti], mem)
 				if err != nil {
 					return nil, fmt.Errorf("sim: workload %s: %w", w.Name, err)
@@ -471,7 +460,7 @@ func (l *lane) finish() (*Result, error) {
 
 // Run simulates the workload to completion and returns statistics.
 func Run(cfg Config, w *Workload) (*Result, error) {
-	l, err := newLane(cfg, w, nil)
+	l, err := newLane(cfg, w)
 	if err != nil {
 		return nil, err
 	}

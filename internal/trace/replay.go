@@ -34,21 +34,6 @@ type Replay struct {
 	halted  bool
 	inSlice bool
 	sliceID uint64
-
-	// batch is non-nil for views created by Batch.NewView: decode comes
-	// from the shared ring, while mem/regs/cursors above stay per-view.
-	// decoded is the view's local snapshot of the batch's decode head
-	// (records below it are read lock-free); pubCur is the cursor value
-	// the view last published to the batch under its lock.
-	batch   *Batch
-	decoded int
-	pubCur  int
-
-	// segs memoizes wrong-path segments across every replay of the trace;
-	// segRec is the recorder wrapped around the previous Fork, finalized
-	// when the next fork proves it abandoned.
-	segs   *SegCache
-	segRec *segRecorder
 }
 
 // NewReplay builds a frontend replaying tr against prog and mem. The
@@ -60,7 +45,7 @@ func NewReplay(tr *Trace, prog *isa.Program, mem []byte) (*Replay, error) {
 		return nil, fmt.Errorf("trace: replaying %s (%d insts) with trace of %s (%d insts)",
 			prog.Name, len(prog.Code), tr.progName, tr.progLen)
 	}
-	r := &Replay{tr: tr, prog: prog, mem: mem, segs: tr.segs.Load()}
+	r := &Replay{tr: tr, prog: prog, mem: mem}
 	if len(tr.pcs) > 0 {
 		r.nextPC = int(tr.pcs[0])
 	}
@@ -102,9 +87,6 @@ func (r *Replay) store(addr uint64, size int, v uint64) error {
 // architectural effects (register write, memory store) to the replay's
 // state, mirroring Machine.Step record for record.
 func (r *Replay) Step() (emu.DynInst, error) {
-	if r.batch != nil {
-		return r.batchStep()
-	}
 	if r.halted {
 		return emu.DynInst{}, fmt.Errorf("%s: step after halt", r.prog.Name)
 	}
@@ -213,19 +195,6 @@ func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
 // where wrong paths start) depends on the timing configuration — so they
 // are regenerated exactly as a live machine regenerates them.
 func (r *Replay) Fork(startPC int, inSlice bool, sliceID uint64) emu.WrongPath {
-	if r.segRec != nil {
-		// A new fork means the previous wrong path can never be stepped
-		// again (the core keeps exactly one live shadow); publish its tail.
-		r.segRec.finalize()
-		r.segRec = nil
-	}
-	if r.segs != nil {
-		wp := r.segs.fork(r, startPC, inSlice, sliceID)
-		if rec, ok := wp.(*segRecorder); ok {
-			r.segRec = rec
-		}
-		return wp
-	}
 	return emu.NewShadow(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
 }
 

@@ -36,7 +36,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -71,37 +70,6 @@ type Trace struct {
 	addrs []uint64 // effective addresses, dense over records with flagAddr
 
 	id string // hex sha256 content digest
-
-	// segs is the trace's wrong-path segment cache, attached lazily by
-	// EnsureSegs. It is derived state (never serialized, not part of the
-	// content digest) shared by every Replay of this trace.
-	segs atomic.Pointer[SegCache]
-}
-
-// EnsureSegs attaches a wrong-path segment cache to the trace (idempotent;
-// the first caller wins) and returns it. budget bounds the cache's bytes
-// (<=0 uses DefaultSegBudget); stats, when non-nil, receives the cache's
-// counters — pass one sink to aggregate across traces. Replays created
-// after attachment fork through the cache.
-func (t *Trace) EnsureSegs(budget int64, stats *SegStats) *SegCache {
-	if sc := t.segs.Load(); sc != nil {
-		return sc
-	}
-	sc := newSegCache(budget, stats)
-	if t.segs.CompareAndSwap(nil, sc) {
-		return sc
-	}
-	return t.segs.Load()
-}
-
-// SegBytes reports the resident bytes of the trace's segment cache (zero
-// when none is attached). Cache-cost accounting adds this to the trace's
-// own footprint so the trace budget bounds total resident replay state.
-func (t *Trace) SegBytes() int64 {
-	if sc := t.segs.Load(); sc != nil {
-		return sc.Bytes()
-	}
-	return 0
 }
 
 // Len returns the number of recorded dynamic instructions.

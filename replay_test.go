@@ -76,30 +76,19 @@ func TestRunnerTraceSweep(t *testing.T) {
 		t.Fatalf("emulator ran %d times for %d simulations; want >= 2x reduction",
 			emuExecs, st.Simulated)
 	}
-	// The distinct configurations of one workload ran as a single batch
-	// group sharing the trace decode and the wrong-path segment cache.
-	if st.Batched != len(sweep) || st.BatchGroups != 1 {
-		t.Fatalf("batch accounting: %+v; want Batched=%d BatchGroups=1", st, len(sweep))
-	}
-	if h := r.BatchHistogram(); h[len(sweep)] != 1 || len(h) != 1 {
-		t.Fatalf("batch histogram %v; want {%d:1}", h, len(sweep))
-	}
-	if st.SegMisses == 0 || st.SegHits == 0 {
-		t.Fatalf("segment cache never exercised across lanes: %+v", st)
-	}
 
-	// The whole group fetched its trace through one singleflight call, so
-	// the trace cache records a single miss and no per-lane re-requests.
+	// One trace cache miss captured the trace; every other configuration
+	// found it resident or joined the in-flight capture.
 	cs := r.CacheStats()
-	if cs.Trace.Misses != 1 || cs.Trace.Hits+cs.Trace.Joined != 0 {
-		t.Fatalf("trace cache: %+v; want 1 miss, 0 hits+joined", cs.Trace)
+	if cs.Trace.Misses != 1 || cs.Trace.Hits+cs.Trace.Joined != int64(len(sweep)-1) {
+		t.Fatalf("trace cache: %+v; want 1 miss, %d hits+joined", cs.Trace, len(sweep)-1)
 	}
 	if cs.Trace.Entries != 1 || cs.Trace.Bytes <= 0 {
 		t.Fatalf("trace cache resident set: %+v", cs.Trace)
 	}
 
 	// Each sweep point must equal its unmemoized, live-emulated run.
-	for i := range []int{0, 1} {
+	for i := range sweep {
 		live, err := Run(sweep[i])
 		if err != nil {
 			t.Fatal(err)
@@ -134,9 +123,6 @@ func TestRunnerCapturePolicy(t *testing.T) {
 		}
 		st := r.Stats()
 		st.Cached, st.InFlight = 0, 0
-		// Segment-cache counters are a property of the replays' wrong-path
-		// forks, not of the capture policy under test here.
-		st.SegHits, st.SegMisses, st.SegInvalidated = 0, 0, 0
 		if st != want[i] {
 			t.Fatalf("after run %d: %+v, want %+v", i, st, want[i])
 		}
@@ -173,11 +159,10 @@ func TestTraceKeyVersioned(t *testing.T) {
 }
 
 // TestBatchedSweepMatchesSerialReplay pins byte-identity at the API
-// layer: every lane of a batched Runner sweep must equal a serial
+// layer: every point of a concurrent Runner sweep must equal a serial
 // replayed run of the same options against an independently captured
-// trace with no segment cache attached — so the batch path (shared
-// decode ring, memoized wrong-path segments, lockstep scheduling) is
-// compared end to end against the plain live-shadow replay path.
+// trace, so sharing one resident trace between concurrent replays
+// changes nothing.
 func TestBatchedSweepMatchesSerialReplay(t *testing.T) {
 	ctx := context.Background()
 	sweep := []Options{
@@ -193,8 +178,8 @@ func TestBatchedSweepMatchesSerialReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.Batched != len(sweep) {
-		t.Fatalf("sweep did not take the batch path: %+v", st)
+	if st := r.Stats(); st.Captured != 1 || st.Replayed != len(sweep) {
+		t.Fatalf("sweep accounting: %+v; want Captured=1 Replayed=%d", st, len(sweep))
 	}
 
 	tr, err := captureTrace(ctx, sweep[0].normalized())
@@ -207,7 +192,7 @@ func TestBatchedSweepMatchesSerialReplay(t *testing.T) {
 			t.Fatalf("serial replay of sweep[%d]: %v", i, err)
 		}
 		if !reflect.DeepEqual(res[i], want) {
-			t.Errorf("batched sweep[%d] diverges from serial replay:\nserial %+v\nbatch  %+v",
+			t.Errorf("sweep[%d] diverges from serial replay:\nserial %+v\nsweep  %+v",
 				i, want.Stats, res[i].Stats)
 		}
 	}

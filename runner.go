@@ -47,22 +47,13 @@ type Runner struct {
 	// written through on compute, spilled to on LRU eviction.
 	store *store.Store
 
-	mu          sync.Mutex
-	progress    io.Writer
-	simulated   int // simulations actually executed
-	cached      int // requests served by an in-flight or completed duplicate
-	inFlight    int // simulations currently executing
-	captured    int // functional emulator executions that captured a trace
-	replayed    int // simulations fed from a captured trace
-	batched     int // replayed simulations executed inside a batch group
-	batchGroups int // batched-replay groups executed
-	// batchHist counts executed groups by lane count (size → groups).
-	batchHist map[int]int
-
-	// segStats aggregates the wrong-path segment caches attached to every
-	// replayed trace (trace.EnsureSegs); written by replays concurrently,
-	// so it is atomic and lives outside mu.
-	segStats trace.SegStats
+	mu        sync.Mutex
+	progress  io.Writer
+	simulated int // simulations actually executed
+	cached    int // requests served by an in-flight or completed duplicate
+	inFlight  int // simulations currently executing
+	captured  int // functional emulator executions that captured a trace
+	replayed  int // simulations fed from a captured trace
 
 	// Capture policy state (see wantCapture): traceHint counts live
 	// RunAllContext batches that contain two or more distinct
@@ -113,7 +104,6 @@ func NewRunnerCache(jobs int, cacheBytes int64) *Runner {
 		traces:    memo.New[*trace.Trace](traceShards, DefaultTraceCacheBudget, traceCost),
 		traceHint: make(map[string]int),
 		traceSeen: make(map[string]bool),
-		batchHist: make(map[int]int),
 	}
 }
 
@@ -128,14 +118,10 @@ func resultCost(key string, r *Result) int64 {
 }
 
 // traceCost is resultCost for captured traces, dominated by the record
-// streams' backing arrays — plus the trace's wrong-path segment cache,
-// which memsize cannot see through the atomic pointer. Segments accrete
-// after insertion as replays fork wrong paths, so the Runner reprices the
-// trace's entry (memo.Cache.Reprice) after every replayed run; together
-// these keep the trace budget a bound on total resident replay state,
-// not just the record streams.
+// streams' backing arrays. Traces are immutable once captured, so the
+// insert-time cost stays exact for as long as the entry is resident.
 func traceCost(key string, t *trace.Trace) int64 {
-	return int64(len(key)) + memsize.Of(t) + t.SegBytes()
+	return int64(len(key)) + memsize.Of(t)
 }
 
 // Jobs returns the worker budget.
@@ -166,20 +152,12 @@ type RunnerStats struct {
 	// workload drives Replayed toward Simulated with Captured stuck at 1.
 	Captured int
 	Replayed int
-	// Batched counts replayed simulations executed inside a batch group —
-	// lanes of a sim.RunBatch sharing one trace decode — and BatchGroups
-	// counts the groups. Batched <= Replayed always; the difference ran
-	// the serial replay path. BatchHistogram breaks groups down by size.
-	Batched     int
-	BatchGroups int
-	// SegHits / SegMisses / SegInvalidated aggregate the wrong-path
-	// segment caches attached to replayed traces: a hit replayed a
-	// memoized wrong-path segment with zero shadow emulation, a miss
-	// recorded one, and an invalidation rejected a stale segment whose
-	// read-set fingerprint no longer matched the forking replay's state.
-	// SegBypassed counts forks after a trace's cache disabled itself
-	// (invalidations persistently swamping hits — data-dependent wrong
-	// paths that cannot be memoized profitably).
+	// Batched and the Seg* counters are always zero. They counted batched
+	// replay and the wrong-path segment cache, both removed (DESIGN.md,
+	// "Batched replay and wrong-path memoization (removed)"); they stay
+	// only because the benchmark harness still reads them, and go when it
+	// stops.
+	Batched        int
 	SegHits        int64
 	SegMisses      int64
 	SegInvalidated int64
@@ -193,24 +171,7 @@ func (r *Runner) Stats() RunnerStats {
 	return RunnerStats{
 		Simulated: r.simulated, Cached: r.cached, InFlight: r.inFlight,
 		Captured: r.captured, Replayed: r.replayed,
-		Batched: r.batched, BatchGroups: r.batchGroups,
-		SegHits:        r.segStats.Hits.Load(),
-		SegMisses:      r.segStats.Misses.Load(),
-		SegInvalidated: r.segStats.Invalidated.Load(),
-		SegBypassed:    r.segStats.Bypassed.Load(),
 	}
-}
-
-// BatchHistogram returns a copy of the batch group size histogram: lane
-// count → number of groups executed at that size.
-func (r *Runner) BatchHistogram() map[int]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := make(map[int]int, len(r.batchHist))
-	for k, v := range r.batchHist {
-		h[k] = v
-	}
-	return h
 }
 
 // CacheStats describes the Runner's result cache: request outcomes and
@@ -414,22 +375,14 @@ func (r *Runner) simulate(ctx context.Context, o Options) (*Result, error) {
 	r.mu.Lock()
 	r.replayed++
 	r.mu.Unlock()
-	res, err := runContext(ctx, o, tr)
-	// The replay may have grown the trace's wrong-path segment cache;
-	// fold the new bytes into the trace cache's accounting (see
-	// traceCost).
-	r.traces.Reprice(tk)
-	return res, err
+	return runContext(ctx, o, tr)
 }
 
 // fetchTrace returns the workload's captured trace — from the memo cache,
-// the durable store, or a fresh capture (singleflighted per TraceKey) —
-// with the wrong-path segment cache attached, so every replay of the
-// trace shares memoized segments and reports into the Runner's seg
-// counters.
+// the durable store, or a fresh capture (singleflighted per TraceKey).
 func (r *Runner) fetchTrace(ctx context.Context, n Options) (*trace.Trace, error) {
 	tk := n.TraceKey()
-	tr, terr, _ := r.traces.Do(ctx, tk, func() (*trace.Trace, error) {
+	tr, err, _ := r.traces.Do(ctx, tk, func() (*trace.Trace, error) {
 		if t, ok := r.storeLoadTrace(tk); ok {
 			return t, nil
 		}
@@ -444,11 +397,7 @@ func (r *Runner) fetchTrace(ctx context.Context, n Options) (*trace.Trace, error
 		}
 		return t, err
 	})
-	if terr != nil {
-		return nil, terr
-	}
-	tr.EnsureSegs(0, &r.segStats)
-	return tr, nil
+	return tr, err
 }
 
 // traceSeenCap bounds the first-sighting set; past it the history is
@@ -553,10 +502,6 @@ func (r *Runner) RunAllContext(ctx context.Context, opts []Options) ([]*Result, 
 	defer r.unhintTraces(hinted)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Batched replay: requests sharing a workload under distinct timing
-	// configurations simulate as lanes of one sim.RunBatch (see batch.go);
-	// member[i] == nil takes the ordinary memoized path.
-	member := r.groupBatches(cctx, opts)
 	res := make([]*Result, len(opts))
 	errs := make([]error, len(opts))
 	var wg sync.WaitGroup
@@ -564,11 +509,7 @@ func (r *Runner) RunAllContext(ctx context.Context, opts []Options) ([]*Result, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if g := member[i]; g != nil {
-				res[i], errs[i] = r.runGrouped(cctx, opts[i], g)
-			} else {
-				res[i], errs[i] = r.RunContext(cctx, opts[i])
-			}
+			res[i], errs[i] = r.RunContext(cctx, opts[i])
 			if errs[i] != nil {
 				cancel()
 			}

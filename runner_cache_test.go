@@ -208,37 +208,3 @@ func TestRunnerCacheHonestCost(t *testing.T) {
 			growth, 8*budget, budget)
 	}
 }
-
-// TestTraceCacheAccountsSegmentBytes is the accounting regression test
-// for wrong-path segment residency: segments accrete on a trace after
-// its cache insertion, so without repricing (memo.Cache.Reprice after
-// every replayed run) the trace cache's ledger would keep charging the
-// insert-time cost and the "bounded" budget would silently stop bounding
-// resident replay state. After a batched sweep the ledger must equal the
-// honest cost — record streams plus resident segment bytes.
-func TestTraceCacheAccountsSegmentBytes(t *testing.T) {
-	r := NewRunner(2)
-	base := Options{Benchmark: "cc", Scale: 6, Mode: SliceOuter}
-	sweep := []Options{
-		base,
-		{Benchmark: "cc", Scale: 6, Mode: SliceOuter, Predictor: "oracle"},
-		{Benchmark: "cc", Scale: 6, Mode: SliceOuter, FRQSize: 2},
-	}
-	if _, err := r.RunAll(sweep); err != nil {
-		t.Fatal(err)
-	}
-	tk := base.TraceKey()
-	tr, ok := r.traces.Get(tk)
-	if !ok {
-		t.Fatal("trace not resident after the sweep")
-	}
-	segs := tr.SegBytes()
-	if segs == 0 {
-		t.Fatal("no wrong-path segments resident after a mispredicting sliced sweep")
-	}
-	tc := r.CacheStats().Trace
-	if want := traceCost(tk, tr); tc.Bytes != want {
-		t.Fatalf("trace cache ledger %d bytes, honest cost %d (of which %d segment bytes): repricing lost",
-			tc.Bytes, want, segs)
-	}
-}
