@@ -71,7 +71,8 @@ type Options struct {
 	// "tc", "ms").
 	Benchmark string
 	// Mode places slice instructions; SliceNone builds the baseline
-	// binary. Selective-flush hardware is enabled iff Mode != SliceNone.
+	// binary. Under the default Policy, selective-flush hardware is
+	// enabled iff Mode != SliceNone.
 	Mode SliceMode
 
 	// Scale overrides the input size (log2 vertices; log2 elements for
@@ -95,9 +96,9 @@ type Options struct {
 	// only the N ROB entries nearest the branch, staged drain for the
 	// rest; "partial:inf" drains everything), or "throttle:C" (full flush
 	// plus single-slot fetch while a branch with predictor confidence
-	// below C is outstanding). Empty (or "auto") follows Mode, exactly as
-	// before this knob existed: selective when Mode places slices,
-	// conventional otherwise. A timing knob: excluded from TraceKey.
+	// below C is outstanding). Empty (or "auto") follows Mode: selective
+	// when Mode places slices, conventional otherwise. A timing knob:
+	// excluded from TraceKey.
 	Policy string
 	// Reserve overrides the §4.7 resource reservation (0 = default 8;
 	// Zero for an explicit 0, i.e. no entries reserved). An explicit 0
@@ -182,14 +183,13 @@ func (o Options) normalized() Options {
 	if o.WatchdogCycles == 0 {
 		o.WatchdogCycles = sim.DefaultWatchdogCycles
 	}
-	if sp, err := core.ParsePolicy(o.Policy); err == nil {
-		if sp.Kind == core.PolicyAuto {
-			if o.Mode != SliceNone {
-				sp.Kind = core.PolicySelective
-			} else {
-				sp.Kind = core.PolicyConventional
-			}
+	if o.Policy == "" || o.Policy == "auto" {
+		o.Policy = core.PolicyConventional
+		if o.Mode != SliceNone {
+			o.Policy = core.PolicySelective
 		}
+	}
+	if sp, err := core.ParsePolicy(o.Policy); err == nil {
 		o.Policy = sp.String()
 	}
 	// An unparseable Policy passes through verbatim; runContext rejects
@@ -315,7 +315,6 @@ func simConfig(ctx context.Context, n Options) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = n.Cores
 	cfg.Core.SMT = n.SMT
-	cfg.Core.SelectiveFlush = n.Mode != SliceNone
 	if sp, err := core.ParsePolicy(n.Policy); err == nil {
 		cfg.Core.Recovery = sp
 	}

@@ -6,13 +6,8 @@
 //	sfserved -cache-mb 256 -queue 128 -run-timeout 2m
 //	sfserved -store-dir /var/lib/sfserved -store-budget 2048
 //
-//	# Cluster mode: every member lists the same membership; each request
-//	# is served by the consistent-hash owner of its canonical key, so
-//	# cache hit rate survives scale-out. A shared -store-dir gives the
-//	# ring a common durable level to warm from.
-//	sfserved -addr :8344 -self http://10.0.0.1:8344 \
-//	         -peers http://10.0.0.2:8344,http://10.0.0.3:8344 \
-//	         -store-dir /mnt/shared/sfstore
+//	# Several hosts: one sfserved per host over a shared -store-dir.
+//	sfserved -store-dir /mnt/shared/sfstore
 //
 //	curl -s localhost:8344/healthz
 //	curl -s -X POST localhost:8344/v1/run \
@@ -28,7 +23,9 @@
 // Objects are stamped with the simulator-behavior version; a binary
 // whose numbers changed invalidates stale entries automatically. The
 // directory also accumulates an append-only experiment ledger
-// (ledger.ndjson, see benchreport -ledger).
+// (ledger.ndjson, see benchreport -ledger). Several servers may share
+// one directory: each indexes it when it starts, so a server warm-starts
+// from everything the others had stored by then.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 // requests finish (bounded by -drain-timeout), and a final metrics
@@ -40,7 +37,6 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"strings"
 	"syscall"
 	"time"
 
@@ -61,19 +57,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound")
 	storeDir := flag.String("store-dir", "", "durable result-store directory (empty = no persistence)")
 	storeBudget := flag.Int("store-budget", 0, "durable-store disk budget in MiB (0 = unbounded)")
-	self := flag.String("self", "", "this node's advertised base URL in a cluster (e.g. http://10.0.0.1:8344)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs; non-empty enables cluster mode (requires -self)")
 	flag.Parse()
-
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	if len(peerList) > 0 && *self == "" {
-		log.Fatal("-peers requires -self (this node's advertised URL, as listed in the peers' -peers)")
-	}
 
 	cacheBytes := int64(*cacheMB) << 20
 	if *cacheMB == 0 {
@@ -86,8 +70,6 @@ func main() {
 		MaxConcurrent: *concurrent,
 		QueueDepth:    *queueDepth,
 		RunTimeout:    *runTimeout,
-		Self:          *self,
-		Peers:         peerList,
 		Logf:          log.Printf,
 	}
 	if *storeDir != "" {

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/autoslice"
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -82,7 +83,9 @@ func main() {
 
 	run := func(p *isa.Program, selective bool) int64 {
 		cfg := sim.DefaultConfig()
-		cfg.Core.SelectiveFlush = selective
+		if selective {
+			cfg.Core.Recovery = core.PolicySpec{Kind: core.PolicySelective}
+		}
 		res, err := sim.Run(cfg, &sim.Workload{Name: p.Name,
 			Progs: []*isa.Program{p}, Mem: mem()})
 		if err != nil {

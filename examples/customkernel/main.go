@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -102,7 +103,9 @@ func main() {
 	for _, sliced := range []bool{false, true} {
 		w, _ := build(n, sliced)
 		cfg := sim.DefaultConfig()
-		cfg.Core.SelectiveFlush = sliced
+		if sliced {
+			cfg.Core.Recovery = core.PolicySpec{Kind: core.PolicySelective}
+		}
 		res, err := sim.Run(cfg, w)
 		if err != nil {
 			log.Fatal(err)

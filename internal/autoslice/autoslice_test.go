@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/graph"
 	"repro/internal/isa"
@@ -97,7 +98,7 @@ func TestTransformedTimingBenefits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Core.SelectiveFlush = true
+	cfg.Core.Recovery = core.PolicySpec{Kind: core.PolicySelective}
 	res, err := sim.Run(cfg, &sim.Workload{Name: "auto", Progs: []*isa.Program{out}, Mem: mem})
 	if err != nil {
 		t.Fatal(err)

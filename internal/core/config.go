@@ -37,14 +37,9 @@ type Config struct {
 	BTBSets   int
 	BTBWays   int
 
-	// SelectiveFlush enables the paper's mechanism. When false the core
-	// recovers every misprediction with a conventional full flush.
-	SelectiveFlush bool
-	// Recovery selects the misprediction-recovery policy explicitly (see
-	// policy.go). The zero value (PolicyAuto) follows SelectiveFlush:
-	// selective when it is set, conventional otherwise — so existing
-	// configurations behave exactly as before. Setting a non-auto kind
-	// overrides SelectiveFlush.
+	// Recovery selects the misprediction-recovery policy (see policy.go):
+	// PolicySelective is the paper's mechanism, PolicyConventional (the
+	// default) recovers every misprediction with a full flush.
 	Recovery PolicySpec
 	// Reserve is the number of RS/LQ/SQ (and ROB) entries reserved for
 	// resolve-path dispatch while in-slice instructions are in flight
@@ -120,7 +115,7 @@ func DefaultConfig() Config {
 		Predictor:          "tage",
 		BTBSets:            512,
 		BTBWays:            4,
-		SelectiveFlush:     false,
+		Recovery:           PolicySpec{Kind: PolicyConventional},
 		Reserve:            8,
 		ROBBlockSize:       1,
 		FRQSize:            8,
@@ -148,7 +143,7 @@ func (c Config) Validate() error {
 	if err := c.Recovery.Validate(); err != nil {
 		return err
 	}
-	if c.Recovery.effective(c.SelectiveFlush).Kind == PolicySelective && c.Reserve == 0 {
+	if c.Recovery.Kind == PolicySelective && c.Reserve == 0 {
 		// §4.7's reservation is the forward-progress guarantee: with no
 		// entries held back, regular fetch packs the RS/LQ/SQ with
 		// instructions that cannot complete until the resolve path of an

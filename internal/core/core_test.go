@@ -18,7 +18,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Reserve = c.SQ },
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.ROBBlockSize = 0 },
-		func(c *Config) { c.SelectiveFlush = true; c.Reserve = 0 },
+		func(c *Config) { c.Recovery = PolicySpec{Kind: PolicySelective}; c.Reserve = 0 },
+		func(c *Config) { c.Recovery = PolicySpec{} },
 	}
 	zeroReserveBaseline := DefaultConfig()
 	zeroReserveBaseline.Reserve = 0

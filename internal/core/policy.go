@@ -38,18 +38,15 @@ import (
 //     counts, watchdog) apply unchanged. New policies are registered in
 //     the table below and automatically enter the conformance matrix.
 const (
-	// PolicyAuto (the zero value) follows the legacy SelectiveFlush
-	// switch: selective when it is set, conventional otherwise.
-	PolicyAuto         = ""
 	PolicySelective    = "selective"
 	PolicyConventional = "conventional"
 	PolicyPartial      = "partial"
 	PolicyThrottle     = "throttle"
 )
 
-// PolicySpec names a recovery policy and its parameters. The zero value
-// is PolicyAuto. Canonical spellings: "selective", "conventional",
-// "partial:<depth>" ("partial:inf" for unbounded), "throttle:<conf>".
+// PolicySpec names a recovery policy and its parameters. Canonical
+// spellings: "selective", "conventional", "partial:<depth>"
+// ("partial:inf" for unbounded), "throttle:<conf>".
 type PolicySpec struct {
 	Kind string
 	// Depth (partial only) is the number of victims squashed per cycle,
@@ -64,12 +61,9 @@ type PolicySpec struct {
 	Conf int
 }
 
-// ParsePolicy parses a policy string ("", "selective", "partial:16",
-// "throttle:2", ...). The empty string is PolicyAuto.
+// ParsePolicy parses a policy string ("selective", "partial:16",
+// "throttle:2", ...).
 func ParsePolicy(s string) (PolicySpec, error) {
-	if s == "" || s == "auto" {
-		return PolicySpec{}, nil
-	}
 	kind, arg := s, ""
 	if i := strings.IndexByte(s, ':'); i >= 0 {
 		kind, arg = s[:i], s[i+1:]
@@ -93,8 +87,6 @@ func ParsePolicy(s string) (PolicySpec, error) {
 // String returns the canonical spelling (ParsePolicy(p.String()) == p).
 func (p PolicySpec) String() string {
 	switch p.Kind {
-	case PolicyAuto:
-		return "auto"
 	case PolicyPartial:
 		if p.Depth <= 0 {
 			return "partial:inf"
@@ -109,7 +101,7 @@ func (p PolicySpec) String() string {
 // Validate checks the spec's kind and parameter ranges.
 func (p PolicySpec) Validate() error {
 	switch p.Kind {
-	case PolicyAuto, PolicySelective, PolicyConventional:
+	case PolicySelective, PolicyConventional:
 		if p.Depth != 0 || p.Conf != 0 {
 			return fmt.Errorf("core: recovery policy %q takes no parameters", p.Kind)
 		}
@@ -132,18 +124,6 @@ func (p PolicySpec) Validate() error {
 			p.Kind, strings.Join(RegisteredPolicies(), ", "))
 	}
 	return nil
-}
-
-// effective resolves PolicyAuto against the legacy SelectiveFlush
-// switch; the zero spec preserves pre-policy behavior exactly.
-func (p PolicySpec) effective(selectiveFlush bool) PolicySpec {
-	if p.Kind != PolicyAuto {
-		return p
-	}
-	if selectiveFlush {
-		return PolicySpec{Kind: PolicySelective}
-	}
-	return PolicySpec{Kind: PolicyConventional}
 }
 
 // RecoveryPolicy decides how a mispredicted branch repairs the machine.
@@ -279,13 +259,12 @@ func init() {
 	})
 }
 
-// newPolicy resolves and builds the configured policy.
+// newPolicy validates and builds the configured policy.
 func newPolicy(cfg *Config) (RecoveryPolicy, error) {
 	if err := cfg.Recovery.Validate(); err != nil {
 		return nil, err
 	}
-	spec := cfg.Recovery.effective(cfg.SelectiveFlush)
-	return policyDefs[spec.Kind].build(spec), nil
+	return policyDefs[cfg.Recovery.Kind].build(cfg.Recovery), nil
 }
 
 // selectivePolicy is the paper's mechanism (§4.2). In-slice misses are

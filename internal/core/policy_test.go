@@ -10,8 +10,6 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 		in   string
 		want PolicySpec
 	}{
-		{"", PolicySpec{}},
-		{"auto", PolicySpec{}},
 		{"selective", PolicySpec{Kind: PolicySelective}},
 		{"conventional", PolicySpec{Kind: PolicyConventional}},
 		{"partial", PolicySpec{Kind: PolicyPartial}},
@@ -38,8 +36,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q canonical %q): %v", tc.in, sp.String(), err)
 		}
-		// "throttle" canonicalizes to "throttle:2"; "auto" spells the
-		// zero spec, which re-parses to the zero spec.
+		// "throttle" canonicalizes to "throttle:2".
 		if back != sp {
 			t.Fatalf("canonical %q re-parses to %+v, want %+v", sp.String(), back, sp)
 		}
@@ -50,6 +47,8 @@ func TestParsePolicyErrors(t *testing.T) {
 	for _, in := range []string{
 		"nope", "partial:x", "partial:-1", "throttle:5", "throttle:-1",
 		"selective:1", "conventional:0", "partial:", "throttle:x",
+		// The mode-following default lives in blp.Options, not here.
+		"", "auto",
 	} {
 		if _, err := ParsePolicy(in); err == nil {
 			t.Fatalf("ParsePolicy(%q) accepted", in)
@@ -65,6 +64,7 @@ func TestParsePolicyErrors(t *testing.T) {
 
 func TestPolicySpecValidate(t *testing.T) {
 	bad := []PolicySpec{
+		{},
 		{Kind: "bogus"},
 		{Kind: PolicySelective, Depth: 1},
 		{Kind: PolicyConventional, Conf: 1},
@@ -127,21 +127,19 @@ func TestRegisteredPoliciesAndMatrix(t *testing.T) {
 }
 
 func TestConfigPolicyValidation(t *testing.T) {
-	// An explicit selective policy demands a reservation even when the
-	// legacy SelectiveFlush switch is off...
+	// A selective policy demands a reservation...
 	cfg := DefaultConfig()
 	cfg.Recovery = PolicySpec{Kind: PolicySelective}
 	cfg.Reserve = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("selective policy with Reserve 0 accepted")
 	}
-	// ...and a non-selective policy lifts that demand even when it is on.
+	// ...and a non-selective policy lifts that demand.
 	cfg = DefaultConfig()
-	cfg.SelectiveFlush = true
-	cfg.Recovery = PolicySpec{Kind: PolicyConventional}
+	cfg.Recovery = PolicySpec{Kind: PolicyPartial, Depth: 4}
 	cfg.Reserve = 0
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("conventional policy with Reserve 0 rejected: %v", err)
+		t.Fatalf("partial policy with Reserve 0 rejected: %v", err)
 	}
 	// Invalid specs are rejected at config validation.
 	cfg = DefaultConfig()
@@ -149,23 +147,23 @@ func TestConfigPolicyValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("throttle:9 accepted")
 	}
-	// newPolicy resolves Auto against SelectiveFlush.
+	// The default machine recovers conventionally; only the selective
+	// policy is eligible for the §4.2 mechanism.
 	cfg = DefaultConfig()
-	cfg.SelectiveFlush = true
 	pol, err := newPolicy(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Name() != PolicySelective || !pol.SelectiveEligible() {
-		t.Fatalf("auto under SelectiveFlush resolved to %s", pol.Name())
+	if pol.Name() != PolicyConventional || pol.SelectiveEligible() {
+		t.Fatalf("default config built %s", pol.Name())
 	}
-	cfg.SelectiveFlush = false
+	cfg.Recovery = PolicySpec{Kind: PolicySelective}
 	pol, err = newPolicy(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Name() != PolicyConventional || pol.SelectiveEligible() {
-		t.Fatalf("auto without SelectiveFlush resolved to %s", pol.Name())
+	if pol.Name() != PolicySelective || !pol.SelectiveEligible() {
+		t.Fatalf("selective config built %s", pol.Name())
 	}
 	// Only the throttle policy carries fetch hooks.
 	for _, tc := range []struct {

@@ -17,7 +17,7 @@ type Stats struct {
 	Mispredicts uint64
 	// SliceRecoveries counts mispredictions recovered selectively;
 	// ConvRecoveries counts conventional full flushes (non-slice
-	// branches, FRQ overflow, or SelectiveFlush disabled).
+	// branches, FRQ overflow, or a non-selective Recovery policy).
 	SliceRecoveries uint64
 	ConvRecoveries  uint64
 

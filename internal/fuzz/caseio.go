@@ -88,7 +88,9 @@ func (cc CaseConfig) simConfig(selective, cycleAccurate bool) sim.Config {
 	c.Predictor = cc.Predictor
 	c.WrongPathMemAccess = cc.WrongPathMemAccess
 	c.SMT = cc.SMT
-	c.SelectiveFlush = selective
+	if selective {
+		c.Recovery = core.PolicySpec{Kind: core.PolicySelective}
+	}
 	c.ForceCycleAccurate = cycleAccurate
 	return sim.Config{
 		Core:  c,
@@ -103,12 +105,11 @@ func (cc CaseConfig) simConfig(selective, cycleAccurate bool) sim.Config {
 }
 
 // policySimConfig builds the sim configuration for the policy-equivalence
-// leg: the sampled machine with an explicit recovery policy. The legacy
-// SelectiveFlush switch is set iff the policy is selective, so the
+// leg: the sampled machine with an explicit recovery policy, so the
 // degenerate spellings ("selective", "conventional") configure machines
 // identical to the legacy legs.
 func (cc CaseConfig) policySimConfig(spec core.PolicySpec, cycleAccurate bool) sim.Config {
-	c := cc.simConfig(spec.Kind == core.PolicySelective, cycleAccurate)
+	c := cc.simConfig(false, cycleAccurate)
 	c.Core.Recovery = spec
 	return c
 }

@@ -28,10 +28,6 @@ func RunPolicy(c *Case, refMem []byte, wantCommits uint64, legacy map[string]*si
 	if err != nil {
 		return violationf("policy-parse", "%s: %v", c.Name, err)
 	}
-	if spec.Kind == core.PolicyAuto {
-		return violationf("policy-parse", "%s: policy leg needs an explicit policy, got %q",
-			c.Name, c.Cfg.Policy)
-	}
 
 	variants := []struct {
 		key        string

@@ -3,6 +3,7 @@ package kernels
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -14,7 +15,9 @@ func runTimed(t *testing.T, spec Spec, tweak func(*sim.Config)) *sim.Result {
 		t.Fatalf("build %s: %v", spec.Kernel, err)
 	}
 	cfg := sim.DefaultConfig()
-	cfg.Core.SelectiveFlush = spec.Mode != SliceNone
+	if spec.Mode != SliceNone {
+		cfg.Core.Recovery = core.PolicySpec{Kind: core.PolicySelective}
+	}
 	cfg.CheckIndependence = true
 	if tweak != nil {
 		tweak(&cfg)

@@ -40,7 +40,11 @@ import (
 // fields — sims.batched, sims.batch_groups, sims.seg_* and
 // batch_group_sizes — with the batched replay and wrong-path segment
 // cache they counted.
-const SchemaVersion = 7
+//
+// v8: cluster mode is gone, and with it the v6 additions: node on
+// RunResponse and SweepItem, cluster on MetricsSnapshot, and the
+// cluster section of /healthz.
+const SchemaVersion = 8
 
 // Zero is the wire spelling of blp.Zero: integer options whose zero
 // value means "default" accept -1 to request an explicit 0.
@@ -120,10 +124,11 @@ func (rq RunRequest) Options() (blp.Options, error) {
 	default:
 		return o, fmt.Errorf("unknown predictor %q (tage or oracle)", rq.Predictor)
 	}
-	if sp, err := core.ParsePolicy(rq.Policy); err != nil {
-		return o, err
-	} else if err := sp.Validate(); err != nil {
-		return o, err
+	// "" and "auto" follow the slice mode (see blp.Options.Policy).
+	if rq.Policy != "" && rq.Policy != "auto" {
+		if _, err := core.ParsePolicy(rq.Policy); err != nil {
+			return o, err
+		}
 	}
 	for name, v := range map[string]int{
 		"reserve": rq.Reserve, "rob_block_size": rq.ROBBlockSize,
@@ -205,11 +210,7 @@ type RunResponse struct {
 	// Cached reports whether the result was shared — served from the
 	// resident cache or joined to an identical in-flight simulation —
 	// rather than freshly simulated for this request.
-	Cached bool `json:"cached"`
-	// Node is the cluster member that executed (or served) the run —
-	// the ring owner, or the entry node after a failover. Empty on an
-	// unclustered server.
-	Node      string      `json:"node,omitempty"`
+	Cached    bool        `json:"cached"`
 	ElapsedMS float64     `json:"elapsed_ms"`
 	Result    *ResultJSON `json:"result"`
 }
@@ -224,16 +225,13 @@ type SweepRequest struct {
 // request's runs array. Error is set (and Result nil) when that single
 // run failed; other runs continue.
 type SweepItem struct {
-	SchemaVersion int    `json:"schema_version"`
-	Index         int    `json:"index"`
-	Key           string `json:"key"`
-	Cached        bool   `json:"cached"`
-	// Node is the cluster member that executed the item (see
-	// RunResponse.Node); empty on an unclustered server.
-	Node      string      `json:"node,omitempty"`
-	ElapsedMS float64     `json:"elapsed_ms"`
-	Result    *ResultJSON `json:"result,omitempty"`
-	Error     string      `json:"error,omitempty"`
+	SchemaVersion int         `json:"schema_version"`
+	Index         int         `json:"index"`
+	Key           string      `json:"key"`
+	Cached        bool        `json:"cached"`
+	ElapsedMS     float64     `json:"elapsed_ms"`
+	Result        *ResultJSON `json:"result,omitempty"`
+	Error         string      `json:"error,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx response.

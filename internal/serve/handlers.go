@@ -46,11 +46,7 @@ func (s *Server) runCtx(ctx context.Context) (context.Context, context.CancelFun
 	return ctx, func() {}
 }
 
-// handleRun answers POST /v1/run: one Options, one result. In cluster
-// mode the request first routes to the ring owner of its canonical key
-// (routeRun): forwarded to a peer Backend, or — when this node owns it,
-// the request is itself a forward, or the owner is down — executed on
-// the local Backend under this node's admission queue.
+// handleRun answers POST /v1/run: one Options, one result.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var rq RunRequest
 	dec := json.NewDecoder(r.Body)
@@ -64,12 +60,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.refuseForwardWhileDraining(w, r) {
-		return
-	}
-	if s.routeRun(w, r, rq, o) {
-		return
-	}
 	if !s.admit(w, r) {
 		return
 	}
@@ -77,12 +67,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.runCtx(r.Context())
 	defer cancel()
-	rr, err := s.local.Run(ctx, rq, o)
+	start := time.Now()
+	res, cached, err := s.runCached(ctx, o)
 	if err != nil {
 		s.runError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, *rr)
+	writeJSON(w, http.StatusOK, RunResponse{
+		SchemaVersion: SchemaVersion,
+		Key:           o.Key(),
+		Cached:        cached,
+		ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
+		Result:        resultJSON(res),
+	})
 }
 
 // runError maps a simulation failure to a response: deadline → 504,
@@ -124,54 +121,68 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("sweep has %d runs; max %d per request", len(rq.Runs), maxSweepRuns))
 		return
 	}
-	runs := make([]indexedRun, len(rq.Runs))
+	opts := make([]blp.Options, len(rq.Runs))
 	for i, rr := range rq.Runs {
 		o, err := rr.Options()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("runs[%d]: %v", i, err))
 			return
 		}
-		runs[i] = indexedRun{Index: i, Req: rr, Opts: o}
-	}
-	if s.refuseForwardWhileDraining(w, r) {
-		return
+		opts[i] = o
 	}
 	if !s.admit(w, r) {
 		return
 	}
 	defer s.q.release()
 
-	scatter := s.cluster != nil && !fromPeer(r)
-	if !scatter {
-		// A locally executed sweep is a batch the Runner can see whole:
-		// hint it exactly as RunAllContext hints its own fan-outs, so a
-		// sweep varying only timing configuration captures each
-		// workload's trace once and replays it for every other run,
-		// instead of re-running the functional emulator per
-		// configuration. (A scattered sweep hints per owner group: this
-		// node's share below, each peer's share when the sub-sweep
-		// arrives there through this same path.)
-		release := s.runner.HintTraces(optsOf(runs))
-		defer release()
-	}
+	// A sweep is a batch the Runner can see whole: hint it exactly as
+	// RunAllContext hints its own fan-outs, so a sweep varying only
+	// timing configuration captures each workload's trace once and
+	// replays it for every other run, instead of re-running the
+	// functional emulator per configuration.
+	release := s.runner.HintTraces(opts)
+	defer release()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
 	items := make(chan SweepItem)
-	deliver := func(item SweepItem) { items <- item }
-	go func() {
-		if scatter {
-			s.scatterSweep(r.Context(), runs, deliver)
-		} else {
-			s.local.SweepItems(r.Context(), runs, deliver)
-		}
-		close(items)
-	}()
+	for i, o := range opts {
+		go func(i int, o blp.Options) {
+			ctx, cancel := s.runCtx(r.Context())
+			defer cancel()
+			start := time.Now()
+			res, cached, err := s.runCached(ctx, o)
+			item := SweepItem{
+				SchemaVersion: SchemaVersion,
+				Index:         i,
+				Key:           o.Key(),
+				Cached:        cached,
+				ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
+			}
+			if err != nil {
+				item.Error = err.Error()
+				// Classify like runError: a deadline is a timeout, a
+				// client disconnect is nobody's failure, anything else
+				// is a genuine per-item error and must show up in the
+				// error counter even though the sweep itself streams on.
+				switch {
+				case errors.Is(err, context.DeadlineExceeded):
+					s.metrics.addTimeout()
+				case errors.Is(err, context.Canceled):
+				default:
+					s.metrics.addError()
+				}
+			} else {
+				item.Result = resultJSON(res)
+			}
+			items <- item
+		}(i, o)
+	}
 	enc := json.NewEncoder(w)
-	for item := range items {
-		enc.Encode(item)
+	for range opts {
+		enc.Encode(<-items)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -279,49 +290,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, blp.NewReport(fig))
 }
 
-// healthzResponse is the body of GET /healthz. The cluster section is
-// present only in cluster mode; with ?peers=1 it additionally probes
-// every peer's /healthz (bounded to a second) so one member answers for
-// the whole ring's reachability.
-type healthzResponse struct {
-	Status  string          `json:"status"`
-	Cluster *clusterHealthz `json:"cluster,omitempty"`
-}
-
-type clusterHealthz struct {
-	Self  string            `json:"self"`
-	Nodes []string          `json:"nodes"`
-	Peers map[string]string `json:"peers,omitempty"` // name -> "ok" | error
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	hr := healthzResponse{Status: "ok"}
-	if c := s.cluster; c != nil {
-		hr.Cluster = &clusterHealthz{Self: c.self, Nodes: c.ring.Nodes()}
-		if r.URL.Query().Get("peers") != "" {
-			ctx, cancel := context.WithTimeout(r.Context(), time.Second)
-			defer cancel()
-			hr.Cluster.Peers = make(map[string]string, len(c.backends)-1)
-			for name, b := range c.backends {
-				if name == c.self {
-					continue
-				}
-				if err := b.Healthy(ctx); err != nil {
-					hr.Cluster.Peers[name] = err.Error()
-				} else {
-					hr.Cluster.Peers[name] = "ok"
-				}
-			}
-		}
-	}
 	if s.draining.Load() {
-		hr.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, hr)
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, hr)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.snapshot(s.runner, s.q, s.cluster, s.draining.Load()))
+	writeJSON(w, http.StatusOK, s.metrics.snapshot(s.runner, s.q, s.draining.Load()))
 }

@@ -117,35 +117,6 @@ type SimMetrics struct {
 	SegBypassed    int64 `json:"-"`
 }
 
-// PeerMetrics is one peer's forwarding counters from this node's point
-// of view: forwarded counts runs and sweep items routed to the peer,
-// failed the forwards that died (peer down, draining, stream torn), and
-// fallback the requests recomputed locally after a failed forward.
-// failed <= forwarded and fallback <= failed+1 shapes never hold exactly
-// (a torn sweep fails per missing item) — the invariants that do:
-// fallback items always produced a response, and forwarded - failed
-// items were answered by the peer.
-type PeerMetrics struct {
-	Forwarded int64 `json:"forwarded"`
-	Failed    int64 `json:"failed"`
-	Fallback  int64 `json:"fallback"`
-}
-
-// ClusterMetrics is the cluster section of /metrics (null when the
-// server runs unclustered).
-type ClusterMetrics struct {
-	Self string `json:"self"`
-	// RingNodes is the full membership (self included, sorted) this
-	// node routes against.
-	RingNodes []string `json:"ring_nodes"`
-	// ReceivedForwards counts requests that arrived already routed by a
-	// peer (the inbound half of Forwarded); ShedForwards counts the ones
-	// refused with 503 because this node was draining.
-	ReceivedForwards int64                  `json:"received_forwards"`
-	ShedForwards     int64                  `json:"shed_forwards"`
-	Peers            map[string]PeerMetrics `json:"peers"`
-}
-
 // LatencyMetrics summarizes the recent-request latency window.
 type LatencyMetrics struct {
 	Count int64      `json:"count"` // observations ever, not window size
@@ -177,16 +148,13 @@ type MetricsSnapshot struct {
 	// Store is the durable second level (null when the server runs
 	// without one); BehaviorVersion is the stamp its objects are keyed
 	// under — it changes exactly when the simulator's numbers do.
-	Store           *StoreMetrics `json:"store"`
-	BehaviorVersion string        `json:"behavior_version"`
-	// Cluster is the peer-forwarding view (null when unclustered).
-	Cluster *ClusterMetrics `json:"cluster"`
-	Latency LatencyMetrics  `json:"latency"`
+	Store           *StoreMetrics  `json:"store"`
+	BehaviorVersion string         `json:"behavior_version"`
+	Latency         LatencyMetrics `json:"latency"`
 }
 
-// snapshot assembles the exported metrics view; c is nil on an
-// unclustered server.
-func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, c *cluster, draining bool) MetricsSnapshot {
+// snapshot assembles the exported metrics view.
+func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, draining bool) MetricsSnapshot {
 	m.mu.Lock()
 	reqs := make(map[string]int64, len(m.requests))
 	for k, v := range m.requests {
@@ -231,15 +199,6 @@ func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, c *cluster, drain
 	if q != nil {
 		snap.QueueDepth = q.depth()
 		snap.QueueCapacity = int64(q.maxWait)
-	}
-	if c != nil {
-		snap.Cluster = &ClusterMetrics{
-			Self:             c.self,
-			RingNodes:        c.ring.Nodes(),
-			ReceivedForwards: c.received.Load(),
-			ShedForwards:     c.shed.Load(),
-			Peers:            c.snapshot(),
-		}
 	}
 	return snap
 }

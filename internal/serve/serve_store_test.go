@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
@@ -162,6 +163,71 @@ func TestServerWarmStart(t *testing.T) {
 	}
 	if snap.Store == nil || snap.Store.Hits == 0 {
 		t.Errorf("warm start shows no store hits: %+v", snap.Store)
+	}
+}
+
+// TestServerSharedStoreDir is the multi-host setup: one server per host
+// over a shared store directory. Two store handles are open on one
+// directory at once; server A computes a sweep, and server B, started on
+// its own handle while A's is still open, answers the same sweep from
+// disk byte-identically without simulating.
+func TestServerSharedStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	sweep := `{"runs":[
+		{"benchmark":"cc","scale":6},
+		{"benchmark":"cc","scale":6,"mode":"outer"},
+		{"benchmark":"bfs","scale":6}
+	]}`
+	results := func(url string) map[int]string {
+		t.Helper()
+		resp := postJSON(t, url+"/v1/sweep", sweep)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep status %d", resp.StatusCode)
+		}
+		out := make(map[int]string)
+		for _, it := range readSweepItems(t, resp) {
+			if it.Error != "" || it.Result == nil {
+				t.Fatalf("bad item: %+v", it)
+			}
+			b, err := json.Marshal(it.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[it.Index] = string(b)
+		}
+		if len(out) != 3 {
+			t.Fatalf("sweep covered %d indices, want 3", len(out))
+		}
+		return out
+	}
+
+	stA, err := blp.OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stA.Close()
+	_, tsA := newTestServer(t, Config{Store: stA})
+	cold := results(tsA.URL)
+
+	stB, err := blp.OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stB.Close()
+	_, tsB := newTestServer(t, Config{Store: stB})
+	warm := results(tsB.URL)
+
+	for i, want := range cold {
+		if warm[i] != want {
+			t.Errorf("item %d: shared-directory result differs:\ncold %s\nwarm %s", i, want, warm[i])
+		}
+	}
+	snap := getMetrics(t, tsB.URL)
+	if snap.Sims.Simulated != 0 {
+		t.Errorf("server B simulated %d runs, want 0", snap.Sims.Simulated)
+	}
+	if snap.Store == nil || snap.Store.Hits == 0 {
+		t.Errorf("server B shows no store hits: %+v", snap.Store)
 	}
 }
 

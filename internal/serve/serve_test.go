@@ -563,7 +563,9 @@ func TestPanicContained(t *testing.T) {
 
 // TestMetricsSchemaV4Fields pins the fate of the v4 additions to GET
 // /metrics: schema v7 took the batched-replay and segment-cache fields
-// off the wire, while the replay counters they sat beside stay.
+// off the wire, while the replay counters they sat beside stay. The
+// current version is v8; TestClusterSingleNodeUnchanged pins what v8
+// took off the wire.
 func TestMetricsSchemaV4Fields(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"runs":[
@@ -578,8 +580,8 @@ func TestMetricsSchemaV4Fields(t *testing.T) {
 		t.Fatalf("got %d items, want 2", len(items))
 	}
 	snap := getMetrics(t, ts.URL)
-	if snap.SchemaVersion != 7 || SchemaVersion != 7 {
-		t.Fatalf("schema_version %d (const %d), want 7", snap.SchemaVersion, SchemaVersion)
+	if snap.SchemaVersion != 8 || SchemaVersion != 8 {
+		t.Fatalf("schema_version %d (const %d), want 8", snap.SchemaVersion, SchemaVersion)
 	}
 	if snap.Sims.Captured != 1 || snap.Sims.Replayed != 2 {
 		t.Fatalf("two timing configs of one workload did not capture once and replay: %+v", snap.Sims)
@@ -598,6 +600,54 @@ func TestMetricsSchemaV4Fields(t *testing.T) {
 	for _, k := range []string{"batched", "batch_groups", "seg_hits", "seg_misses", "seg_invalidated", "seg_bypassed"} {
 		if _, ok := sims[k]; ok {
 			t.Errorf("sims.%s still on the wire", k)
+		}
+	}
+}
+
+// TestClusterSingleNodeUnchanged pins the single-node server, the only
+// kind since schema v8 took the cluster fields off the wire: /metrics
+// and /healthz carry no cluster section, run and sweep responses carry
+// no node, and a request still marked with the old peer-forwarding
+// header is served like any other.
+func TestClusterSingleNodeUnchanged(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/metrics", "/healthz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]any
+		decodeInto(t, resp, &raw)
+		if _, ok := raw["cluster"]; ok {
+			t.Errorf("%s still carries a cluster section", path)
+		}
+	}
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run",
+		strings.NewReader(`{"benchmark":"cc","scale":6,"mode":"outer"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Sfserved-Forwarded", "http://nobody:1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("forwarded-marked run: status %d", resp.StatusCode)
+	}
+	var run map[string]any
+	decodeInto(t, resp, &run)
+
+	resp = postJSON(t, ts.URL+"/v1/sweep", `{"runs":[{"benchmark":"cc","scale":6,"mode":"outer"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d", resp.StatusCode)
+	}
+	var item map[string]any
+	decodeInto(t, resp, &item)
+	for _, m := range []map[string]any{run, item} {
+		if _, ok := m["node"]; ok {
+			t.Errorf("response still carries node: %v", m)
 		}
 	}
 }

@@ -63,18 +63,6 @@ type Config struct {
 	// written through, and a restarted server warm-starts from it. The
 	// caller owns the store's lifecycle (Close it after Shutdown).
 	Store *store.Store
-	// Self is this node's advertised base URL in a cluster
-	// ("http://10.0.0.1:8344") — its name on the consistent-hash ring
-	// and the value peers see in the forwarded-by header. Required when
-	// Peers is non-empty; ignored otherwise.
-	Self string
-	// Peers lists the other cluster members' base URLs. Non-empty
-	// enables cluster mode: each /v1/run routes to the ring owner of its
-	// Options.Key (forwarding if that is a peer), and /v1/sweep scatters
-	// its items across owners and merges the streams. Self may appear in
-	// the list (it is deduplicated); every member must be configured
-	// with the same membership set for placement to agree.
-	Peers []string
 	// Logf receives operational log lines (nil: discard).
 	Logf func(format string, args ...any)
 }
@@ -105,26 +93,15 @@ type Server struct {
 	ln       net.Listener
 	draining atomic.Bool
 
-	// local is the Backend over this process's Runner; cluster is the
-	// peer group (nil on an unclustered server — see Config.Peers).
-	local   *localBackend
-	cluster *cluster
-
 	// runCached is the Runner call behind /v1/run and /v1/sweep;
 	// a test seam (deterministic slow/blocking "simulations" for the
 	// backpressure and shutdown tests without burning sim time).
 	runCached func(ctx context.Context, o blp.Options) (*blp.Result, bool, error)
 }
 
-// New builds a Server from cfg (see Config for defaulting). It panics
-// if cfg.Peers is set without cfg.Self — a cluster member that does not
-// know its own ring name cannot route (cmd/sfserved validates the flags
-// before getting here).
+// New builds a Server from cfg (see Config for defaulting).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if len(cfg.Peers) > 0 && cfg.Self == "" {
-		panic("serve: Config.Peers set without Config.Self")
-	}
 	runner := blp.NewRunnerStore(cfg.Jobs, cfg.CacheBytes, cfg.Store)
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2 * runner.Jobs()
@@ -136,29 +113,12 @@ func New(cfg Config) *Server {
 		metrics:   newServerMetrics(),
 		runCached: runner.RunCached,
 	}
-	s.local = &localBackend{s: s}
-	if peers := clusterPeers(cfg.Self, cfg.Peers); len(peers) > 0 {
-		s.cluster = newCluster(cfg.Self, peers,
-			func(name string) Backend { return newPeerBackend(name, cfg.Self) }, s.local)
-	}
 	s.hs = &http.Server{
 		Addr:              cfg.Addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	return s
-}
-
-// clusterPeers filters Self out of the configured peer list (operators
-// commonly hand every member the same full membership list).
-func clusterPeers(self string, peers []string) []string {
-	out := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if p != "" && p != self {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Runner exposes the shared Runner (figure regeneration in handlers,
@@ -201,9 +161,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.logf("serving on %s (jobs=%d, concurrent=%d, queue=%d, cache=%d bytes)",
 		ln.Addr(), s.runner.Jobs(), s.cfg.MaxConcurrent, s.cfg.QueueDepth, s.cfg.CacheBytes)
-	if c := s.cluster; c != nil {
-		s.logf("cluster member %s routing across %v", c.self, c.ring.Nodes())
-	}
 	return s.hs.Serve(ln)
 }
 
@@ -224,7 +181,7 @@ func (s *Server) Addr() net.Addr {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.hs.Shutdown(ctx)
-	snap := s.metrics.snapshot(s.runner, s.q, s.cluster, true)
+	snap := s.metrics.snapshot(s.runner, s.q, true)
 	s.logf("drained: %d simulated, %d cached (%d hits + %d joined), %d evictions, %d rejected, %d errors",
 		snap.Sims.Simulated, snap.Sims.Cached, snap.Cache.Hits, snap.Cache.Joined,
 		snap.Cache.Evictions, snap.Rejected, snap.Errors)

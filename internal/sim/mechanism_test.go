@@ -82,7 +82,7 @@ func TestReserveSweepRuns(t *testing.T) {
 func TestSMT4(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Core.SMT = 4
-	cfg.Core.SelectiveFlush = true
+	cfg.Core.Recovery = recovery(true)
 	var progs []*Workload
 	w := buildOddEven(400, true, 5)
 	for i := 0; i < 4; i++ {

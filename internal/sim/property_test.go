@@ -127,7 +127,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 			wrng := graph.NewRNG(seed)
 			w, _ := genSlicedLoop(wrng, n, v.sliced)
 			cfg := DefaultConfig()
-			cfg.Core.SelectiveFlush = v.sliced
+			cfg.Core.Recovery = recovery(v.sliced)
 			cfg.CheckIndependence = true
 			cfg.MaxCycles = 100_000_000
 			if v.tweak != nil {
@@ -179,7 +179,7 @@ func TestRandomProgramFunctionalMatch(t *testing.T) {
 
 		wt, _ := genSlicedLoop(graph.NewRNG(seed), n, true)
 		cfg := DefaultConfig()
-		cfg.Core.SelectiveFlush = true
+		cfg.Core.Recovery = recovery(true)
 		cfg.MaxCycles = 100_000_000
 		if _, err := Run(cfg, wt); err != nil {
 			return false
@@ -200,7 +200,7 @@ func TestDeterministicTiming(t *testing.T) {
 	run := func() int64 {
 		w, _ := genSlicedLoop(graph.NewRNG(7), 120, true)
 		cfg := DefaultConfig()
-		cfg.Core.SelectiveFlush = true
+		cfg.Core.Recovery = recovery(true)
 		res, err := Run(cfg, w)
 		if err != nil {
 			t.Fatal(err)

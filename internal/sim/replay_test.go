@@ -28,7 +28,7 @@ func TestReplayEquivalence(t *testing.T) {
 		}
 
 		cfg := DefaultConfig()
-		cfg.Core.SelectiveFlush = sliced
+		cfg.Core.Recovery = recovery(sliced)
 		cfg.CheckIndependence = false
 		cfg.MaxCycles = 50_000_000
 

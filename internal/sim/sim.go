@@ -184,33 +184,8 @@ type Result struct {
 // increment.
 const ctxCheckIters = 1024
 
-// lane is one simulation in flight: the assembled cores and hierarchy
-// plus the driver loop's cursor state. Run is newLane + step-until-done +
-// finish.
-type lane struct {
-	cfg Config
-	w   *Workload
-
-	cores []*core.Core
-	hiers []*cache.Hierarchy
-	llc   *cache.Cache
-	dram  *cache.Memory
-
-	watchdog  int64
-	maxCycles int64
-	rec       *flight.Recorder
-	tl        *timeline
-	ctxDone   <-chan struct{}
-
-	iters           int64
-	now             int64
-	lastCommit      uint64
-	lastCommitCycle int64
-}
-
-// newLane validates the configuration and assembles cores, hierarchies
-// and the uncore. Frontends come from cfg.Replay or a live emulator.
-func newLane(cfg Config, w *Workload) (*lane, error) {
+// Run simulates the workload to completion and returns statistics.
+func Run(cfg Config, w *Workload) (*Result, error) {
 	threadsTotal := cfg.Cores * cfg.Core.SMT
 	if len(w.Progs) != threadsTotal {
 		return nil, fmt.Errorf("sim: workload %s has %d programs for %d hardware threads",
@@ -254,23 +229,23 @@ func newLane(cfg Config, w *Workload) (*lane, error) {
 	hiers := make([]*cache.Hierarchy, cfg.Cores)
 	ti := 0
 	for i := range cores {
-		lfes := make([]emu.Frontend, cfg.Core.SMT)
-		for j := range lfes {
+		fes := make([]emu.Frontend, cfg.Core.SMT)
+		for j := range fes {
 			if cfg.Replay != nil {
 				r, err := trace.NewReplay(cfg.Replay, w.Progs[ti], mem)
 				if err != nil {
 					return nil, fmt.Errorf("sim: workload %s: %w", w.Name, err)
 				}
-				lfes[j] = r
+				fes[j] = r
 			} else {
 				m := emu.New(w.Progs[ti], mem)
 				m.CheckIndependence = cfg.CheckIndependence
-				lfes[j] = emu.AsFrontend(m)
+				fes[j] = emu.AsFrontend(m)
 			}
 			ti++
 		}
 		hiers[i] = cache.NewHierarchy(hc, llc, dram)
-		c, err := core.NewCoreFrontends(i, cfg.Core, hiers[i], lfes)
+		c, err := core.NewCoreFrontends(i, cfg.Core, hiers[i], fes)
 		if err != nil {
 			return nil, err
 		}
@@ -292,188 +267,153 @@ func newLane(cfg Config, w *Workload) (*lane, error) {
 	if cfg.Ctx != nil {
 		ctxDone = cfg.Ctx.Done()
 	}
+	var iters int64
 
-	return &lane{
-		cfg: cfg, w: w,
-		cores: cores, hiers: hiers, llc: llc, dram: dram,
-		watchdog: watchdog, maxCycles: maxCycles,
-		rec: rec, tl: tl, ctxDone: ctxDone,
-	}, nil
-}
-
-// step advances the simulation by one driver-loop iteration (one cycle,
-// or an idle fast-forward window). It returns finished=true when every
-// core is done; an error aborts the run (cancellation, MaxCycles,
-// watchdog).
-func (l *lane) step() (finished bool, err error) {
-	cfg := &l.cfg
-	w := l.w
-	cores := l.cores
-	rec := l.rec
-
-	l.now++
-	if l.iters++; l.iters%ctxCheckIters == 0 && l.ctxDone != nil {
-		select {
-		case <-l.ctxDone:
-			return false, fmt.Errorf("sim: workload %s canceled at cycle %d: %w",
-				w.Name, l.now, cfg.Ctx.Err())
-		default:
+	var now int64
+	lastCommit, lastCommitCycle := uint64(0), int64(0)
+	for {
+		now++
+		if iters++; iters%ctxCheckIters == 0 && ctxDone != nil {
+			select {
+			case <-ctxDone:
+				return nil, fmt.Errorf("sim: workload %s canceled at cycle %d: %w",
+					w.Name, now, cfg.Ctx.Err())
+			default:
+			}
 		}
-	}
-	if l.now > l.maxCycles {
-		return false, fmt.Errorf("sim: workload %s exceeded %d cycles", w.Name, l.maxCycles)
-	}
-	// Deadlock watchdog: no commit anywhere for a long time.
-	var committed uint64
-	for _, c := range cores {
-		committed += c.Stats().Committed
-	}
-	if committed != l.lastCommit {
-		l.lastCommit, l.lastCommitCycle = committed, l.now
-	} else if l.now-l.lastCommitCycle > l.watchdog {
-		return false, fmt.Errorf("sim: workload %s deadlocked at cycle %d:\n%s",
-			w.Name, l.now, deadlockDump(l.now, cores, rec))
-	}
-	if l.tl != nil && l.now%rec.Interval == 0 {
-		l.tl.sample(l.now, cores, l.hiers, l.llc)
-	}
-	done := true
-	for _, c := range cores {
-		if !c.Done() {
-			c.Cycle(l.now)
-			done = false
+		if now > maxCycles {
+			return nil, fmt.Errorf("sim: workload %s exceeded %d cycles", w.Name, maxCycles)
 		}
-	}
-	if done {
-		return true, nil
-	}
-	releaseBarriers(cores)
-
-	// Idle fast-forward: jump over cycle spans where no core can make
-	// progress (all waiting on timed events such as memory fills).
-	// The jump lands one cycle before the earliest wake source so the
-	// boundary cycle executes normally, and is capped so that every
-	// per-cycle obligation of this loop still happens on schedule: the
-	// next timeline sample, the watchdog firing cycle, and the
-	// MaxCycles abort. Barriers need no cap — releaseBarriers ran
-	// above, so a post-release wake is already visible to NextWake.
-	// Cores replicate the skipped cycles' statistics exactly
-	// (core.SkipTo), keeping results byte-identical to per-cycle
-	// stepping.
-	if !cfg.Core.ForceCycleAccurate {
-		wake := int64(1) << 62
-		live := false
+		// Deadlock watchdog: no commit anywhere for a long time.
+		var committed uint64
 		for _, c := range cores {
-			if c.Done() {
+			committed += c.Stats().Committed
+		}
+		if committed != lastCommit {
+			lastCommit, lastCommitCycle = committed, now
+		} else if now-lastCommitCycle > watchdog {
+			return nil, fmt.Errorf("sim: workload %s deadlocked at cycle %d:\n%s",
+				w.Name, now, deadlockDump(now, cores, rec))
+		}
+		if tl != nil && now%rec.Interval == 0 {
+			tl.sample(now, cores, hiers, llc)
+		}
+		done := true
+		for _, c := range cores {
+			if !c.Done() {
+				c.Cycle(now)
+				done = false
+			}
+		}
+		if done {
+			break
+		}
+		releaseBarriers(cores)
+
+		// Idle fast-forward: jump over cycle spans where no core can make
+		// progress (all waiting on timed events such as memory fills).
+		// The jump lands one cycle before the earliest wake source so the
+		// boundary cycle executes normally, and is capped so that every
+		// per-cycle obligation of this loop still happens on schedule: the
+		// next timeline sample, the watchdog firing cycle, and the
+		// MaxCycles abort. Barriers need no cap — releaseBarriers ran
+		// above, so a post-release wake is already visible to NextWake.
+		// Cores replicate the skipped cycles' statistics exactly
+		// (core.SkipTo), keeping results byte-identical to per-cycle
+		// stepping.
+		if !cfg.Core.ForceCycleAccurate {
+			wake := int64(1) << 62
+			live := false
+			for _, c := range cores {
+				if c.Done() {
+					continue
+				}
+				live = true
+				if nw := c.NextWake(); nw < wake {
+					wake = nw
+				}
+			}
+			if !live {
+				// Every core finished during this iteration; the next
+				// loop pass will observe it and break. Jumping here
+				// would inflate the final cycle count.
 				continue
 			}
-			live = true
-			if nw := c.NextWake(); nw < wake {
-				wake = nw
-			}
-		}
-		if !live {
-			// Every core finished during this iteration; the next
-			// loop pass will observe it and break. Jumping here
-			// would inflate the final cycle count.
-			return false, nil
-		}
-		if paranoidFF && wake > l.now+1 {
-			for _, c := range cores {
-				if !c.Done() {
-					c.Cycle(l.now + 1)
-					if c.LastCycleActive() {
-						panic(fmt.Sprintf("paranoid: core active at %d though wake=%d\n%s", l.now+1, wake, c.DumpState()))
+			if paranoidFF && wake > now+1 {
+				for _, c := range cores {
+					if !c.Done() {
+						c.Cycle(now + 1)
+						if c.LastCycleActive() {
+							panic(fmt.Sprintf("paranoid: core active at %d though wake=%d\n%s", now+1, wake, c.DumpState()))
+						}
 					}
 				}
+				now++
+				continue
 			}
-			l.now++
-			return false, nil
-		}
-		target := wake - 1
-		if l.tl != nil {
-			if next := l.now - l.now%rec.Interval + rec.Interval; next-1 < target {
-				target = next - 1
-			}
-		}
-		if deadline := l.lastCommitCycle + l.watchdog; deadline < target {
-			target = deadline
-		}
-		if l.maxCycles < target {
-			target = l.maxCycles
-		}
-		if target > l.now {
-			// Cancellation check before committing the jump: a single
-			// fast-forward can cover an arbitrarily long idle window
-			// (a slow-memory stall runs to tens of millions of
-			// cycles), and a run with few active cycles may finish
-			// before the iteration counter ever reaches its polling
-			// interval — so a canceled caller must not be carried
-			// across the window by the counter-based poll alone.
-			// Like that poll, this changes no simulated state.
-			if l.ctxDone != nil && target-l.now >= ctxCheckIters {
-				select {
-				case <-l.ctxDone:
-					return false, fmt.Errorf("sim: workload %s canceled at cycle %d: %w",
-						w.Name, l.now, cfg.Ctx.Err())
-				default:
+			target := wake - 1
+			if tl != nil {
+				if next := now - now%rec.Interval + rec.Interval; next-1 < target {
+					target = next - 1
 				}
 			}
-			for _, c := range cores {
-				if !c.Done() {
-					c.SkipTo(target)
-				}
+			if deadline := lastCommitCycle + watchdog; deadline < target {
+				target = deadline
 			}
-			l.now = target
+			if maxCycles < target {
+				target = maxCycles
+			}
+			if target > now {
+				// Cancellation check before committing the jump: a single
+				// fast-forward can cover an arbitrarily long idle window
+				// (a slow-memory stall runs to tens of millions of
+				// cycles), and a run with few active cycles may finish
+				// before the iteration counter ever reaches its polling
+				// interval — so a canceled caller must not be carried
+				// across the window by the counter-based poll alone.
+				// Like that poll, this changes no simulated state.
+				if ctxDone != nil && target-now >= ctxCheckIters {
+					select {
+					case <-ctxDone:
+						return nil, fmt.Errorf("sim: workload %s canceled at cycle %d: %w",
+							w.Name, now, cfg.Ctx.Err())
+					default:
+					}
+				}
+				for _, c := range cores {
+					if !c.Done() {
+						c.SkipTo(target)
+					}
+				}
+				now = target
+			}
 		}
 	}
-	return false, nil
-}
 
-// finish runs the end-of-simulation checks and assembles the Result.
-func (l *lane) finish() (*Result, error) {
 	// Every core must have returned every microarchitectural resource:
 	// leaks here mean a recovery path lost track of a uop even though the
 	// run "finished". Cheap (runs once), so always on.
-	for _, c := range l.cores {
+	for _, c := range cores {
 		if err := c.CheckQuiescent(); err != nil {
-			return nil, fmt.Errorf("sim: workload %s not quiescent: %w", l.w.Name, err)
+			return nil, fmt.Errorf("sim: workload %s not quiescent: %w", w.Name, err)
 		}
 	}
 
-	if l.w.Check != nil {
-		if err := l.w.Check(l.w.Mem); err != nil {
-			return nil, fmt.Errorf("sim: workload %s output check failed: %w", l.w.Name, err)
+	if w.Check != nil {
+		if err := w.Check(mem); err != nil {
+			return nil, fmt.Errorf("sim: workload %s output check failed: %w", w.Name, err)
 		}
 	}
 
-	res := &Result{Cycles: l.now}
-	for _, c := range l.cores {
+	res := &Result{Cycles: now}
+	for _, c := range cores {
 		s := *c.Stats()
 		res.PerCore = append(res.PerCore, s)
 		res.Total.Add(&s)
 	}
-	res.Total.Cycles = l.now
-	collectCacheStats(res, l.hiers, l.llc, l.dram, l.now)
+	res.Total.Cycles = now
+	collectCacheStats(res, hiers, llc, dram, now)
 	return res, nil
-}
-
-// Run simulates the workload to completion and returns statistics.
-func Run(cfg Config, w *Workload) (*Result, error) {
-	l, err := newLane(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		finished, err := l.step()
-		if err != nil {
-			return nil, err
-		}
-		if finished {
-			break
-		}
-	}
-	return l.finish()
 }
 
 // collectCacheStats fills Result's cache counters, aggregating accesses

@@ -4,10 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/program"
 )
+
+// recovery maps a test's sliced/baseline switch onto the core's
+// recovery policy: the paper's selective flush for sliced binaries, the
+// default conventional full flush otherwise.
+func recovery(sliced bool) core.PolicySpec {
+	if sliced {
+		return core.PolicySpec{Kind: core.PolicySelective}
+	}
+	return core.PolicySpec{Kind: core.PolicyConventional}
+}
 
 // buildOddEven constructs the canonical sliced loop of the paper's
 // Listing 1: iterate over an array, and per element take a data-dependent
@@ -74,7 +85,7 @@ func buildOddEven(n int, sliced bool, seed uint64) *Workload {
 func runOddEven(t *testing.T, sliced bool, tweak func(*Config)) *Result {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Core.SelectiveFlush = sliced
+	cfg.Core.Recovery = recovery(sliced)
 	cfg.CheckIndependence = true
 	cfg.MaxCycles = 50_000_000
 	if tweak != nil {
