@@ -2,9 +2,14 @@ package blp
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -53,4 +58,52 @@ func TestGoldenFig4SmallScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig4-minscale.golden", f.String())
+}
+
+// TestGoldenPolicyMinScale pins the recovery-policy timing at the minimum
+// input scale: one line per benchmark × core.ConformanceMatrix row on the
+// default 224-entry ROB, giving the counters each recovery mechanism
+// moves. Fig. 4 runs only selective and conventional, and the -fig policy
+// table rounds partial flush's cycle-neutral drain away, so this is the
+// test that fails when partial or throttle timing changes. Selective runs
+// at BestMode; every other policy runs the unsliced binary, as in -fig
+// policy.
+func TestGoldenPolicyMinScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every benchmark under every conformance policy")
+	}
+	const rob = 224
+	specs := append(core.ConformanceMatrix(rob), core.PolicySpec{Kind: core.PolicyPartial, Depth: rob})
+	sort.Slice(specs, func(i, j int) bool { return specs[i].String() < specs[j].String() })
+	var opts []Options
+	for _, b := range Benchmarks {
+		for _, sp := range specs {
+			mode := SliceNone
+			if sp.Kind == core.PolicySelective {
+				mode = BestMode(b)
+			}
+			opts = append(opts, Options{Benchmark: b, Scale: minScale, Mode: mode, Policy: sp.String()})
+		}
+	}
+	results, err := NewRunner(0).RunAll(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for i, o := range opts {
+		s := results[i].Stats
+		fmt.Fprintf(&sb, "%-4s %-12s %-5s cycles=%d conv=%d flushedFull=%d drain=%d throttled=%d\n",
+			o.Benchmark, o.Policy, o.Mode, s.Cycles, s.ConvRecoveries, s.FlushedFull,
+			s.DrainCycles, s.ThrottledCycles)
+		sp, _ := core.ParsePolicy(o.Policy)
+		// The scale is chosen so every staged and gated row engages its
+		// mechanism; a row that stops engaging pins nothing.
+		if sp.Kind == core.PolicyPartial && sp.Depth > 0 && sp.Depth < rob && s.DrainCycles == 0 {
+			t.Errorf("%s %s: no drain cycles", o.Benchmark, o.Policy)
+		}
+		if sp.Kind == core.PolicyThrottle && sp.Conf >= 2 && s.ThrottledCycles == 0 {
+			t.Errorf("%s %s: no throttled cycles", o.Benchmark, o.Policy)
+		}
+	}
+	checkGolden(t, "policy-minscale.golden", sb.String())
 }
