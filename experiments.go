@@ -619,9 +619,9 @@ func (r *Runner) Fig11(scaleDelta int) (*Figure, error) {
 // PolicyMatrix compares the recovery-policy matrix (§4.2 and the
 // conventional-recovery alternatives it displaces) on every benchmark:
 // baseline IPC under conventional full-squash recovery, then speedups for
-// the paper's selective flush (at BestMode), a partial flush that squashes
-// only the 16 youngest victims and drains the rest, and a conventional
-// squash with fetch throttled below TAGE confidence 2. This is not a paper
+// the paper's selective flush (at BestMode), a partial flush that releases
+// the 16 victims nearest the branch at resolution and drains the rest, and
+// a conventional squash with fetch throttled below TAGE confidence 2. This is not a paper
 // figure — it is the repo's own ablation of what the selective mechanism
 // buys over cheaper recovery tweaks.
 func PolicyMatrix(scaleDelta int) (*Figure, error) {

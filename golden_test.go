@@ -73,7 +73,7 @@ func TestGoldenPolicyMinScale(t *testing.T) {
 		t.Skip("runs every benchmark under every conformance policy")
 	}
 	const rob = 224
-	specs := append(core.ConformanceMatrix(rob), core.PolicySpec{Kind: core.PolicyPartial, Depth: rob})
+	specs := core.ConformanceMatrix(rob)
 	sort.Slice(specs, func(i, j int) bool { return specs[i].String() < specs[j].String() })
 	var opts []Options
 	for _, b := range Benchmarks {

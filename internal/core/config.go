@@ -39,7 +39,9 @@ type Config struct {
 
 	// Recovery selects the misprediction-recovery policy (see policy.go):
 	// PolicySelective is the paper's mechanism, PolicyConventional (the
-	// default) recovers every misprediction with a full flush.
+	// default) recovers every misprediction with a full flush, and
+	// partial:N / throttle:C are full flushes with a staged victim
+	// release or a confidence-gated fetch.
 	Recovery PolicySpec
 	// Reserve is the number of RS/LQ/SQ (and ROB) entries reserved for
 	// resolve-path dispatch while in-slice instructions are in flight

@@ -24,16 +24,16 @@ type Core struct {
 
 	threads []*thread
 
-	// policy is the configured mispredict-recovery policy (policy.go).
-	// selEligible caches policy.SelectiveEligible() for the fetch and
-	// dispatch hot paths; polFetch caches the optional fetchHooks
-	// assertion (nil for policies without fetch-side behavior, so the
-	// legacy policies pay one nil check); draining counts threads with a
-	// staged partial flush in progress (drainStep runs only then, and
+	// The recovery policy as data, read once from cfg.Recovery (see
+	// policy.go): selEligible turns on the §4.2 selective path;
+	// squashDepth is the full-squash walk's per-cycle release count
+	// (0 = every victim at resolution); gateConf is the fetch-gate
+	// confidence threshold (0 = never gates). draining counts threads
+	// with a staged flush in progress (drainStep runs only then, and
 	// NextWake must not fast-forward over it).
-	policy      RecoveryPolicy
 	selEligible bool
-	polFetch    fetchHooks
+	squashDepth int
+	gateConf    uint8
 	draining    int
 
 	space  *rob.Space
@@ -96,22 +96,18 @@ func NewCoreFrontends(id int, cfg Config, hier *cache.Hierarchy, fes []emu.Front
 	if len(fes) != cfg.SMT {
 		return nil, fmt.Errorf("core: %d frontends for SMT%d", len(fes), cfg.SMT)
 	}
-	pol, err := newPolicy(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	c := &Core{
-		cfg:      cfg,
-		id:       id,
-		hier:     hier,
-		rec:      cfg.Recorder,
-		policy:   pol,
-		space:    rob.NewSpace(cfg.ROBSize, cfg.ROBBlockSize),
-		traceOn:  cfg.Trace != nil,
-		forceCyc: cfg.ForceCycleAccurate,
+		cfg:         cfg,
+		id:          id,
+		hier:        hier,
+		rec:         cfg.Recorder,
+		selEligible: cfg.Recovery.Kind == PolicySelective,
+		squashDepth: cfg.Recovery.Depth,
+		gateConf:    uint8(cfg.Recovery.Conf),
+		space:       rob.NewSpace(cfg.ROBSize, cfg.ROBBlockSize),
+		traceOn:     cfg.Trace != nil,
+		forceCyc:    cfg.ForceCycleAccurate,
 	}
-	c.selEligible = pol.SelectiveEligible()
-	c.polFetch, _ = pol.(fetchHooks)
 	for i, fe := range fes {
 		c.threads = append(c.threads, newThread(i, c, fe))
 	}

@@ -66,8 +66,9 @@ func (c *Core) iCacheCheck(t *thread, pc int) bool {
 // (shadow), regular trace.
 func (c *Core) fetchThread(t *thread) {
 	width := c.cfg.FetchWidth
-	if c.polFetch != nil {
-		width = c.polFetch.FetchWidth(c, t)
+	if t.lowConfOut > 0 {
+		c.stats.ThrottledCycles++
+		width = 1
 	}
 	for used := 0; used < width; used++ {
 		// The resolve stream has its own unbounded frontend channel so
@@ -136,8 +137,9 @@ func (c *Core) predictBranch(t *thread, u *uop) (mispred, stop bool) {
 	t.pred.OnFetch(predTaken)
 	u.pred = p
 	u.predTaken = predTaken
-	if c.polFetch != nil {
-		c.polFetch.OnFetchBranch(c, t, u)
+	if p.Conf < c.gateConf {
+		u.lowConf = true
+		t.lowConfOut++
 	}
 	if predTaken {
 		stop = true

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/emu"
 )
 
 func TestParsePolicyRoundTrip(t *testing.T) {
@@ -110,8 +112,9 @@ func TestRegisteredPoliciesAndMatrix(t *testing.T) {
 	}
 	// The degenerate rows the conformance suite's identity oracle keys on.
 	mustHave := []PolicySpec{
-		{Kind: PolicyPartial},           // partial:inf ≡ conventional
-		{Kind: PolicyThrottle, Conf: 0}, // throttle:0 ≡ conventional
+		{Kind: PolicyPartial},             // partial:inf ≡ conventional
+		{Kind: PolicyPartial, Depth: 224}, // partial:<ROB> ≡ conventional
+		{Kind: PolicyThrottle, Conf: 0},   // throttle:0 ≡ conventional
 	}
 	for _, w := range mustHave {
 		found := false
@@ -147,42 +150,33 @@ func TestConfigPolicyValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("throttle:9 accepted")
 	}
-	// The default machine recovers conventionally; only the selective
-	// policy is eligible for the §4.2 mechanism.
-	cfg = DefaultConfig()
-	pol, err := newPolicy(&cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The default machine recovers conventionally.
+	if got := DefaultConfig().Recovery; got != (PolicySpec{Kind: PolicyConventional}) {
+		t.Fatalf("default config recovers with %s", got)
 	}
-	if pol.Name() != PolicyConventional || pol.SelectiveEligible() {
-		t.Fatalf("default config built %s", pol.Name())
-	}
-	cfg.Recovery = PolicySpec{Kind: PolicySelective}
-	pol, err = newPolicy(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.Name() != PolicySelective || !pol.SelectiveEligible() {
-		t.Fatalf("selective config built %s", pol.Name())
-	}
-	// Only the throttle policy carries fetch hooks.
+	// NewCoreFrontends reads the policy's three properties once: only
+	// selective is eligible for the §4.2 mechanism, only partial stages
+	// its squash, and only throttle gates fetch.
 	for _, tc := range []struct {
-		spec  PolicySpec
-		hooks bool
+		spec      PolicySpec
+		selective bool
+		depth     int
+		gate      uint8
 	}{
-		{PolicySpec{Kind: PolicySelective}, false},
-		{PolicySpec{Kind: PolicyConventional}, false},
-		{PolicySpec{Kind: PolicyPartial, Depth: 4}, false},
-		{PolicySpec{Kind: PolicyThrottle, Conf: 2}, true},
+		{PolicySpec{Kind: PolicySelective}, true, 0, 0},
+		{PolicySpec{Kind: PolicyConventional}, false, 0, 0},
+		{PolicySpec{Kind: PolicyPartial, Depth: 4}, false, 4, 0},
+		{PolicySpec{Kind: PolicyThrottle, Conf: 2}, false, 0, 2},
 	} {
 		cfg := DefaultConfig()
 		cfg.Recovery = tc.spec
-		pol, err := newPolicy(&cfg)
+		c, err := NewCoreFrontends(0, cfg, nil, make([]emu.Frontend, cfg.SMT))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}
-		if _, ok := pol.(fetchHooks); ok != tc.hooks {
-			t.Fatalf("%s: fetchHooks = %v, want %v", tc.spec, ok, tc.hooks)
+		if c.selEligible != tc.selective || c.squashDepth != tc.depth || c.gateConf != tc.gate {
+			t.Fatalf("%s: selective=%v depth=%d gate=%d, want %v %d %d", tc.spec,
+				c.selEligible, c.squashDepth, c.gateConf, tc.selective, tc.depth, tc.gate)
 		}
 	}
 }

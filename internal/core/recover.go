@@ -3,13 +3,14 @@ package core
 import "repro/internal/flight"
 
 // resolveBranch handles execution-time resolution of a correct-path
-// conditional branch: predictor training, and — for mispredictions —
-// either the selective flush of §4.2 or the configured recovery
-// policy's full-squash repair.
+// conditional branch: predictor training, releasing its fetch-gate mark,
+// and — for mispredictions — either the selective flush of §4.2 or the
+// full-squash walk.
 func (c *Core) resolveBranch(u *uop) {
 	t := u.t
-	if c.polFetch != nil {
-		c.polFetch.OnBranchResolved(c, t, u)
+	if u.lowConf {
+		u.lowConf = false
+		t.lowConfOut--
 	}
 
 	if !u.mispred {
@@ -32,7 +33,7 @@ func (c *Core) resolveBranch(u *uop) {
 		}
 		t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
 	default:
-		c.policy.Recover(c, t, u)
+		c.resolveFull(t, u)
 	}
 }
 
@@ -149,31 +150,50 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
 }
 
-// resolveConventional performs the classic full flush for a mispredicted
-// branch outside any slice (or with selective flush disabled).
-func (c *Core) resolveConventional(t *thread, u *uop) {
-	t.pred.Resolve(u.pred, uint64(u.d.PC), u.d.Taken, true)
-	c.conventionalFlush(t, u)
-}
-
-// conventionalFlush removes everything logically younger than branch u,
-// cancels pending misses belonging to the flushed region, restores the
-// rename checkpoint, and resets the fetch state machine to the correct
-// path (the trace cursor, which stopped right after the branch).
-func (c *Core) conventionalFlush(t *thread, u *uop) {
-	c.stats.ConvRecoveries++
-	if c.traceOn {
-		c.trace("RECOVER-ALL t%d %s", t.id, traceUop(u))
+// resolveFull is the full-squash walk, the recovery of every mispredict
+// the selective path does not handle: it removes everything logically
+// younger than branch u, cancels pending misses belonging to the flushed
+// region, restores the rename checkpoint, and resets the fetch state
+// machine to the correct path (the trace cursor, which stopped right
+// after the branch). Under a squash depth N (partial:N) only the N
+// victims nearest the branch leave the window at resolution; the rest
+// are parked and drained N per cycle (drainStep), modeling a squash
+// walker that reclaims a bounded number of entries per cycle, while the
+// branch holds commit as the order boundary (drainHold). Frontend, miss,
+// rename and fetch repair are never staged.
+func (c *Core) resolveFull(t *thread, u *uop) {
+	// A new recovery supersedes an in-progress drain: its parked
+	// victims are all logically younger than the (older) new branch's
+	// window contents-to-be, so finish releasing them at once rather
+	// than hold the new correct path behind stale wrong-path work.
+	if t.drainLen() > 0 {
+		c.finishDrain(t)
 	}
+	t.pred.Resolve(u.pred, uint64(u.d.PC), u.d.Taken, true)
+	c.stats.ConvRecoveries++
 
 	// 1. Flush dispatched younger instructions (linked-list order is
 	// logical order, so resolve-path instructions of older misses —
-	// spliced before u — survive).
+	// spliced before u — survive). Victims come oldest-first; the
+	// released prefix leaves the window now. No recovery has more
+	// victims than the ROB has entries, so a depth of at least the ROB
+	// size releases everything, like depth 0.
 	victims := t.list.RemoveRangeAfter(&u.node)
+	released := len(victims)
+	if c.squashDepth > 0 && c.squashDepth < released {
+		released = c.squashDepth
+	}
+	if c.traceOn {
+		if released < len(victims) {
+			c.trace("RECOVER-PART t%d %s depth=%d", t.id, traceUop(u), released)
+		} else {
+			c.trace("RECOVER-ALL t%d %s", t.id, traceUop(u))
+		}
+	}
 	if c.rec != nil {
 		c.recordMechanism(flight.EvRecoverFull, t, u, int64(len(victims)))
 	}
-	for i, n := range victims {
+	for i, n := range victims[:released] {
 		if faultMode != FaultNone && i == 0 && c.faultFullFlushVictim(t, u, n) {
 			continue
 		}
@@ -189,13 +209,16 @@ func (c *Core) conventionalFlush(t *thread, u *uop) {
 	// 3. Cancel pending misses whose branch was flushed, then squash
 	// them from the FRQ. (The cancel flag is authoritative: the branch
 	// uop pointer must not be consulted after it can be recycled.)
+	// Cancellation is not staged: a parked victim's FRQ entry must
+	// squash now, before startNextResolve picks a resolve target.
+	// Parked victims stay live (they may still issue and complete while
+	// draining) and are freed as the drain releases them.
 	for i, n := range victims {
-		if faultMode == FaultSkipUnlink && i == 0 {
-			continue // the re-linked victim stays live (injected bug)
+		c.cancelVictimMiss(t, n.Val)
+		if i >= released || faultMode == FaultSkipUnlink && i == 0 {
+			continue // parked, or re-linked by the injected fault: still live
 		}
-		v := n.Val
-		c.cancelVictimMiss(t, v)
-		c.freeUop(v)
+		c.freeUop(n.Val)
 	}
 	t.fq.Squash(func(mi *missInfo) bool { return mi.cancelled })
 	if t.pendingMisses == 0 {
@@ -214,6 +237,19 @@ func (c *Core) conventionalFlush(t *thread, u *uop) {
 
 	// 5. Reset fetch to the trace.
 	c.resetFetchAfterFlush(t)
+
+	// 6. Park the unreleased victims oldest-first and hold the branch
+	// at commit as the order boundary until the walker catches up.
+	if released == len(victims) {
+		return
+	}
+	for _, n := range victims[released:] {
+		t.drainQ = append(t.drainQ, n.Val)
+	}
+	u.drainHold = true
+	t.drainBoundary = u
+	t.drainBoundaryID = u.id
+	c.draining++
 }
 
 // flushFrontendYounger drops every frontend uop logically younger than
@@ -298,77 +334,8 @@ func (c *Core) resetFetchAfterFlush(t *thread) {
 	t.lastILine = -1
 }
 
-// partialFlush is conventionalFlush with the victim release staged: the
-// depth victims nearest the branch leave the window at resolution, the
-// rest at depth per cycle (drainStep), modeling a squash walker that
-// reclaims a bounded number of entries per cycle. The branch stays at
-// the commit head as the order boundary (drainHold) until the drain
-// completes; frontend, miss, rename, and fetch repair are not staged —
-// they happen at resolution exactly as in a conventional flush. Callers
-// guarantee len(victims) > depth >= 1.
-func (c *Core) partialFlush(t *thread, u *uop, depth int) {
-	c.stats.ConvRecoveries++
-	if c.traceOn {
-		c.trace("RECOVER-PART t%d %s depth=%d", t.id, traceUop(u), depth)
-	}
-
-	victims := t.list.RemoveRangeAfter(&u.node)
-	if c.rec != nil {
-		c.recordMechanism(flight.EvRecoverFull, t, u, int64(len(victims)))
-	}
-	for i := 0; i < depth; i++ {
-		if faultMode != FaultNone && i == 0 && c.faultFullFlushVictim(t, u, victims[i]) {
-			continue
-		}
-		c.releaseFlushed(t, victims[i].Val)
-	}
-	c.stats.FlushedFull += uint64(len(victims))
-
-	c.flushFrontendYounger(t, u.d.Seq)
-
-	// Miss cancellation is not staged: a parked victim's FRQ entry must
-	// squash now, before startNextResolve picks a resolve target. Only
-	// the released prefix is freed; parked victims stay live (they may
-	// still issue and complete while draining) and are freed as the
-	// drain releases them.
-	for i, n := range victims {
-		c.cancelVictimMiss(t, n.Val)
-		if i < depth {
-			if faultMode == FaultSkipUnlink && i == 0 {
-				continue // the re-linked victim stays live (injected bug)
-			}
-			c.freeUop(n.Val)
-		}
-	}
-	t.fq.Squash(func(mi *missInfo) bool { return mi.cancelled })
-	if t.pendingMisses == 0 {
-		t.fenceStall = false
-	}
-	t.startNextResolve()
-
-	if u.ck != nil {
-		t.rt.Restore(*u.ck)
-		u.ck = nil
-	} else if u.miss != nil && u.miss.ckValid {
-		t.rt.Restore(u.miss.ck)
-	}
-
-	c.resetFetchAfterFlush(t)
-
-	// Park the remainder oldest-first and hold the branch at commit as
-	// the order boundary until the walker catches up.
-	for _, n := range victims[depth:] {
-		t.drainQ = append(t.drainQ, n.Val)
-	}
-	u.drainHold = true
-	t.drainBoundary = u
-	t.drainBoundaryID = u.id
-	t.drainDepth = depth
-	c.draining++
-}
-
 // drainStep advances every in-progress staged flush by one cycle,
-// releasing up to the flush's depth of parked victims per thread; when a
+// releasing up to the squash depth of parked victims per thread; when a
 // queue empties, its boundary branch is released to commit. Runs right
 // after complete (like flushes themselves), so freed resources are
 // visible to dispatch the same cycle.
@@ -378,10 +345,7 @@ func (c *Core) drainStep() {
 		if n == 0 {
 			continue
 		}
-		k := t.drainDepth
-		if k > n {
-			k = n
-		}
+		k := min(c.squashDepth, n)
 		for i := 0; i < k; i++ {
 			w := t.drainQ[t.drainHead+i]
 			t.drainQ[t.drainHead+i] = nil

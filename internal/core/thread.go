@@ -82,18 +82,18 @@ type thread struct {
 
 	stores []*uop // in-flight correct-path stores, program order
 
-	// Staged-drain state for the partial policy: victims beyond the flush
-	// depth are parked here at resolution and released drainDepth per
-	// cycle, oldest first (drainQ[drainHead:] is the live window). The
-	// boundary branch holds commit (uop.drainHold) until the drain ends.
+	// Staged-drain state under a squash depth (partial:N): victims
+	// beyond the depth are parked here at resolution and released
+	// Core.squashDepth per cycle, oldest first (drainQ[drainHead:] is the
+	// live window). The boundary branch holds commit (uop.drainHold)
+	// until the drain ends.
 	drainQ          []*uop
 	drainHead       int
-	drainDepth      int
 	drainBoundary   *uop
 	drainBoundaryID uint64
 
-	// lowConfOut counts fetched-but-unresolved low-confidence branches for
-	// the throttle policy's fetch gate.
+	// lowConfOut counts fetched-but-unresolved branches predicted below
+	// Core.gateConf; while it is non-zero, fetch narrows to one slot.
 	lowConfOut int
 }
 

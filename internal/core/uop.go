@@ -90,11 +90,11 @@ type uop struct {
 	// freed, stats counted) but stays linked as the order boundary
 	// until the next resolve-path instruction is spliced after it.
 	tombstone bool
-	// lowConf marks a fetched conditional branch the throttle policy
-	// counted as low-confidence; cleared (and the thread's lowConfOut
+	// lowConf marks a fetched conditional branch predicted below the
+	// fetch-gate confidence; cleared (and the thread's lowConfOut
 	// decremented) when the branch resolves or the uop is freed.
 	lowConf bool
-	// drainHold marks the boundary branch of a partial flush: it must not
+	// drainHold marks the boundary branch of a staged flush: it must not
 	// commit while parked victims are still draining behind it.
 	drainHold bool
 }

@@ -66,11 +66,12 @@ type Case struct {
 	Mem   []byte
 }
 
-// simConfig builds the sim configuration for one legacy oracle variant.
-// It deliberately ignores cc.Policy: the sel/ca/conv legs must keep
-// running the exact machines they always ran (policySimConfig builds the
-// policy leg's).
-func (cc CaseConfig) simConfig(selective, cycleAccurate bool) sim.Config {
+// simConfig builds the sim configuration for one oracle leg: the sampled
+// machine recovering under spec. It deliberately ignores cc.Policy: every
+// leg names its own policy, so the sel/ca/conv legs keep running the
+// exact machines they always ran and the policy leg passes the parsed
+// cc.Policy.
+func (cc CaseConfig) simConfig(spec core.PolicySpec, cycleAccurate bool) sim.Config {
 	c := core.DefaultConfig()
 	c.ROBSize = cc.ROBSize
 	c.RS = cc.RS
@@ -88,9 +89,7 @@ func (cc CaseConfig) simConfig(selective, cycleAccurate bool) sim.Config {
 	c.Predictor = cc.Predictor
 	c.WrongPathMemAccess = cc.WrongPathMemAccess
 	c.SMT = cc.SMT
-	if selective {
-		c.Recovery = core.PolicySpec{Kind: core.PolicySelective}
-	}
+	c.Recovery = spec
 	c.ForceCycleAccurate = cycleAccurate
 	return sim.Config{
 		Core:  c,
@@ -102,16 +101,6 @@ func (cc CaseConfig) simConfig(selective, cycleAccurate bool) sim.Config {
 		WatchdogCycles:    100_000,
 		CheckIndependence: true,
 	}
-}
-
-// policySimConfig builds the sim configuration for the policy-equivalence
-// leg: the sampled machine with an explicit recovery policy, so the
-// degenerate spellings ("selective", "conventional") configure machines
-// identical to the legacy legs.
-func (cc CaseConfig) policySimConfig(spec core.PolicySpec, cycleAccurate bool) sim.Config {
-	c := cc.simConfig(false, cycleAccurate)
-	c.Core.Recovery = spec
-	return c
 }
 
 // JSON wire format for repro files.

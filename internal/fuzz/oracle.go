@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/sim"
@@ -75,9 +76,10 @@ func runRef(c *Case) ([]byte, uint64, error) {
 	}
 }
 
-// runSim runs one timing variant, converting panics (the core panics on
-// invariant breaks, by design) into errors so the fuzz loop survives them.
-func runSim(c *Case, selective, cycleAccurate bool) (res *sim.Result, mem []byte, err error) {
+// runSim runs one timing leg on a fresh copy of the case's memory,
+// converting panics (the core panics on invariant breaks, by design) into
+// errors so the fuzz loop survives them.
+func runSim(c *Case, cfg sim.Config) (res *sim.Result, mem []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("panic: %v", r)
@@ -85,9 +87,38 @@ func runSim(c *Case, selective, cycleAccurate bool) (res *sim.Result, mem []byte
 	}()
 	mem = append([]byte(nil), c.Mem...)
 	w := &sim.Workload{Name: c.Name, Progs: c.Progs, Mem: mem}
-	res, err = sim.Run(c.Cfg.simConfig(selective, cycleAccurate), w)
+	res, err = sim.Run(cfg, w)
 	return res, mem, err
 }
+
+// runLeg runs one timing leg through the per-leg oracles: the run
+// finishes, its final memory equals refMem, and it commits exactly
+// wantCommits instructions. key names the leg in violation kinds
+// (key+"-run", "mem-"+key, "commit-"+key); label names the run in their
+// details.
+func runLeg(c *Case, key, label string, cfg sim.Config, refMem []byte, wantCommits uint64) (*sim.Result, *Violation) {
+	res, mem, err := runSim(c, cfg)
+	if err != nil {
+		return nil, violationf(key+"-run", "%s: %v", label, err)
+	}
+	if !bytes.Equal(mem, refMem) {
+		i := firstDiff(mem, refMem)
+		return nil, violationf("mem-"+key,
+			"%s: final memory diverges from reference at byte %#x (got %#x want %#x)",
+			label, i, mem[i], refMem[i])
+	}
+	if res.Total.Committed != wantCommits {
+		return nil, violationf("commit-"+key,
+			"%s: committed %d instructions, reference executed %d (non-marker)",
+			label, res.Total.Committed, wantCommits)
+	}
+	return res, nil
+}
+
+var (
+	selectiveSpec    = core.PolicySpec{Kind: core.PolicySelective}
+	conventionalSpec = core.PolicySpec{Kind: core.PolicyConventional}
+)
 
 // RunCase runs the full differential battery on one case and returns the
 // first violation found (nil = clean):
@@ -115,34 +146,22 @@ func RunCase(c *Case) *Violation {
 		return violationf("ref-fault", "%v", err)
 	}
 
-	type variant struct {
+	legs := []struct {
 		key        string
-		selective  bool
+		spec       core.PolicySpec
 		cycleAccur bool
+	}{
+		{"sel", selectiveSpec, false},
+		{"ca", selectiveSpec, true},
+		{"conv", conventionalSpec, false},
 	}
-	variants := []variant{
-		{"sel", true, false},
-		{"ca", true, true},
-		{"conv", false, false},
-	}
-	results := make(map[string]*sim.Result, len(variants))
-	for _, vr := range variants {
-		res, mem, err := runSim(c, vr.selective, vr.cycleAccur)
-		if err != nil {
-			return violationf(vr.key+"-run", "%s: %v", c.Name, err)
+	results := make(map[string]*sim.Result, len(legs))
+	for _, l := range legs {
+		res, v := runLeg(c, l.key, c.Name, c.Cfg.simConfig(l.spec, l.cycleAccur), refMem, wantCommits)
+		if v != nil {
+			return v
 		}
-		if !bytes.Equal(mem, refMem) {
-			i := firstDiff(mem, refMem)
-			return violationf("mem-"+vr.key,
-				"%s: final memory diverges from reference at byte %#x (got %#x want %#x)",
-				c.Name, i, mem[i], refMem[i])
-		}
-		if res.Total.Committed != wantCommits {
-			return violationf("commit-"+vr.key,
-				"%s: committed %d instructions, reference executed %d (non-marker)",
-				c.Name, res.Total.Committed, wantCommits)
-		}
-		results[vr.key] = res
+		results[l.key] = res
 	}
 
 	// PR3's guarantee: the event-driven fast paths are result-invariant.
@@ -175,7 +194,13 @@ func RunCase(c *Case) *Violation {
 				"%s: capture's final memory diverges from reference at byte %#x (got %#x want %#x)",
 				c.Name, i, capMem[i], refMem[i])
 		}
-		res, mem, err := runReplay(c, tr)
+		// The independence checker must be off: it observes the live
+		// emulator, which a replayed run does not have (and checking
+		// happened in runRef and the live legs anyway).
+		cfg := c.Cfg.simConfig(selectiveSpec, false)
+		cfg.CheckIndependence = false
+		cfg.Replay = tr
+		res, mem, err := runSim(c, cfg)
 		if err != nil {
 			return violationf("replay-run", "%s: %v", c.Name, err)
 		}
@@ -192,25 +217,6 @@ func RunCase(c *Case) *Violation {
 		}
 	}
 	return nil
-}
-
-// runReplay is runSim for the trace-fed variant: selective flush,
-// event-driven stepping, frontend replaying tr. The independence checker
-// must be off — it observes the live emulator, which a replayed run does
-// not have (and checking happened in runRef and the live legs anyway).
-func runReplay(c *Case, tr *trace.Trace) (res *sim.Result, mem []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	mem = append([]byte(nil), c.Mem...)
-	w := &sim.Workload{Name: c.Name, Progs: c.Progs, Mem: mem}
-	cfg := c.Cfg.simConfig(true, false)
-	cfg.CheckIndependence = false
-	cfg.Replay = tr
-	res, err = sim.Run(cfg, w)
-	return res, mem, err
 }
 
 func firstDiff(a, b []byte) int {

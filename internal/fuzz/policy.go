@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 
@@ -18,8 +17,9 @@ import (
 //   - both commit exactly the reference instruction count,
 //   - the two stepping styles produce byte-identical results,
 //   - a degenerate parameterization is byte-identical to its legacy leg:
-//     "selective" to the sel leg, and "conventional"/"partial:inf"/
-//     "throttle:0" to the conv leg (when legacy is non-nil).
+//     "selective" to the sel leg, and "conventional", "partial:inf",
+//     "partial:N" with N >= ROB size and "throttle:0" to the conv leg
+//     (when legacy is non-nil).
 //
 // legacy is RunCase's results map ("sel"/"ca"/"conv"); pass nil to skip
 // the identity checks (the conformance suite builds its own pairs).
@@ -29,31 +29,20 @@ func RunPolicy(c *Case, refMem []byte, wantCommits uint64, legacy map[string]*si
 		return violationf("policy-parse", "%s: %v", c.Name, err)
 	}
 
-	variants := []struct {
+	label := fmt.Sprintf("%s [%s]", c.Name, spec)
+	results := make(map[string]*sim.Result, 2)
+	for _, l := range []struct {
 		key        string
 		cycleAccur bool
 	}{
 		{"policy", false},
 		{"policy-ca", true},
-	}
-	results := make(map[string]*sim.Result, len(variants))
-	for _, vr := range variants {
-		res, mem, err := runPolicySim(c, spec, vr.cycleAccur)
-		if err != nil {
-			return violationf(vr.key+"-run", "%s [%s]: %v", c.Name, spec, err)
+	} {
+		res, v := runLeg(c, l.key, label, c.Cfg.simConfig(spec, l.cycleAccur), refMem, wantCommits)
+		if v != nil {
+			return v
 		}
-		if !bytes.Equal(mem, refMem) {
-			i := firstDiff(mem, refMem)
-			return violationf("mem-"+vr.key,
-				"%s [%s]: final memory diverges from reference at byte %#x (got %#x want %#x)",
-				c.Name, spec, i, mem[i], refMem[i])
-		}
-		if res.Total.Committed != wantCommits {
-			return violationf("commit-"+vr.key,
-				"%s [%s]: committed %d instructions, reference executed %d (non-marker)",
-				c.Name, spec, res.Total.Committed, wantCommits)
-		}
-		results[vr.key] = res
+		results[l.key] = res
 	}
 
 	if !reflect.DeepEqual(*results["policy"], *results["policy-ca"]) {
@@ -63,7 +52,7 @@ func RunPolicy(c *Case, refMem []byte, wantCommits uint64, legacy map[string]*si
 	}
 
 	if legacy != nil {
-		if twin := degenerateTwin(spec); twin != "" {
+		if twin := degenerateTwin(spec, c.Cfg.ROBSize); twin != "" {
 			if !reflect.DeepEqual(*results["policy"], *legacy[twin]) {
 				return violationf("policy-identity",
 					"%s: policy %s must be byte-identical to the %s leg: %s",
@@ -75,30 +64,21 @@ func RunPolicy(c *Case, refMem []byte, wantCommits uint64, legacy map[string]*si
 }
 
 // degenerateTwin names the legacy leg a policy spec must be byte-identical
-// to, or "" when the spec is a genuinely new machine.
-func degenerateTwin(spec core.PolicySpec) string {
+// to on a machine with the given ROB size, or "" when the spec is a
+// genuinely new machine.
+func degenerateTwin(spec core.PolicySpec, robSize int) string {
 	switch {
 	case spec.Kind == core.PolicySelective:
 		return "sel"
 	case spec.Kind == core.PolicyConventional:
 		return "conv"
-	case spec.Kind == core.PolicyPartial && spec.Depth == 0:
-		return "conv" // partial:inf releases everything at resolution
+	case spec.Kind == core.PolicyPartial && (spec.Depth == 0 || spec.Depth >= robSize):
+		// partial:inf releases everything at resolution, and so does
+		// any depth of at least the ROB size: no recovery has more
+		// victims than the ROB has entries.
+		return "conv"
 	case spec.Kind == core.PolicyThrottle && spec.Conf == 0:
 		return "conv" // a threshold of 0 never gates fetch
 	}
 	return ""
-}
-
-// runPolicySim is runSim for the policy leg.
-func runPolicySim(c *Case, spec core.PolicySpec, cycleAccurate bool) (res *sim.Result, mem []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	mem = append([]byte(nil), c.Mem...)
-	w := &sim.Workload{Name: c.Name, Progs: c.Progs, Mem: mem}
-	res, err = sim.Run(c.Cfg.policySimConfig(spec, cycleAccurate), w)
-	return res, mem, err
 }

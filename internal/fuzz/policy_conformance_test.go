@@ -39,13 +39,12 @@ func conformanceCases(t *testing.T) []*Case {
 }
 
 // TestPolicyConformance is the differential conformance suite: every
-// registered recovery policy, at every representative parameterization
+// recovery policy kind, at every representative parameterization
 // (core.ConformanceMatrix), runs every corpus case and must produce the
 // reference memory image and commit count under both stepping styles —
 // and the degenerate parameterizations (selective, conventional,
-// partial:inf, throttle:0) must be byte-identical to the legacy
-// selective/conventional legs. A new policy registered in internal/core
-// enters this matrix automatically.
+// partial:<ROB>, partial:inf, throttle:0) must be byte-identical to the
+// legacy selective/conventional legs.
 func TestPolicyConformance(t *testing.T) {
 	for _, c := range conformanceCases(t) {
 		c := c
@@ -55,8 +54,8 @@ func TestPolicyConformance(t *testing.T) {
 				t.Fatalf("reference run: %v", err)
 			}
 			legacy := make(map[string]*sim.Result, 2)
-			for key, selective := range map[string]bool{"sel": true, "conv": false} {
-				res, mem, err := runSim(c, selective, false)
+			for key, spec := range map[string]core.PolicySpec{"sel": selectiveSpec, "conv": conventionalSpec} {
+				res, mem, err := runSim(c, c.Cfg.simConfig(spec, false))
 				if err != nil {
 					t.Fatalf("%s leg: %v", key, err)
 				}
@@ -101,7 +100,7 @@ func TestOraclePredictorPoliciesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _, err := runPolicySim(&c, spec, false)
+				res, _, err := runSim(&c, c.Cfg.simConfig(spec, false))
 				if err != nil {
 					t.Fatalf("%s: %v", pol, err)
 				}
