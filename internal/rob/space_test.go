@@ -7,9 +7,9 @@ import "testing"
 // tail of the last resolve-path block, independently.
 func TestSpaceBlockWasteTable(t *testing.T) {
 	cases := []struct {
-		block              int
-		flush, resolve     int
-		want               int
+		block          int
+		flush, resolve int
+		want           int
 	}{
 		{1, 7, 13, 0},  // unblocked: no stranding ever
 		{2, 7, 13, 2},  // one odd entry stranded on each side
