@@ -65,7 +65,7 @@ func (m *Machine) set(r isa.Reg, v uint64) {
 }
 
 func (m *Machine) load(addr uint64, size int) (uint64, error) {
-	if addr+uint64(size) > uint64(len(m.Mem)) {
+	if addr+uint64(size) > uint64(len(m.Mem)) || addr+uint64(size) < addr {
 		return 0, m.fault("load of %d bytes at %#x outside memory (%d bytes)",
 			size, addr, len(m.Mem))
 	}
@@ -76,7 +76,7 @@ func (m *Machine) load(addr uint64, size int) (uint64, error) {
 }
 
 func (m *Machine) store(addr uint64, size int, v uint64) error {
-	if addr+uint64(size) > uint64(len(m.Mem)) {
+	if addr+uint64(size) > uint64(len(m.Mem)) || addr+uint64(size) < addr {
 		return m.fault("store of %d bytes at %#x outside memory (%d bytes)",
 			size, addr, len(m.Mem))
 	}

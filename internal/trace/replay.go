@@ -60,7 +60,7 @@ func (r *Replay) get(reg isa.Reg) uint64 {
 }
 
 func (r *Replay) load(addr uint64, size int) (uint64, error) {
-	if addr+uint64(size) > uint64(len(r.mem)) {
+	if addr+uint64(size) > uint64(len(r.mem)) || addr+uint64(size) < addr {
 		return 0, fmt.Errorf("trace: %s: replayed load of %d bytes at %#x outside memory (%d bytes)",
 			r.prog.Name, size, addr, len(r.mem))
 	}
@@ -71,7 +71,7 @@ func (r *Replay) load(addr uint64, size int) (uint64, error) {
 }
 
 func (r *Replay) store(addr uint64, size int, v uint64) error {
-	if addr+uint64(size) > uint64(len(r.mem)) {
+	if addr+uint64(size) > uint64(len(r.mem)) || addr+uint64(size) < addr {
 		return fmt.Errorf("trace: %s: replayed store of %d bytes at %#x outside memory (%d bytes)",
 			r.prog.Name, size, addr, len(r.mem))
 	}
