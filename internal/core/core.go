@@ -56,6 +56,8 @@ type Core struct {
 	events       eventHeap
 	pool         []*uop
 	segPool      []*segBuf
+	ckPool       []*renameSnapshot // free conventional-miss checkpoints (uop.ck)
+	victims      []*rob.Node[*uop] // resolveFull's scratch for the squashed range
 	nextID       uint64
 	dispSeqCtr   uint64 // dispatch-order tie-break counter
 	forceCyc     bool   // cfg.ForceCycleAccurate cached
@@ -338,8 +340,8 @@ func (c *Core) LastCycleActive() bool { return c.activity }
 
 // classPorts caps per-class issue bandwidth (a simplified Skylake port
 // map: 4 ALU ports, 2 load, 1 store-address, 2 branch-capable, one
-// divider).
-var classPorts = map[isa.Class]int{
+// divider). ClassSlice has none: dispatch discards slice markers.
+var classPorts = [isa.NumClasses]int{
 	isa.ClassIntAlu:  4,
 	isa.ClassIntMul:  2,
 	isa.ClassIntDiv:  1,

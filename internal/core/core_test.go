@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/isa"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -81,7 +82,7 @@ func TestEventHeapOrder(t *testing.T) {
 
 func TestDepRefStaleness(t *testing.T) {
 	c := &Core{}
-	u := c.newUop(emu.DynInst{}, nil)
+	u := c.newUop(nil)
 	ref := makeRef(u)
 	u.state = stWaiting
 	if ref.ready(0) {
@@ -98,7 +99,7 @@ func TestDepRefStaleness(t *testing.T) {
 	// Recycle the uop: the stale reference must read as ready.
 	u.state = stCommitted
 	c.freeUop(u)
-	u2 := c.newUop(emu.DynInst{}, nil)
+	u2 := c.newUop(nil)
 	u2.state = stWaiting
 	if u2 != u {
 		t.Fatal("pool did not recycle")
@@ -110,14 +111,15 @@ func TestDepRefStaleness(t *testing.T) {
 
 func TestUopPoolResets(t *testing.T) {
 	c := &Core{}
-	u := c.newUop(emu.DynInst{Seq: 7}, nil)
+	u := c.newUop(nil)
+	u.d.Seq = 7
 	u.mispred = true
 	u.tombstone = true
 	u.ndeps = 3
 	id := u.id
 	c.freeUop(u)
-	u2 := c.newUop(emu.DynInst{Seq: 9}, nil)
-	if u2.mispred || u2.tombstone || u2.ndeps != 0 {
+	u2 := c.newUop(nil)
+	if u2.mispred || u2.tombstone || u2.ndeps != 0 || u2.d.Seq != 0 {
 		t.Fatal("pooled uop state leaked")
 	}
 	if u2.id == id {
@@ -128,10 +130,36 @@ func TestUopPoolResets(t *testing.T) {
 	}
 }
 
+// TestFrontendQueueReusesBackingArray pops and pushes the regular
+// frontend queue the way dispatch and fetch do: once the live window
+// walks to the end of its backing array it must move back to the start
+// rather than reallocate.
+func TestFrontendQueueReusesBackingArray(t *testing.T) {
+	th := &thread{c: &Core{cfg: DefaultConfig()}}
+	u := &uop{}
+	for i := 0; i < 4; i++ {
+		th.enqueue(u)
+	}
+	base := &th.feBuf[:1][0]
+	allocs := testing.AllocsPerRun(100, func() {
+		th.frontend = th.frontend[1:]
+		th.enqueue(u)
+	})
+	if allocs != 0 || &th.feBuf[:1][0] != base || len(th.frontend) != 4 {
+		t.Fatalf("allocs per pop+push = %v, backing array moved = %v, len = %d",
+			allocs, &th.feBuf[:1][0] != base, len(th.frontend))
+	}
+}
+
 func TestClassPortsCoverage(t *testing.T) {
-	// Every class the issue stage can see must have a port budget.
-	for cl, cap := range classPorts {
-		if cap <= 0 {
+	// Every class the issue stage can see must have a port budget; slice
+	// markers never reach issue (dispatch discards them), so they have
+	// none.
+	for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
+		switch ports := classPorts[cl]; {
+		case cl == isa.ClassSlice && ports != 0:
+			t.Errorf("class %v has %d ports, want 0 (dispatch discards it)", cl, ports)
+		case cl != isa.ClassSlice && ports <= 0:
 			t.Errorf("class %v has no ports", cl)
 		}
 	}

@@ -234,8 +234,8 @@ func (c *Core) tryDispatch(t *thread, u *uop, oldestHole uint64) bool {
 			u.miss.ck = tbl.Checkpoint()
 			u.miss.ckValid = true
 		case !u.resolvePath:
-			ck := t.rt.Checkpoint()
-			u.ck = &ck
+			u.ck = c.getCheckpoint()
+			*u.ck = t.rt.Checkpoint()
 		}
 	}
 

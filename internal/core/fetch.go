@@ -107,11 +107,20 @@ func (c *Core) fetchThread(t *thread) {
 }
 
 // enqueue places a fetched uop into the regular frontend queue with the
-// pipeline delay.
+// pipeline delay. Dispatch pops the queue by reslicing, so its live
+// window creeps along the backing array; when the window reaches the
+// end, it moves back to the start (feBuf) instead of letting append
+// reallocate.
 func (t *thread) enqueue(u *uop) {
 	u.readyFE = t.c.now + int64(t.c.cfg.FrontendDepth)
 	u.state = stFrontend
+	if n := len(t.frontend); n == cap(t.frontend) && n < cap(t.feBuf) {
+		t.frontend = t.feBuf[:copy(t.feBuf[:cap(t.feBuf)], t.frontend)]
+	}
 	t.frontend = append(t.frontend, u)
+	if cap(t.frontend) > cap(t.feBuf) {
+		t.feBuf = t.frontend[:0] // append grew a new backing array
+	}
 }
 
 // enqueueResolve places a fetched resolve-path uop into its miss's
@@ -161,11 +170,11 @@ func (c *Core) predictBranch(t *thread, u *uop) (mispred, stop bool) {
 // handles miss detection, slice markers, fences, barriers, and halt.
 // It returns true when fetch must stop for this cycle.
 func (c *Core) fetchNormal(t *thread) bool {
-	d, err := t.m.Step()
-	if err != nil {
+	u := c.newUop(t)
+	if err := t.m.StepInto(&u.d); err != nil {
 		panic(fmt.Sprintf("core %d thread %d: %v", c.id, t.id, err))
 	}
-	u := c.newUop(d, t)
+	d := &u.d
 	u.age = d.Seq
 	u.reduce = d.Inst.Reduce()
 
@@ -220,7 +229,7 @@ func (c *Core) fetchNormal(t *thread) bool {
 	if u.predTaken {
 		wrongPC = int(d.Inst.Imm)
 	}
-	t.wpAge = u.d.Seq
+	t.wpAge = d.Seq
 	if selective {
 		sb := c.getSegBuf()
 		seg, err := t.m.RunToSliceEnd(sb.buf[:0])
@@ -228,7 +237,7 @@ func (c *Core) fetchNormal(t *thread) bool {
 			panic(fmt.Sprintf("core %d thread %d: %v", c.id, t.id, err))
 		}
 		sb.buf = seg
-		mi := &missInfo{branch: u, branchSeq: u.d.Seq, seg: seg, segOwner: sb}
+		mi := &missInfo{branch: u, branchSeq: d.Seq, seg: seg, segOwner: sb}
 		c.stats.SegLenSum += uint64(len(seg))
 		u.miss = mi
 		t.pendingMisses++
@@ -250,17 +259,18 @@ func (c *Core) fetchNormal(t *thread) bool {
 // The direction callback is t.wrongDir, built once per thread (see the
 // field comment for the escape-analysis rationale).
 func (c *Core) fetchWrong(t *thread) bool {
-	d, ok := t.shadow.Step(t.wrongDir)
-	if !ok {
+	u := c.newUop(t)
+	if !t.shadow.StepInto(t.wrongDir, &u.d) {
 		// The wrong path ran off the program. A conventional miss
 		// keeps fetch stalled until resolution; an in-slice miss that
 		// never reached its slice_end stalls the same way.
+		c.unfetch(u)
 		if t.shadowMiss != nil {
 			t.wpStuck = true
 		}
 		return true
 	}
-	u := c.newUop(d, t)
+	d := &u.d
 	u.wpOf = t.shadowMiss
 	u.age = t.wpAge
 	c.stats.FetchedWrongPath++
@@ -281,9 +291,10 @@ func (c *Core) fetchWrong(t *thread) bool {
 // segment.
 func (c *Core) fetchResolve(t *thread) bool {
 	mi := t.resolving
-	d := mi.seg[mi.fetched]
+	u := c.newUop(t)
+	u.d = mi.seg[mi.fetched]
 	mi.fetched++
-	u := c.newUop(d, t)
+	d := &u.d
 	u.age = d.Seq
 	u.reduce = d.Inst.Reduce()
 	u.resolvePath = true
@@ -306,7 +317,7 @@ func (c *Core) fetchResolve(t *thread) bool {
 				t.pendingMisses+t.fq.Len() < c.cfg.FRQSize {
 				child := &missInfo{
 					branch:    u,
-					branchSeq: u.d.Seq,
+					branchSeq: d.Seq,
 					seg:       mi.seg[mi.fetched:],
 				}
 				shareSeg(mi, child)

@@ -107,7 +107,7 @@ func (c *Core) issueFrom(ready []*uop) {
 	})
 
 	budget := c.cfg.IssueWidth
-	var ports [16]int
+	var ports [isa.NumClasses]int
 	for _, u := range ready {
 		if budget == 0 {
 			break

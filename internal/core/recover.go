@@ -178,7 +178,8 @@ func (c *Core) resolveFull(t *thread, u *uop) {
 	// released prefix leaves the window now. No recovery has more
 	// victims than the ROB has entries, so a depth of at least the ROB
 	// size releases everything, like depth 0.
-	victims := t.list.RemoveRangeAfter(&u.node)
+	victims := t.list.RemoveRangeAfter(&u.node, c.victims[:0])
+	c.victims = victims
 	released := len(victims)
 	if c.squashDepth > 0 && c.squashDepth < released {
 		released = c.squashDepth
@@ -230,6 +231,7 @@ func (c *Core) resolveFull(t *thread, u *uop) {
 	// flushed or recycled producers resolve as ready automatically.
 	if u.ck != nil {
 		t.rt.Restore(*u.ck)
+		c.ckPool = append(c.ckPool, u.ck)
 		u.ck = nil
 	} else if u.miss != nil && u.miss.ckValid {
 		t.rt.Restore(u.miss.ck)

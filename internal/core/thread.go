@@ -34,13 +34,19 @@ type thread struct {
 	// program-order-oldest-first (DESIGN.md, deviation 1).
 	fq *frq.Queue[*missInfo]
 
+	// frontend is the regular fetch queue's live window; feBuf is its
+	// whole backing array, where enqueue moves the window back to when
+	// dispatch's pops have walked it to the end.
 	frontend []*uop
+	feBuf    []*uop
 	// resolveMisses lists the misses with fetched-but-undispatched
 	// resolve-path instructions (each miss queues them in missInfo.feq —
 	// the resolve channel, one FIFO per miss).
 	resolveMisses []*missInfo
 
-	// Fetch source state.
+	// Fetch source state. shadow is the engine the frontend's last Fork
+	// returned; the frontend re-seeds that one engine on every Fork, so
+	// it is valid until the next mispredict forks again.
 	mode       fetchMode
 	shadow     emu.WrongPath
 	shadowMiss *missInfo // in-slice miss whose wrong path is being fetched
@@ -48,8 +54,8 @@ type thread struct {
 	wpStuck    bool      // shadow died before reaching its slice_end
 	// wrongDir is the shadow's branch-direction callback, built once:
 	// rebuilding the closure per fetchWrong call would heap-allocate per
-	// wrong-path instruction now that Step is an interface call (escape
-	// analysis cannot see through emu.WrongPath).
+	// wrong-path instruction, because StepInto is an interface call and
+	// escape analysis cannot see through emu.WrongPath.
 	wrongDir emu.BranchDir
 
 	// Resolve-path fetch: the program-order-oldest pending FRQ entry.

@@ -272,7 +272,10 @@ func (c *Core) schedule(u *uop, at int64) {
 
 // uop pool.
 
-func (c *Core) newUop(d emu.DynInst, t *thread) *uop {
+// newUop takes a cleared uop for t from the pool and counts it fetched.
+// The caller writes the instruction record into u.d: the uop owns its
+// DynInst, and every frontend steps straight into it.
+func (c *Core) newUop(t *thread) *uop {
 	var u *uop
 	if n := len(c.pool); n > 0 {
 		u = c.pool[n-1]
@@ -285,7 +288,6 @@ func (c *Core) newUop(d emu.DynInst, t *thread) *uop {
 	}
 	c.nextID++
 	u.id = c.nextID
-	u.d = d
 	u.t = t
 	u.node.Val = u
 	c.stats.UopsFetched++
@@ -293,6 +295,15 @@ func (c *Core) newUop(d emu.DynInst, t *thread) *uop {
 		u.fetchCycle = c.now
 	}
 	return u
+}
+
+// unfetch returns a uop whose wrong-path step produced no instruction to
+// the pool uncounted, undoing newUop's id and fetch count so both
+// sequences read as if it had never been taken.
+func (c *Core) unfetch(u *uop) {
+	c.nextID--
+	c.stats.UopsFetched--
+	c.pool = append(c.pool, u)
 }
 
 func (c *Core) freeUop(u *uop) {
@@ -309,10 +320,27 @@ func (c *Core) freeUop(u *uop) {
 		u.lowConf = false
 		u.t.lowConfOut--
 	}
+	if u.ck != nil {
+		c.ckPool = append(c.ckPool, u.ck)
+		u.ck = nil
+	}
 	u.miss = nil
 	u.t = nil
 	u.waiters = u.waiters[:0]
 	c.pool = append(c.pool, u)
+}
+
+// Checkpoint free list: the rename snapshot a conventional miss takes at
+// dispatch (uop.ck) comes from here and returns when the miss restores
+// it (resolveFull) or its uop is freed unresolved (freeUop).
+
+func (c *Core) getCheckpoint() *renameSnapshot {
+	if n := len(c.ckPool); n > 0 {
+		ck := c.ckPool[n-1]
+		c.ckPool = c.ckPool[:n-1]
+		return ck
+	}
+	return new(renameSnapshot)
 }
 
 // Segment-buffer pool: the append target handed to RunToSliceEnd at miss

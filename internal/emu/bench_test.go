@@ -32,10 +32,11 @@ func buildStepLoop() (*isa.Program, []byte) {
 func BenchmarkMachineStep(b *testing.B) {
 	p, mem := buildStepLoop()
 	m := New(p, mem)
+	var d DynInst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Step(); err != nil {
+		if err := m.StepInto(&d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,12 +53,13 @@ func BenchmarkShadowForkStep(b *testing.B) {
 	}
 	fe := AsFrontend(m)
 	dir := func(pc int, in isa.Inst, actual bool) bool { return actual }
+	var d DynInst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := fe.Fork(m.PC, false, 0)
 		for j := 0; j < 64; j++ {
-			if _, ok := s.Step(dir); !ok {
+			if !s.StepInto(dir, &d) {
 				b.Fatal("wrong path died")
 			}
 		}

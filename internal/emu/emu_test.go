@@ -237,6 +237,12 @@ func TestRunToSliceEndOutsideSlice(t *testing.T) {
 	}
 }
 
+// forkShadow forks m's wrong-path engine the way the core does, through
+// the machine's frontend, and returns the concrete Shadow.
+func forkShadow(m *Machine, startPC int, inSlice bool, sliceID uint64) *Shadow {
+	return AsFrontend(m).Fork(startPC, inSlice, sliceID).(*Shadow)
+}
+
 func TestShadowIsolation(t *testing.T) {
 	p, mem, out := buildSliceLoop(4, []uint32{1, 2, 3, 4})
 	m := New(p, mem)
@@ -255,10 +261,11 @@ func TestShadowIsolation(t *testing.T) {
 
 	// Shadow down the not-actually-taken direction; force everything
 	// not-taken so it rolls forward through stores.
-	s := m.Shadow(m.PC, true, 1)
+	s := forkShadow(m, m.PC, true, 1)
 	dir := func(pc int, in isa.Inst, actual bool) bool { return false }
+	var d DynInst
 	for i := 0; i < 50 && !s.Dead(); i++ {
-		if _, ok := s.Step(dir); !ok {
+		if !s.StepInto(dir, &d) {
 			break
 		}
 	}
@@ -286,12 +293,12 @@ func TestShadowForwarding(t *testing.T) {
 	b.Halt()
 	p := b.Build()
 	m := New(p, l.Image())
-	s := m.Shadow(0, false, 0)
+	s := forkShadow(m, 0, false, 0)
 	dir := func(int, isa.Inst, bool) bool { return false }
+	var d DynInst
 	var lastLd DynInst
 	for !s.Dead() {
-		d, ok := s.Step(dir)
-		if !ok {
+		if !s.StepInto(dir, &d) {
 			break
 		}
 		if d.Inst.Op == isa.Ld64 {
@@ -315,12 +322,12 @@ func TestShadowOOB(t *testing.T) {
 	b.Halt()
 	p := b.Build()
 	m := New(p, make([]byte, 64))
-	s := m.Shadow(0, false, 0)
+	s := forkShadow(m, 0, false, 0)
 	dir := func(int, isa.Inst, bool) bool { return false }
+	var d DynInst
 	oob := false
 	for !s.Dead() {
-		d, ok := s.Step(dir)
-		if !ok {
+		if !s.StepInto(dir, &d) {
 			break
 		}
 		if d.MemOOB {

@@ -97,10 +97,11 @@ func TestShadowMatchesMachine(t *testing.T) {
 		}
 
 		ms := New(p, memS)
-		s := ms.Shadow(0, false, 0)
+		s := forkShadow(ms, 0, false, 0)
 		dir := func(int, isa.Inst, bool) bool { return false }
+		var d DynInst
 		for !s.Dead() {
-			if _, ok := s.Step(dir); !ok {
+			if !s.StepInto(dir, &d) {
 				break
 			}
 		}
@@ -149,10 +150,11 @@ func TestShadowBranchesFollowDirector(t *testing.T) {
 
 	for _, force := range []bool{false, true} {
 		m := New(p, make([]byte, 64))
-		s := m.Shadow(0, false, 0)
+		s := forkShadow(m, 0, false, 0)
 		dir := func(int, isa.Inst, bool) bool { return force }
+		var d DynInst
 		for !s.Dead() {
-			if _, ok := s.Step(dir); !ok {
+			if !s.StepInto(dir, &d) {
 				break
 			}
 		}

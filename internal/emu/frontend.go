@@ -11,14 +11,19 @@ package emu
 // emulator. The timing model is written against this interface only, so
 // the two are interchangeable and results are byte-identical.
 type Frontend interface {
-	// Step produces the next correct-path dynamic instruction.
-	Step() (DynInst, error)
+	// StepInto writes the next correct-path dynamic instruction into
+	// *d. The caller owns the record (the core steps straight into its
+	// pooled uop); the frontend keeps no reference to it.
+	StepInto(d *DynInst) error
 	// RunToSliceEnd advances through the current slice's remaining
 	// instructions (inclusive of its slice_end), appending them to buf.
 	RunToSliceEnd(buf []DynInst) ([]DynInst, error)
 	// Fork starts a wrong-path engine at startPC from the current
 	// architectural register state; inSlice/sliceID seed its slice
-	// context (that of the mispredicted branch).
+	// context (that of the mispredicted branch). The frontend owns the
+	// engine and re-seeds it on every call: the WrongPath returned is
+	// valid until the next Fork on the same frontend, which abandons
+	// the previous wrong path and its buffered stores.
 	Fork(startPC int, inSlice bool, sliceID uint64) WrongPath
 	// Halted reports whether the stream has ended (Halt executed).
 	Halted() bool
@@ -31,7 +36,7 @@ type Frontend interface {
 // down a mispredicted direction with buffered stores (see Shadow, its
 // canonical implementation).
 type WrongPath interface {
-	Step(dir BranchDir) (DynInst, bool)
+	StepInto(dir BranchDir, d *DynInst) bool
 	Dead() bool
 	NextPC() int
 	InSlice() bool
@@ -39,22 +44,27 @@ type WrongPath interface {
 
 // machineFrontend adapts *Machine to Frontend. Machine exposes Halted and
 // PC as fields (the emulator's tests and tools poke them directly), so the
-// method set lives on this wrapper instead.
-type machineFrontend struct{ m *Machine }
+// method set lives on this wrapper instead, beside the one wrong-path
+// engine its forks re-seed.
+type machineFrontend struct {
+	m      *Machine
+	shadow Shadow
+}
 
 // AsFrontend wraps a live machine as a core frontend.
-func AsFrontend(m *Machine) Frontend { return machineFrontend{m} }
+func AsFrontend(m *Machine) Frontend { return &machineFrontend{m: m} }
 
-func (f machineFrontend) Step() (DynInst, error) { return f.m.Step() }
+func (f *machineFrontend) StepInto(d *DynInst) error { return f.m.StepInto(d) }
 
-func (f machineFrontend) RunToSliceEnd(buf []DynInst) ([]DynInst, error) {
+func (f *machineFrontend) RunToSliceEnd(buf []DynInst) ([]DynInst, error) {
 	return f.m.RunToSliceEnd(buf)
 }
 
-func (f machineFrontend) Fork(startPC int, inSlice bool, sliceID uint64) WrongPath {
-	return f.m.Shadow(startPC, inSlice, sliceID)
+func (f *machineFrontend) Fork(startPC int, inSlice bool, sliceID uint64) WrongPath {
+	f.shadow.Reseed(f.m.Prog, f.m.Mem, f.m.Regs, startPC, inSlice, sliceID)
+	return &f.shadow
 }
 
-func (f machineFrontend) Halted() bool { return f.m.Halted }
+func (f *machineFrontend) Halted() bool { return f.m.Halted }
 
-func (f machineFrontend) NextPC() int { return f.m.PC }
+func (f *machineFrontend) NextPC() int { return f.m.PC }

@@ -99,20 +99,33 @@ func effAddr(in isa.Inst, src1, src2 uint64) uint64 {
 // Step executes one instruction and returns its dynamic record.
 // Calling Step on a halted machine is an error.
 func (m *Machine) Step() (DynInst, error) {
+	var d DynInst
+	err := m.StepInto(&d)
+	return d, err
+}
+
+// StepInto executes one instruction and writes its dynamic record into
+// *d, field by field, so a caller that owns the record's storage (a
+// pooled uop, a segment buffer slot) receives it without a copy. On an
+// error before execution starts (halted, pc out of range) *d is left
+// untouched; on a fault during execution it holds the partial record.
+func (m *Machine) StepInto(d *DynInst) error {
 	if m.Halted {
-		return DynInst{}, fmt.Errorf("%s: step after halt", m.Prog.Name)
+		return fmt.Errorf("%s: step after halt", m.Prog.Name)
 	}
 	if m.PC < 0 || m.PC >= len(m.Prog.Code) {
-		return DynInst{}, m.fault("pc out of range")
+		return m.fault("pc out of range")
 	}
 	in := m.Prog.Code[m.PC]
-	d := DynInst{
-		Seq:     m.seq,
-		PC:      m.PC,
-		Inst:    in,
-		InSlice: m.inSlice,
-		SliceID: m.sliceID,
-	}
+	d.Seq = m.seq
+	d.PC = m.PC
+	d.Inst = in
+	d.Taken = false
+	d.Addr = 0
+	d.MemOOB = false
+	d.InSlice = m.inSlice
+	d.SliceID = m.sliceID
+	d.Wrong = false
 	next := m.PC + 1
 
 	s1, s2 := m.get(in.Src1), m.get(in.Src2)
@@ -194,18 +207,18 @@ func (m *Machine) Step() (DynInst, error) {
 		d.Addr = effAddr(in, s1, s2)
 		v, err := m.load(d.Addr, in.Op.MemSize())
 		if err != nil {
-			return d, err
+			return err
 		}
 		m.set(in.Dst, v)
 		if m.CheckIndependence {
 			if err := m.checker().read(m, d.Addr, in.Op.MemSize()); err != nil {
-				return d, err
+				return err
 			}
 		}
 	case isa.St64, isa.St32, isa.StX64, isa.StX32:
 		d.Addr = effAddr(in, s1, s2)
 		if err := m.store(d.Addr, in.Op.MemSize(), m.get(in.Val)); err != nil {
-			return d, err
+			return err
 		}
 		if m.CheckIndependence {
 			m.checker().write(m, d.Addr, in.Op.MemSize())
@@ -216,7 +229,7 @@ func (m *Machine) Step() (DynInst, error) {
 		size := in.Op.MemSize()
 		old, err := m.load(d.Addr, size)
 		if err != nil {
-			return d, err
+			return err
 		}
 		nv := old + m.get(in.Val)
 		switch in.Op {
@@ -224,7 +237,7 @@ func (m *Machine) Step() (DynInst, error) {
 			nv = min(old, m.get(in.Val))
 		}
 		if err := m.store(d.Addr, size, nv); err != nil {
-			return d, err
+			return err
 		}
 		m.set(in.Dst, old)
 		// Atomics are commutative read-modify-writes; the checker
@@ -251,14 +264,14 @@ func (m *Machine) Step() (DynInst, error) {
 
 	case isa.SliceStart:
 		if m.inSlice {
-			return d, m.fault("dynamic nested slice_start")
+			return m.fault("dynamic nested slice_start")
 		}
 		m.inSlice = true
 		m.sliceID++
 		d.SliceID = m.sliceID
 	case isa.SliceEnd:
 		if !m.inSlice {
-			return d, m.fault("dynamic slice_end outside slice")
+			return m.fault("dynamic slice_end outside slice")
 		}
 		m.inSlice = false
 		if m.CheckIndependence {
@@ -266,7 +279,7 @@ func (m *Machine) Step() (DynInst, error) {
 		}
 	case isa.SliceFence:
 		if m.inSlice {
-			return d, m.fault("dynamic slice_fence inside slice")
+			return m.fault("dynamic slice_fence inside slice")
 		}
 		if m.CheckIndependence {
 			m.checker().fence()
@@ -276,7 +289,7 @@ func (m *Machine) Step() (DynInst, error) {
 	case isa.Halt:
 		m.Halted = true
 	default:
-		return d, m.fault("unimplemented opcode %v", in.Op)
+		return m.fault("unimplemented opcode %v", in.Op)
 	}
 
 	if in.Op.IsBranch() && d.Taken {
@@ -286,17 +299,18 @@ func (m *Machine) Step() (DynInst, error) {
 
 	if m.CheckIndependence {
 		if err := m.checkRegDiscipline(in, d.InSlice); err != nil {
-			return d, err
+			return err
 		}
 	}
 
 	m.PC = next
 	m.seq++
-	return d, nil
+	return nil
 }
 
 // RunToSliceEnd executes instructions until the current slice's slice_end
-// has executed (inclusive), appending every dynamic instruction to buf.
+// has executed (inclusive), stepping each dynamic instruction straight
+// into the slot it appends to buf.
 // It is used by the selective-flush model: when an in-slice branch
 // mispredicts, the correct-path remainder of the slice is executed now
 // (keeping functional execution in program order) but delivered to the
@@ -308,11 +322,11 @@ func (m *Machine) RunToSliceEnd(buf []DynInst) ([]DynInst, error) {
 	}
 	id := m.sliceID
 	for {
-		d, err := m.Step()
-		if err != nil {
-			return buf, err
+		buf = append(buf, DynInst{})
+		d := &buf[len(buf)-1]
+		if err := m.StepInto(d); err != nil {
+			return buf[:len(buf)-1], err
 		}
-		buf = append(buf, d)
 		if d.Inst.Op == isa.SliceEnd && d.SliceID == id {
 			return buf, nil
 		}

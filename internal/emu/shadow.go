@@ -19,6 +19,10 @@ type BranchDir func(pc int, in isa.Inst, actual bool) bool
 // overlay and never reach real memory; loads read through the overlay.
 // Out-of-range accesses are tolerated (flagged MemOOB) because wrong-path
 // address computations can be arbitrary garbage.
+//
+// A frontend owns one Shadow and re-seeds it on every fork (Reseed), so
+// the engine and its overlay map are allocated once per frontend rather
+// than once per mispredict. The zero value is an unseeded engine.
 type Shadow struct {
 	prog    *isa.Program
 	mem     []byte // read-only view of the machine's memory
@@ -29,30 +33,24 @@ type Shadow struct {
 
 	inSlice bool
 	sliceID uint64
-	steps   uint64
 }
 
-// Shadow forks the machine's register state into a wrong-path engine that
-// begins fetching at startPC. inSlice/sliceID seed the slice context the
-// wrong path starts in (the context of the mispredicted branch).
-func (m *Machine) Shadow(startPC int, inSlice bool, sliceID uint64) *Shadow {
-	return NewShadow(m.Prog, m.Mem, m.Regs, startPC, inSlice, sliceID)
-}
-
-// NewShadow builds a wrong-path engine from an explicit architectural
-// snapshot (program, memory view, register file). It is the fork entry
-// point for frontends that maintain architectural state outside a Machine,
-// such as the trace replayer.
-func NewShadow(prog *isa.Program, mem []byte, regs [isa.NumRegs]uint64,
-	startPC int, inSlice bool, sliceID uint64) *Shadow {
-	return &Shadow{
-		prog:    prog,
-		mem:     mem,
-		regs:    regs,
-		pc:      startPC,
-		inSlice: inSlice,
-		sliceID: sliceID,
-	}
+// Reseed forks a wrong-path engine from an explicit architectural
+// snapshot (program, memory view, register file), discarding whatever
+// wrong path s was running: it starts fetching at startPC with an empty
+// store overlay, and inSlice/sliceID seed the slice context the wrong
+// path starts in (the context of the mispredicted branch). Frontends
+// call it from Fork on the Shadow they own.
+func (s *Shadow) Reseed(prog *isa.Program, mem []byte, regs [isa.NumRegs]uint64,
+	startPC int, inSlice bool, sliceID uint64) {
+	s.prog = prog
+	s.mem = mem
+	s.regs = regs
+	s.pc = startPC
+	clear(s.overlay)
+	s.dead = false
+	s.inSlice = inSlice
+	s.sliceID = sliceID
 }
 
 // Dead reports whether the shadow can no longer produce instructions.
@@ -112,22 +110,26 @@ func (s *Shadow) store(addr uint64, size int, v uint64) bool {
 	return true
 }
 
-// Step executes one wrong-path instruction. Conditional branches follow
-// the direction dir returns (the predicted direction). ok is false when
-// the shadow is dead; the caller must stop fetching from it.
-func (s *Shadow) Step(dir BranchDir) (DynInst, bool) {
+// StepInto executes one wrong-path instruction and writes its dynamic
+// record into *d field by field. Conditional branches follow the
+// direction dir returns (the predicted direction). It returns false, with
+// *d untouched, when the shadow is dead; the caller must stop fetching
+// from it.
+func (s *Shadow) StepInto(dir BranchDir, d *DynInst) bool {
 	if s.dead || s.pc < 0 || s.pc >= len(s.prog.Code) {
 		s.dead = true
-		return DynInst{}, false
+		return false
 	}
 	in := s.prog.Code[s.pc]
-	d := DynInst{
-		PC:      s.pc,
-		Inst:    in,
-		InSlice: s.inSlice,
-		SliceID: s.sliceID,
-		Wrong:   true,
-	}
+	d.Seq = 0
+	d.PC = s.pc
+	d.Inst = in
+	d.Taken = false
+	d.Addr = 0
+	d.MemOOB = false
+	d.InSlice = s.inSlice
+	d.SliceID = s.sliceID
+	d.Wrong = true
 	next := s.pc + 1
 	s1, s2 := s.get(in.Src1), s.get(in.Src2)
 
@@ -280,9 +282,8 @@ func (s *Shadow) Step(dir BranchDir) (DynInst, bool) {
 	}
 	d.NextPC = next
 	s.pc = next
-	s.steps++
 	if s.pc < 0 || s.pc >= len(s.prog.Code) {
 		s.dead = true
 	}
-	return d, true
+	return true
 }

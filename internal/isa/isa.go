@@ -283,6 +283,10 @@ const (
 	ClassSlice
 	ClassBarrier
 	ClassHalt
+
+	// NumClasses is the number of execution classes, for tables indexed
+	// by Class.
+	NumClasses
 )
 
 var classNames = map[Class]string{
@@ -295,7 +299,19 @@ var classNames = map[Class]string{
 func (c Class) String() string { return classNames[c] }
 
 // Class returns the execution class of op.
-func (op Op) Class() Class {
+func (op Op) Class() Class { return opClasses[op] }
+
+// opClasses caches classify for every Op value, valid or not; it is
+// built once at start-up and only read after.
+var opClasses = func() (t [256]Class) {
+	for i := range t {
+		t[i] = Op(i).classify()
+	}
+	return t
+}()
+
+// classify is the definition behind Class.
+func (op Op) classify() Class {
 	switch {
 	case op == Nop:
 		return ClassNop

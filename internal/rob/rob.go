@@ -94,16 +94,17 @@ func (l *List[T]) Remove(n *Node[T]) {
 }
 
 // RemoveRangeAfter unlinks every entry younger than n (conventional full
-// flush after a mispredicted branch) and returns them oldest-first.
-func (l *List[T]) RemoveRangeAfter(n *Node[T]) []*Node[T] {
-	var out []*Node[T]
+// flush after a mispredicted branch) and appends them to buf
+// oldest-first, returning the extended buffer; callers pass a reused
+// scratch slice so a squash allocates nothing.
+func (l *List[T]) RemoveRangeAfter(n *Node[T], buf []*Node[T]) []*Node[T] {
 	for cur := n.Next; cur != nil; {
 		next := cur.Next
 		l.Remove(cur)
-		out = append(out, cur)
+		buf = append(buf, cur)
 		cur = next
 	}
-	return out
+	return buf
 }
 
 // Walk calls f on each entry oldest-first; stops early if f returns false.

@@ -69,11 +69,14 @@ func TestRemoveRangeAfter(t *testing.T) {
 	for _, n := range ns {
 		l.PushBack(n)
 	}
-	victims := l.RemoveRangeAfter(ns[2])
-	if len(victims) != 3 {
-		t.Fatalf("flushed %d, want 3", len(victims))
+	// Victims append after whatever the caller's buffer already holds.
+	sentinel := &Node[int]{Val: -1}
+	victims := l.RemoveRangeAfter(ns[2], []*Node[int]{sentinel})
+	if len(victims) != 4 || victims[0] != sentinel {
+		t.Fatalf("got %d entries (first %v), want the sentinel then 3 victims",
+			len(victims), victims[0].Val)
 	}
-	for i, v := range victims {
+	for i, v := range victims[1:] {
 		if v.Val != 3+i {
 			t.Fatalf("victims out of order: %v", v.Val)
 		}

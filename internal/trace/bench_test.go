@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"testing"
+
+	"repro/internal/emu"
 )
 
 // BenchmarkReplayStep measures one replayed correct-path record of the
@@ -16,6 +18,7 @@ func BenchmarkReplayStep(b *testing.B) {
 	}
 	mem := make([]byte, len(img))
 	var r *Replay
+	var d emu.DynInst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -25,7 +28,7 @@ func BenchmarkReplayStep(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := r.Step(); err != nil {
+		if err := r.StepInto(&d); err != nil {
 			b.Fatal(err)
 		}
 	}

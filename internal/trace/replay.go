@@ -34,6 +34,9 @@ type Replay struct {
 	halted  bool
 	inSlice bool
 	sliceID uint64
+
+	// wp is the wrong-path engine every Fork re-seeds.
+	wp emu.Shadow
 }
 
 // NewReplay builds a frontend replaying tr against prog and mem. The
@@ -87,24 +90,34 @@ func (r *Replay) store(addr uint64, size int, v uint64) error {
 // architectural effects (register write, memory store) to the replay's
 // state, mirroring Machine.Step record for record.
 func (r *Replay) Step() (emu.DynInst, error) {
+	var d emu.DynInst
+	err := r.StepInto(&d)
+	return d, err
+}
+
+// StepInto is Step writing the record into *d field by field, mirroring
+// Machine.StepInto: *d is untouched by the errors raised before the
+// record is decoded.
+func (r *Replay) StepInto(d *emu.DynInst) error {
 	if r.halted {
-		return emu.DynInst{}, fmt.Errorf("%s: step after halt", r.prog.Name)
+		return fmt.Errorf("%s: step after halt", r.prog.Name)
 	}
 	if r.cur >= len(r.tr.pcs) {
-		return emu.DynInst{}, fmt.Errorf("trace: %s: stream exhausted without halt at record %d",
+		return fmt.Errorf("trace: %s: stream exhausted without halt at record %d",
 			r.prog.Name, r.cur)
 	}
 	pc := int(r.tr.pcs[r.cur])
 	fl := r.tr.flags[r.cur]
 	in := r.prog.Code[pc]
-	d := emu.DynInst{
-		Seq:     uint64(r.cur),
-		PC:      pc,
-		Inst:    in,
-		Taken:   fl&flagTaken != 0,
-		InSlice: r.inSlice,
-		SliceID: r.sliceID,
-	}
+	d.Seq = uint64(r.cur)
+	d.PC = pc
+	d.Inst = in
+	d.Taken = fl&flagTaken != 0
+	d.Addr = 0
+	d.MemOOB = false
+	d.InSlice = r.inSlice
+	d.SliceID = r.sliceID
+	d.Wrong = false
 	r.cur++
 
 	if fl&flagAddr != 0 {
@@ -120,13 +133,13 @@ func (r *Replay) Step() (emu.DynInst, error) {
 	switch {
 	case op.IsStore():
 		if err := r.store(d.Addr, op.MemSize(), r.get(in.Val)); err != nil {
-			return d, err
+			return err
 		}
 	case op.IsAtomic():
 		size := op.MemSize()
 		old, err := r.load(d.Addr, size)
 		if err != nil {
-			return d, err
+			return err
 		}
 		nv := old + r.get(in.Val)
 		switch op {
@@ -134,7 +147,7 @@ func (r *Replay) Step() (emu.DynInst, error) {
 			nv = min(old, r.get(in.Val))
 		}
 		if err := r.store(d.Addr, size, nv); err != nil {
-			return d, err
+			return err
 		}
 	}
 
@@ -162,7 +175,7 @@ func (r *Replay) Step() (emu.DynInst, error) {
 	}
 	d.NextPC = next
 	r.nextPC = next
-	return d, nil
+	return nil
 }
 
 // RunToSliceEnd advances through the remainder of the current slice
@@ -175,11 +188,11 @@ func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
 	}
 	id := r.sliceID
 	for {
-		d, err := r.Step()
-		if err != nil {
-			return buf, err
+		buf = append(buf, emu.DynInst{})
+		d := &buf[len(buf)-1]
+		if err := r.StepInto(d); err != nil {
+			return buf[:len(buf)-1], err
 		}
-		buf = append(buf, d)
 		if d.Inst.Op == isa.SliceEnd && d.SliceID == id {
 			return buf, nil
 		}
@@ -189,13 +202,15 @@ func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
 	}
 }
 
-// Fork starts a live wrong-path engine from the replay's current
+// Fork re-seeds the replay's wrong-path engine from its current
 // architectural state. Wrong paths are the one part of execution that
 // cannot come from the trace — which branches mispredict (and therefore
 // where wrong paths start) depends on the timing configuration — so they
-// are regenerated exactly as a live machine regenerates them.
+// are regenerated exactly as a live machine regenerates them. As for
+// every emu.Frontend, the engine is valid until the next Fork.
 func (r *Replay) Fork(startPC int, inSlice bool, sliceID uint64) emu.WrongPath {
-	return emu.NewShadow(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
+	r.wp.Reseed(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
+	return &r.wp
 }
 
 // Halted reports whether the stream's Halt has been consumed.

@@ -17,7 +17,7 @@
 // The destination-value stream is what makes replay a full frontend
 // rather than a passive tape: Replay maintains the architectural register
 // file and memory image by applying the recorded values and stores in
-// program order, so it can fork wrong-path engines (emu.NewShadow) from
+// program order, so it can fork wrong-path engines (emu.Shadow.Reseed) from
 // the exact state a live machine would have at any mispredicted branch.
 // This matters because the set of mispredicted branches is
 // timing-dependent — predictor choice, FRQ occupancy, and resolution

@@ -161,8 +161,9 @@ func TestReplayRunToSliceEndAndFork(t *testing.T) {
 		ws := emu.AsFrontend(m).Fork(wrongPC, true, want.SliceID)
 		gs := r.Fork(wrongPC, true, want.SliceID)
 		for i := 0; i < 50; i++ {
-			wd, wok := ws.Step(dir)
-			gd, gok := gs.Step(dir)
+			var wd, gd emu.DynInst
+			wok := ws.StepInto(dir, &wd)
+			gok := gs.StepInto(dir, &gd)
 			if wok != gok || !reflect.DeepEqual(gd, wd) {
 				t.Fatalf("wrong-path record %d diverges after branch #%d", i, want.Seq)
 			}
@@ -222,5 +223,72 @@ func TestCaptureCanceled(t *testing.T) {
 	cancel()
 	if _, err := Capture(ctx, prog, img); err == nil {
 		t.Fatal("capture with canceled context succeeded")
+	}
+}
+
+// TestForkRecyclingIsolated forks twice from one frontend, live and
+// replayed. Every Fork re-seeds the frontend's one wrong-path engine, so
+// the second wrong path must not see the first one's buffered store: it
+// loads the stored word and must read the architectural value. Each path
+// exposes the value it loaded as the address of a dependent load.
+func TestForkRecyclingIsolated(t *testing.T) {
+	l := program.NewLayout()
+	x := l.AllocU64(1, []uint64{7})
+	b := program.NewBuilder("forkiso")
+	rX, rV, rW := b.Reg(), b.Reg(), b.Reg()
+	b.Li(rX, int64(x))
+	b.Li(rV, 99)
+	b.Halt()
+	const firstPC = 3 // st x=99; ld w=x; ld [w]
+	b.St64(rX, 0, rV)
+	b.Ld64(rW, rX, 0)
+	b.Ld64(rW, rW, 0)
+	b.Halt()
+	const secondPC = 7 // ld w=x; ld [w]
+	b.Ld64(rW, rX, 0)
+	b.Ld64(rW, rW, 0)
+	b.Halt()
+	prog, img := b.Build(), l.Image()
+
+	tr, err := Capture(context.Background(), prog, append([]byte(nil), img...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplay(tr, prog, append([]byte(nil), img...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontends := []struct {
+		name string
+		fe   emu.Frontend
+	}{
+		{"live", emu.AsFrontend(emu.New(prog, append([]byte(nil), img...)))},
+		{"replay", r},
+	}
+	dir := func(pc int, in isa.Inst, actual bool) bool { return actual }
+	// loadedValue runs a wrong path n records and returns the address of
+	// its last record: the value the path's previous load produced.
+	loadedValue := func(wp emu.WrongPath, n int) uint64 {
+		var d emu.DynInst
+		for i := 0; i < n; i++ {
+			if !wp.StepInto(dir, &d) {
+				t.Fatalf("wrong path died at record %d", i)
+			}
+		}
+		return d.Addr
+	}
+	for _, f := range frontends {
+		var d emu.DynInst
+		for i := 0; i < 2; i++ { // the two li: x's address and 99
+			if err := f.fe.StepInto(&d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := loadedValue(f.fe.Fork(firstPC, false, 0), 3); got != 99 {
+			t.Fatalf("%s: first wrong path read %d, want its own store 99", f.name, got)
+		}
+		if got := loadedValue(f.fe.Fork(secondPC, false, 0), 2); got != 7 {
+			t.Fatalf("%s: second wrong path read %d, want the architectural 7", f.name, got)
+		}
 	}
 }
