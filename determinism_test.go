@@ -9,9 +9,10 @@ import (
 // reserve sweep on a fresh Runner three times over. Every pass captures
 // each workload's trace once and replays all six reserve points from it,
 // and every replayed Result must equal the unmemoized live run of the
-// same options. Replay has one path — a wrong path is always a fresh
-// shadow fork from the replay's reconstructed state — so nothing a
-// replay leaves behind can change what a later replay computes.
+// same options. Replay has one path — every wrong path re-seeds the
+// replay's one shadow from its reconstructed state, with an empty store
+// overlay — so nothing a replay leaves behind can change what a later
+// replay computes.
 func TestRunnerReplayDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 12 sweep points live and 36 replayed")

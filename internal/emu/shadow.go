@@ -22,7 +22,7 @@ type BranchDir func(pc int, in isa.Inst, actual bool) bool
 //
 // A frontend owns one Shadow and re-seeds it on every fork (Reseed), so
 // the engine and its overlay map are allocated once per frontend rather
-// than once per mispredict. The zero value is an unseeded engine.
+// than once per mispredict. The zero value is ready for Reseed.
 type Shadow struct {
 	prog    *isa.Program
 	mem     []byte // read-only view of the machine's memory
