@@ -9,8 +9,6 @@ package blp
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // benchDelta shrinks inputs for the benchmark harness; the full-scale
@@ -162,30 +160,6 @@ func BenchmarkAblationWrongPathMemory(b *testing.B) {
 			}
 			if i == 0 {
 				b.ReportMetric(Speedup(base, orc), fmt.Sprintf("oracle(wpmem=%v)", wp))
-			}
-		}
-	}
-}
-
-// BenchmarkAblationSharedReserve measures the resolve-path admission
-// policy: oldest-hole-only (default) versus sharing the reserved entries
-// among all pending resolve paths.
-func BenchmarkAblationSharedReserve(b *testing.B) {
-	defer core.SetNonOldestReserve(-1)
-	for i := 0; i < b.N; i++ {
-		base, err := Run(Options{Benchmark: "ms", Scale: scaled("ms", benchDelta)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, floor := range []int{-1, 1} {
-			core.SetNonOldestReserve(floor)
-			sl, err := Run(Options{Benchmark: "ms", Scale: scaled("ms", benchDelta),
-				Mode: SliceOuter})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(Speedup(base, sl), fmt.Sprintf("sliced(floor=%d)", floor))
 			}
 		}
 	}

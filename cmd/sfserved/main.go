@@ -5,6 +5,7 @@
 //	sfserved -addr :9000 -jobs 8
 //	sfserved -cache-mb 256 -queue 128 -run-timeout 2m
 //	sfserved -store-dir /var/lib/sfserved -store-budget 2048
+//	sfserved -ledger /var/lib/sfserved   # print the ledger summary, exit
 //
 //	# Several hosts: one sfserved per host over a shared -store-dir.
 //	sfserved -store-dir /mnt/shared/sfstore
@@ -23,7 +24,9 @@
 // Objects are stamped with the simulator-behavior version; a binary
 // whose numbers changed invalidates stale entries automatically. The
 // directory also accumulates an append-only experiment ledger
-// (ledger.ndjson, see benchreport -ledger). Several servers may share
+// (ledger.ndjson); -ledger prints its summary — computations, simulated
+// cycles and wall clock per behavior version and benchmark — and exits
+// without serving. Several servers may share
 // one directory: each indexes it when it starts, so a server warm-starts
 // from everything the others had stored by then.
 //
@@ -37,6 +40,7 @@ import (
 	"flag"
 	"log"
 	"net/http"
+	"os"
 	"syscall"
 	"time"
 
@@ -57,7 +61,15 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound")
 	storeDir := flag.String("store-dir", "", "durable result-store directory (empty = no persistence)")
 	storeBudget := flag.Int("store-budget", 0, "durable-store disk budget in MiB (0 = unbounded)")
+	ledger := flag.String("ledger", "", "print a summary of a store's experiment ledger (a store directory or ledger.ndjson path) and exit")
 	flag.Parse()
+
+	if *ledger != "" {
+		if err := summarizeLedger(os.Stdout, *ledger); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	cacheBytes := int64(*cacheMB) << 20
 	if *cacheMB == 0 {

@@ -54,7 +54,7 @@ func (c *Core) commitThread(t *thread, max int) int {
 		// cycling, the §4.7 guarantee) but the node stays linked as
 		// the order boundary and splice position (the paper's
 		// linked-ROB pointer to the next free entry, Fig. 2(d)).
-		if u.spliceHold != nil && !u.spliceHold.segDispatched && !u.spliceHold.cancelled {
+		if u.holdsSplice() {
 			if !u.tombstone {
 				u.tombstone = true
 				c.release(t, u)

@@ -13,7 +13,7 @@ import (
 // Core is one out-of-order core instance. Threads (SMT contexts) share the
 // ROB space, reservation stations, load/store queues, and the cache
 // hierarchy; each thread has its own trace machine, predictor, rename
-// table, logical ROB order, and fetch redirect queue.
+// table, logical ROB order, and miss table.
 type Core struct {
 	cfg  Config
 	id   int
@@ -48,19 +48,18 @@ type Core struct {
 	// readyQ holds uops whose operands are all available, awaiting an
 	// issue port; specials holds operand-ready uops whose issue is gated
 	// on a polled condition (reduce-at-head, barrier release).
-	readyQ       []readyRef
-	specials     []readyRef
-	ready_       []*uop      // per-cycle scratch for age-sorted ready instructions
-	resolveCands []*missInfo // per-cycle scratch for resolve-dispatch ordering
-	longUntil    []int64     // completion times of in-flight long-latency loads
-	events       eventHeap
-	pool         []*uop
-	segPool      []*segBuf
-	ckPool       []*renameSnapshot // free conventional-miss checkpoints (uop.ck)
-	victims      []*rob.Node[*uop] // resolveFull's scratch for the squashed range
-	nextID       uint64
-	dispSeqCtr   uint64 // dispatch-order tie-break counter
-	forceCyc     bool   // cfg.ForceCycleAccurate cached
+	readyQ     []readyRef
+	specials   []readyRef
+	ready_     []*uop  // per-cycle scratch for age-sorted ready instructions
+	longUntil  []int64 // completion times of in-flight long-latency loads
+	events     eventHeap
+	pool       []*uop
+	segPool    []*segBuf
+	ckPool     []*renameSnapshot // free conventional-miss checkpoints (uop.ck)
+	victims    []*rob.Node[*uop] // resolveFull's scratch for the squashed range
+	nextID     uint64
+	dispSeqCtr uint64 // dispatch-order tie-break counter
+	forceCyc   bool   // cfg.ForceCycleAccurate cached
 
 	now                int64
 	stats              Stats
@@ -252,7 +251,7 @@ func (c *Core) NextWake() int64 {
 				wake = r
 			}
 		}
-		for _, mi := range t.resolveMisses {
+		for _, mi := range t.misses {
 			if mi.feqHead < len(mi.feq) {
 				if r := mi.feq[mi.feqHead].readyFE; r > c.now && r < wake {
 					wake = r
@@ -292,11 +291,10 @@ func (c *Core) NextWake() int64 {
 // per-cycle stats (FetchIdle, occupancy and outstanding-miss sums, the
 // cycle-stack component — constant across the window because every input
 // of classifyStall is pipeline state that cannot change without activity,
-// and the one time comparison is bounded by the jump), the round-robin
-// counters that advance even on idle cycles, and the hole-list compaction
-// an idle dispatch would perform. The cycle-stack additions stay exact:
-// all values are multiples of 1/CommitWidth far below 2^53, so batched
-// float adds equal repeated ones bit-for-bit.
+// and the one time comparison is bounded by the jump) and the round-robin
+// counters that advance even on idle cycles. The cycle-stack additions
+// stay exact: all values are multiples of 1/CommitWidth far below 2^53,
+// so batched float adds equal repeated ones bit-for-bit.
 func (c *Core) SkipTo(target int64) {
 	delta := target - c.now
 	if delta <= 0 {
@@ -304,11 +302,8 @@ func (c *Core) SkipTo(target int64) {
 	}
 	// Classify once at the first skipped cycle; constant over the window.
 	c.now++
-	for _, t := range c.threads {
-		t.oldestHoleSeq() // idle dispatch would compact holes/unresolved
-	}
 	t, head := c.oldestHead()
-	if head != nil && head.spliceHold != nil && !head.spliceHold.segDispatched && !head.spliceHold.cancelled {
+	if head != nil && head.holdsSplice() {
 		c.stats.HoldSplice += uint64(delta)
 	}
 	switch c.classifyStall(t, head) {

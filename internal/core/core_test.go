@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
@@ -162,36 +161,5 @@ func TestClassPortsCoverage(t *testing.T) {
 		case cl != isa.ClassSlice && ports <= 0:
 			t.Errorf("class %v has no ports", cl)
 		}
-	}
-}
-
-func TestSegBufPoolRefcounts(t *testing.T) {
-	c := &Core{}
-	sb := c.getSegBuf()
-	sb.buf = append(sb.buf[:0], emu.DynInst{Seq: 1}, emu.DynInst{Seq: 2})
-	parent := &missInfo{seg: sb.buf, segOwner: sb}
-	child := &missInfo{seg: parent.seg[1:]}
-	shareSeg(parent, child)
-	if sb.refs != 2 {
-		t.Fatalf("refs after share = %d, want 2", sb.refs)
-	}
-
-	c.releaseSeg(parent)
-	c.releaseSeg(parent) // idempotent: cancellation after segDispatched
-	if sb.refs != 1 || len(c.segPool) != 0 {
-		t.Fatalf("buffer freed while a child still aliases it (refs=%d pool=%d)",
-			sb.refs, len(c.segPool))
-	}
-	c.releaseSeg(child)
-	if len(c.segPool) != 1 {
-		t.Fatal("buffer not pooled after the last release")
-	}
-
-	sb2 := c.getSegBuf()
-	if sb2 != sb || sb2.refs != 1 {
-		t.Fatalf("pool did not recycle the buffer (refs=%d)", sb2.refs)
-	}
-	if cap(sb2.buf) < 2 {
-		t.Fatal("recycled buffer lost its capacity")
 	}
 }

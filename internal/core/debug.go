@@ -12,13 +12,18 @@ func resolvingIdx(mi *missInfo) int {
 	return mi.fetched
 }
 
-// checkInvariants panics when per-miss segment accounting breaks:
-// dispatched + in-frontend + unfetched must equal the segment length for
-// every live hole. Enabled in tests via debugChecks.
+// checkInvariants panics when the miss table breaks program order, or
+// when per-miss segment accounting breaks: dispatched + in-frontend +
+// unfetched must equal the segment length for every resolved miss.
+// Enabled in tests via debugChecks.
 func (c *Core) checkInvariants() {
 	for _, t := range c.threads {
-		for _, mi := range t.holes {
-			if mi.cancelled || mi.segDispatched {
+		for i, mi := range t.misses {
+			if i > 0 && t.misses[i-1].branchSeq >= mi.branchSeq {
+				panic(fmt.Sprintf("core %d @%d: miss table out of order at br=#%d\n%s",
+					c.id, c.now, mi.branchSeq, c.DumpState()))
+			}
+			if mi.state == missPending {
 				continue
 			}
 			inFE := len(mi.feq) - mi.feqHead
@@ -48,7 +53,7 @@ func (c *Core) DumpState() string {
 	for _, t := range c.threads {
 		fmt.Fprintf(&b, " t%d: mode=%d done=%v haltSeen=%v fence=%v barrier=%v wpStuck=%v pend=%d frq=%d fe=%d inflight=%d stall@%d redirect@%d resolving=%v resolveIdx=%d resolveStall=%v\n",
 			t.id, t.mode, t.done, t.haltSeen, t.fenceStall, t.barrierWait, t.wpStuck,
-			t.pendingMisses, t.fq.Len(), len(t.frontend), t.inflight,
+			t.pendingMisses, t.queuedMisses(), len(t.frontend), t.inflight,
 			t.fetchStallUntil, t.redirectUntil, t.resolving != nil, resolvingIdx(t.resolving), t.resolving != nil && t.resolving.stall != nil)
 		if h := t.list.Head(); h != nil {
 			u := h.Val
@@ -56,11 +61,10 @@ func (c *Core) DumpState() string {
 				u.d.Seq, u.d.Inst, u.state, u.doneAt, u.mispred, u.d.Wrong, u.resolvePath, u.spliceHold != nil)
 			if u.spliceHold != nil {
 				mi := u.spliceHold
-				fmt.Fprintf(&b, " hold{disp=%d/%d cancelled=%v}", mi.dispatched, len(mi.seg), mi.cancelled)
+				fmt.Fprintf(&b, " hold{%s disp=%d/%d}", mi.state, mi.dispatched, len(mi.seg))
 			}
 			if u.miss != nil {
-				fmt.Fprintf(&b, " miss{resolved=%v segDisp=%v disp=%d/%d cancelled=%v}",
-					u.miss.resolved, u.miss.segDispatched, u.miss.dispatched, len(u.miss.seg), u.miss.cancelled)
+				fmt.Fprintf(&b, " miss{%s disp=%d/%d}", u.miss.state, u.miss.dispatched, len(u.miss.seg))
 			}
 			b.WriteString("\n")
 			if u.state == stWaiting {
@@ -77,27 +81,16 @@ func (c *Core) DumpState() string {
 			u := t.frontend[0]
 			fmt.Fprintf(&b, "   feHead: #%d %v wrong=%v resolve=%v readyFE=%d\n",
 				u.d.Seq, u.d.Inst, u.d.Wrong, u.resolvePath, u.readyFE)
-			for _, mi := range t.resolveMisses {
-				n := len(mi.feq) - mi.feqHead
-				if n == 0 {
-					continue
-				}
+		}
+		for _, mi := range t.misses {
+			fmt.Fprintf(&b, "   miss: br=#%d %s fetched=%d/%d disp=%d stall=%v",
+				mi.branchSeq, mi.state, mi.fetched, len(mi.seg), mi.dispatched, mi.stall != nil)
+			if n := len(mi.feq) - mi.feqHead; n > 0 {
 				w := mi.feq[mi.feqHead]
-				fmt.Fprintf(&b, "   rfe: missBr=#%d queued=%d head=#%d %v readyFE=%d priv=%v\n",
-					mi.branchSeq, n, w.d.Seq, w.d.Inst, w.readyFE,
-					c.privileged(t, w))
+				fmt.Fprintf(&b, " queued=%d head=#%d %v readyFE=%d priv=%v",
+					n, w.d.Seq, w.d.Inst, w.readyFE, c.privileged(t, w))
 			}
-			fmt.Fprintf(&b, "   oldestHole=%d holes=%d\n", t.oldestHoleSeq(), len(t.holes))
-			for _, mi := range t.holes {
-				fmt.Fprintf(&b, "   hole: br=#%d fetched=%d/%d disp=%d segDisp=%v stall=%v cancelled=%v\n",
-					mi.branchSeq, mi.fetched, len(mi.seg), mi.dispatched,
-					mi.segDispatched, mi.stall != nil, mi.cancelled)
-			}
-			for _, mi := range t.fq.All() {
-				fmt.Fprintf(&b, "   fq: br=#%d fetched=%d/%d disp=%d stall=%v cancelled=%v\n",
-					mi.branch.d.Seq, mi.fetched, len(mi.seg), mi.dispatched,
-					mi.stall != nil, mi.cancelled)
-			}
+			b.WriteString("\n")
 		}
 	}
 	return b.String()

@@ -9,28 +9,27 @@ import (
 // DispatchWidth per cycle, round-robin across SMT threads.
 //
 // Each thread has two frontend streams: the regular stream (frontend) and
-// the resolve-path stream (one FIFO per miss, listed in resolveMisses),
-// which carries correct paths being
-// spliced after selective flushes. The resolve stream has dispatch
-// priority — it is the commit-critical path, and in the paper's hardware
-// regular fetch is parked at the regular-fetch checkpoint while the
-// resolved path flows through the pipeline. Within the resolve stream,
-// the program-order-oldest hole's instructions are privileged: only they
-// may consume the reserved RS/LQ/SQ/ROB entries (§4.7), which is what
-// makes the reservation deadlock-free.
+// the resolve-path stream (one FIFO per miss in the miss table), which
+// carries correct paths being spliced after selective flushes. The
+// resolve stream has dispatch priority — it is the commit-critical path,
+// and in the paper's hardware regular fetch is parked at the
+// regular-fetch checkpoint while the resolved path flows through the
+// pipeline. Within the resolve stream, the program-order-oldest hole's
+// instructions are privileged: only they may consume the reserved
+// RS/LQ/SQ/ROB entries (§4.7), which is what makes the reservation
+// deadlock-free.
 func (c *Core) dispatch() {
 	slots := c.cfg.DispatchWidth
 	for slots > 0 {
 		progressed := false
 		for i := 0; i < len(c.threads) && slots > 0; i++ {
 			t := c.threads[(c.dispatchRR+i)%len(c.threads)]
-			oldest := t.oldestHoleSeq()
-			if c.dispatchResolve(t, oldest) {
+			if c.dispatchResolve(t) {
 				slots--
 				progressed = true
 				continue
 			}
-			if c.dispatchRegular(t, oldest) {
+			if c.dispatchRegular(t) {
 				slots--
 				progressed = true
 			}
@@ -42,62 +41,32 @@ func (c *Core) dispatch() {
 	c.dispatchRR++
 }
 
-// dispatchResolve dispatches one resolve-path instruction. All resolve
-// paths share the reserved resources (§4.7 reserves them "for resolving
-// correct paths"); instructions of one miss dispatch in segment order,
-// but distinct misses' segments may interleave, so multiple holes drain
-// concurrently. The oldest hole additionally may take the very last
-// entry, which is the §4.7 deadlock-freedom guarantee.
-func (c *Core) dispatchResolve(t *thread, oldestHole uint64) bool {
-	// Each miss keeps its own fetched-instruction FIFO (missInfo.feq with
-	// an index cursor — pops are O(1)); the candidates are the queue
-	// heads whose frontend delay expired. Dispatch oldest-miss-first: the
-	// oldest hole is the commit-critical path and gets the dispatch
-	// bandwidth; younger holes fill spare slots.
-	if len(t.resolveMisses) == 0 {
-		return false
-	}
-	cands := c.resolveCands[:0]
-	live := t.resolveMisses[:0]
-	for _, mi := range t.resolveMisses {
-		if mi.feqHead >= len(mi.feq) {
-			// Fully dispatched (for now): drop from the list, keeping
-			// the queue's capacity for a later resume of this miss.
-			mi.inResolveList = false
-			mi.feq = mi.feq[:0]
-			mi.feqHead = 0
+// dispatchResolve dispatches one resolve-path instruction. Instructions
+// of one miss dispatch in segment order, but distinct misses' segments
+// may interleave, so multiple holes drain concurrently. Only the oldest
+// hole's path may take the reserved entries (§4.7 reserves them "for
+// resolving correct paths"), which is the deadlock-freedom guarantee.
+func (c *Core) dispatchResolve(t *thread) bool {
+	// Each miss keeps its own fetched-instruction FIFO (missInfo.feq);
+	// the candidates are the queue heads whose frontend delay expired.
+	// Dispatch oldest-miss-first, in table order: the oldest hole is the
+	// commit-critical path and gets the dispatch bandwidth; younger holes
+	// fill spare slots. A successful dispatch may release its miss, so
+	// the walk ends there.
+	for _, mi := range t.misses {
+		if mi.feqHead == len(mi.feq) {
 			continue
 		}
-		live = append(live, mi)
-		if mi.feq[mi.feqHead].readyFE <= c.now {
-			cands = append(cands, mi)
+		u := mi.feq[mi.feqHead]
+		if u.readyFE <= c.now && c.tryDispatch(t, u) {
+			return true
 		}
 	}
-	t.resolveMisses = live
-	ok := false
-	for len(cands) > 0 {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			if cands[i].branchSeq < cands[best].branchSeq {
-				best = i
-			}
-		}
-		mi := cands[best]
-		if c.tryDispatch(t, mi.feq[mi.feqHead], oldestHole) {
-			mi.feq[mi.feqHead] = nil
-			mi.feqHead++
-			ok = true
-			break
-		}
-		cands[best] = cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
-	}
-	c.resolveCands = cands[:0]
-	return ok
+	return false
 }
 
 // dispatchRegular dispatches the head of the regular frontend queue.
-func (c *Core) dispatchRegular(t *thread, oldestHole uint64) bool {
+func (c *Core) dispatchRegular(t *thread) bool {
 	if len(t.frontend) == 0 {
 		return false
 	}
@@ -105,7 +74,7 @@ func (c *Core) dispatchRegular(t *thread, oldestHole uint64) bool {
 	if u.readyFE > c.now {
 		return false
 	}
-	if !c.tryDispatch(t, u, oldestHole) {
+	if !c.tryDispatch(t, u) {
 		return false
 	}
 	t.frontend = t.frontend[1:]
@@ -127,9 +96,7 @@ func resourceNeeds(op isa.Op) (lq, sq bool) {
 
 // privileged reports whether u may use the reserved resources: it is a
 // resolve-path instruction of the program-order-oldest unfinished hole
-// (no older hole exists, resolved or pending). Hot paths cache
-// t.oldestHoleSeq() and compare inline; this helper serves tryDispatch
-// and diagnostics.
+// (no older hole exists, resolved or pending).
 func (c *Core) privileged(t *thread, u *uop) bool {
 	if !u.resolvePath {
 		return false
@@ -141,7 +108,7 @@ func (c *Core) privileged(t *thread, u *uop) bool {
 // resources are unavailable (the caller retries later); marker
 // instructions always succeed (they are discarded at dispatch, consuming
 // only the slot).
-func (c *Core) tryDispatch(t *thread, u *uop, oldestHole uint64) bool {
+func (c *Core) tryDispatch(t *thread, u *uop) bool {
 	op := u.d.Inst.Op
 
 	// Slice markers take a dispatch slot and vanish (Fig. 6 overhead).
@@ -152,38 +119,28 @@ func (c *Core) tryDispatch(t *thread, u *uop, oldestHole uint64) bool {
 			c.stats.DispOverhead++
 		}
 		if u.resolvePath {
-			mi := u.resolveOf
-			c.noteResolveDispatched(mi)
-			if mi.segDispatched && mi.insertPos != nil {
-				prev := mi.insertPos.Val
-				prev.spliceHold = nil
-				if prev.tombstone {
-					t.list.Remove(&prev.node)
-					c.freeUop(prev)
-				}
-			}
+			c.noteResolveDispatched(t, u.resolveOf)
 		}
 		c.freeUop(u)
 		c.activity = true
 		return true
 	}
 
-	// Resource admission tiers (§4.7): regular fetch keeps Reserve
-	// entries of each resource free for resolve paths; resolve paths
-	// share those but keep one entry free for the oldest hole, whose
-	// path drains straight into commit — "reserving a single resource
-	// of each suffices to prevent deadlocks".
-	// The reservation is active while in-slice instructions are in the
-	// ROB or any hole (resolved or pending miss) exists: segments still
-	// to be spliced will need the reserved entries even after a fence
-	// let post-region code proceed.
+	// Resource admission (§4.7): Reserve entries of each resource are
+	// kept for the program-order-oldest hole's resolve path, which
+	// drains straight into commit — "reserving a single resource of
+	// each suffices to prevent deadlocks". Regular instructions and
+	// younger holes' resolve paths leave them free; younger paths
+	// sharing them would crowd the commit-critical path (DESIGN.md,
+	// deviation 2). For regular instructions the reservation is active
+	// while in-slice instructions are in the ROB or any miss is live:
+	// segments still to be spliced will need the reserved entries even
+	// after a fence let post-region code proceed.
 	active := c.selEligible &&
-		(c.inSliceCount > 0 || t.pendingMisses > 0 || oldestHole != ^uint64(0))
+		(c.inSliceCount > 0 || t.pendingMisses > 0 || len(t.misses) > 0)
 	reserve := 0
-	if active && !u.resolvePath {
+	if u.resolvePath && !c.privileged(t, u) || !u.resolvePath && active {
 		reserve = c.cfg.Reserve
-	} else if u.resolvePath && u.resolveOf.branchSeq > oldestHole {
-		reserve = nonOldestReserve(c.cfg.Reserve)
 	}
 	needLQ, needSQ := resourceNeeds(op)
 	if c.space.Free() <= reserve {
@@ -244,9 +201,6 @@ func (c *Core) tryDispatch(t *thread, u *uop, oldestHole uint64) bool {
 	// cursor that already retired into a tombstone is unlinked now.
 	if u.resolvePath {
 		mi := u.resolveOf
-		if mi.insertPos == nil {
-			mi.insertPos = &mi.branch.node
-		}
 		if c.rec != nil {
 			c.recordMechanism(flight.EvSplice, t, u, int64(mi.branchSeq))
 		}
@@ -259,10 +213,7 @@ func (c *Core) tryDispatch(t *thread, u *uop, oldestHole uint64) bool {
 		}
 		mi.insertPos = &u.node
 		u.spliceHold = mi
-		c.noteResolveDispatched(mi)
-		if mi.segDispatched {
-			u.spliceHold = nil
-		}
+		c.noteResolveDispatched(t, mi)
 	} else {
 		t.list.PushBack(&u.node)
 	}
@@ -301,37 +252,27 @@ func (c *Core) tryDispatch(t *thread, u *uop, oldestHole uint64) bool {
 	return true
 }
 
-// nonOldestReserve is how many entries a non-oldest resolve path must
-// leave free. The default (negative) tracks the configured Reserve: only
-// the oldest hole's path consumes reserved entries, which measured best —
-// younger holes' instructions otherwise crowd the commit-critical path
-// (see DESIGN.md). SetNonOldestReserve lowers the floor for the ablation
-// bench; at least 1 entry always stays free for the oldest hole (§4.7).
-var nonOldestReserveN = -1
-
-func nonOldestReserve(configured int) int {
-	if nonOldestReserveN < 0 {
-		return configured
+// noteResolveDispatched pops the head of mi's resolve channel, which just
+// dispatched. Once the whole segment has entered the ROB the splice is
+// complete: the cursor stops holding commit (a cursor that already
+// retired into a tombstone is unlinked now) and the miss is released.
+func (c *Core) noteResolveDispatched(t *thread, mi *missInfo) {
+	mi.feq[mi.feqHead] = nil
+	if mi.feqHead++; mi.feqHead == len(mi.feq) {
+		// Drained (for now): rewind, keeping the capacity for a later
+		// resume of this miss.
+		mi.feq, mi.feqHead = mi.feq[:0], 0
 	}
-	return nonOldestReserveN
-}
-
-// SetNonOldestReserve tunes the non-oldest resolve-path floor (ablation);
-// negative restores the default (track the configured Reserve).
-func SetNonOldestReserve(n int) {
-	if n == 0 {
-		n = 1
+	if mi.dispatched++; mi.dispatched < len(mi.seg) {
+		return
 	}
-	nonOldestReserveN = n
-}
-
-// noteResolveDispatched advances the segment-dispatch counter of a miss.
-func (c *Core) noteResolveDispatched(mi *missInfo) {
-	mi.dispatched++
-	if mi.dispatched >= len(mi.seg) {
-		mi.segDispatched = true
-		c.releaseSeg(mi)
+	cur := mi.insertPos.Val
+	cur.spliceHold = nil
+	if cur.tombstone {
+		t.list.Remove(&cur.node)
+		c.freeUop(cur)
 	}
+	c.releaseMiss(t, mi)
 }
 
 // renameDeps records the uop's operand producers from the rename table and

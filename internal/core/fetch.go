@@ -62,8 +62,8 @@ func (c *Core) iCacheCheck(t *thread, pc int) bool {
 }
 
 // fetchThread pulls up to FetchWidth instructions from the thread's
-// current source, in priority order: resolve path (FRQ head), wrong path
-// (shadow), regular trace.
+// current source, in priority order: resolve path (the oldest queued
+// miss), wrong path (shadow), regular trace.
 func (c *Core) fetchThread(t *thread) {
 	width := c.cfg.FetchWidth
 	if t.lowConfOut > 0 {
@@ -128,12 +128,7 @@ func (t *thread) enqueue(u *uop) {
 func (t *thread) enqueueResolve(u *uop) {
 	u.readyFE = t.c.now + int64(t.c.cfg.FrontendDepth)
 	u.state = stFrontend
-	mi := u.resolveOf
-	mi.feq = append(mi.feq, u)
-	if !mi.inResolveList {
-		mi.inResolveList = true
-		t.resolveMisses = append(t.resolveMisses, mi)
-	}
+	u.resolveOf.feq = append(u.resolveOf.feq, u)
 }
 
 // predictBranch runs the direction predictor and BTB for a fetched
@@ -221,10 +216,10 @@ func (c *Core) fetchNormal(t *thread) bool {
 	// executes). Decide the recovery style now, as the frontend's fetch
 	// divergence depends on it.
 	// Gate on total outstanding selective recoveries (detected-but-
-	// unresolved plus FRQ-queued) so the resolution-time FRQ push can
-	// never overflow; an over-limit miss recovers conventionally (§4.8).
+	// unresolved plus FRQ-queued) so the FRQ can never overflow at
+	// resolution; an over-limit miss recovers conventionally (§4.8).
 	selective := c.selEligible && d.InSlice &&
-		t.pendingMisses+t.fq.Len() < c.cfg.FRQSize
+		t.pendingMisses+t.queuedMisses() < c.cfg.FRQSize
 	wrongPC := d.PC + 1
 	if u.predTaken {
 		wrongPC = int(d.Inst.Imm)
@@ -237,11 +232,10 @@ func (c *Core) fetchNormal(t *thread) bool {
 			panic(fmt.Sprintf("core %d thread %d: %v", c.id, t.id, err))
 		}
 		sb.buf = seg
-		mi := &missInfo{branch: u, branchSeq: d.Seq, seg: seg, segOwner: sb}
+		mi := &missInfo{branchSeq: d.Seq, seg: seg, segOwner: sb}
 		c.stats.SegLenSum += uint64(len(seg))
 		u.miss = mi
-		t.pendingMisses++
-		t.unresolved = append(t.unresolved, mi)
+		t.addMiss(mi)
 		t.shadow = t.m.Fork(wrongPC, true, d.SliceID)
 		t.shadowMiss = mi
 		t.mode = fmWrong
@@ -287,8 +281,8 @@ func (c *Core) fetchWrong(t *thread) bool {
 	return d.Inst.Op.IsBranch() && d.Taken
 }
 
-// fetchResolve fetches one instruction of the FRQ head's correct-path
-// segment.
+// fetchResolve fetches one instruction of the resolving miss's
+// correct-path segment.
 func (c *Core) fetchResolve(t *thread) bool {
 	mi := t.resolving
 	u := c.newUop(t)
@@ -314,23 +308,14 @@ func (c *Core) fetchResolve(t *thread) bool {
 			// nested branch resolves. Wrong-path fetch for nested
 			// misses is not modeled (see DESIGN.md).
 			if c.selEligible && d.InSlice &&
-				t.pendingMisses+t.fq.Len() < c.cfg.FRQSize {
-				child := &missInfo{
-					branch:    u,
-					branchSeq: d.Seq,
-					seg:       mi.seg[mi.fetched:],
-				}
+				t.pendingMisses+t.queuedMisses() < c.cfg.FRQSize {
+				child := &missInfo{branchSeq: d.Seq, seg: mi.seg[mi.fetched:]}
 				shareSeg(mi, child)
 				u.miss = child
-				t.pendingMisses++
-				t.unresolved = append(t.unresolved, child)
+				t.addMiss(child)
 				// Truncate the parent at the nested branch: its
 				// splice is complete once the branch dispatches.
 				mi.seg = mi.seg[:mi.fetched]
-				if mi.dispatched >= len(mi.seg) {
-					mi.segDispatched = true
-					c.releaseSeg(mi)
-				}
 				last = true
 			} else {
 				// FRQ pressure: fall back to stalling resolve
@@ -343,8 +328,9 @@ func (c *Core) fetchResolve(t *thread) bool {
 
 	if last {
 		// Segment complete (its slice_end was just fetched, or it was
-		// truncated at a nested miss): move to the next pending miss,
+		// truncated at a nested miss): move to the next queued miss,
 		// or resume regular fetch at the regular-fetch point.
+		mi.state = missSplicing
 		t.startNextResolve()
 		return true // redirect bubble back to regular fetch
 	}

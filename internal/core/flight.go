@@ -55,8 +55,15 @@ func (c *Core) Sample(s *flight.Sample) {
 	s.InSlice = c.inSliceCount
 	s.Outstanding = len(c.longUntil)
 	for _, t := range c.threads {
-		s.FRQ += t.fq.Len()
-		s.Holes += len(t.holes)
+		for _, mi := range t.misses {
+			switch mi.state {
+			case missQueued:
+				s.FRQ++
+				s.Holes++
+			case missSplicing:
+				s.Holes++
+			}
+		}
 	}
 	s.FetchStall = c.fetchStallReason()
 	s.Committed = c.stats.Committed

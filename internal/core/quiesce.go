@@ -6,10 +6,11 @@ import "fmt"
 // microarchitectural resource: the ROB space (including block gaps), the
 // reservation stations, the load/store queues, the in-slice counter that
 // arms the §4.7 reservation, every thread's logical ROB list, frontend,
-// fetch redirect queue, resolve channels and store-forwarding list, and
-// the scheduler's ready/specials/event structures. It also asserts the uop
-// conservation law: every uop fetch created was committed, squashed after
-// dispatch, or discarded in the frontend.
+// miss table and store-forwarding list, and the scheduler's
+// ready/specials/event structures. An empty miss table means every miss
+// was released (releaseMiss panics on a second release). It also asserts
+// the uop conservation law: every uop fetch created was committed,
+// squashed after dispatch, or discarded in the frontend.
 //
 // It is meaningful only once Done() reports true; the sim driver calls it
 // after every successful run, making resource leaks and accounting drift
@@ -41,8 +42,10 @@ func (c *Core) CheckQuiescent() error {
 		if n := len(t.frontend); n != 0 {
 			return fmt.Errorf("core %d t%d: %d uops left in the frontend", c.id, t.id, n)
 		}
-		if n := t.fq.Len(); n != 0 {
-			return fmt.Errorf("core %d t%d: %d FRQ entries outstanding", c.id, t.id, n)
+		if n := len(t.misses); n != 0 {
+			mi := t.misses[0]
+			return fmt.Errorf("core %d t%d: %d misses left in the table, oldest br=#%d %s",
+				c.id, t.id, n, mi.branchSeq, mi.state)
 		}
 		if t.pendingMisses != 0 {
 			return fmt.Errorf("core %d t%d: pendingMisses=%d at quiesce", c.id, t.id, t.pendingMisses)
@@ -62,15 +65,6 @@ func (c *Core) CheckQuiescent() error {
 		if t.fenceStall || t.barrierWait {
 			return fmt.Errorf("core %d t%d: stalled at quiesce (fence=%v barrier=%v)",
 				c.id, t.id, t.fenceStall, t.barrierWait)
-		}
-		for _, mi := range t.resolveMisses {
-			if mi.feqHead < len(mi.feq) {
-				return fmt.Errorf("core %d t%d: miss seq %d has %d undispatched resolve uops",
-					c.id, t.id, mi.branchSeq, len(mi.feq)-mi.feqHead)
-			}
-		}
-		if seq := t.oldestHoleSeq(); seq != ^uint64(0) {
-			return fmt.Errorf("core %d t%d: live hole at seq %d", c.id, t.id, seq)
 		}
 	}
 	for _, e := range c.readyQ {

@@ -19,7 +19,7 @@ func (c *Core) resolveBranch(u *uop) {
 	}
 
 	switch {
-	case u.miss != nil && !u.miss.cancelled:
+	case u.miss != nil && u.miss.state == missPending:
 		// In-slice miss — including nested misses detected inside a
 		// resolve path, which recurse through the same mechanism.
 		c.resolveSelective(t, u)
@@ -45,19 +45,19 @@ func maxi64(a, b int64) int64 {
 }
 
 // resolveSelective performs the §4.2 recovery: flush only the wrong-path
-// instructions of the slice, push the miss onto the FRQ, and let fetch
+// instructions of the slice, queue the miss in the FRQ, and let fetch
 // splice the buffered correct path into the linked ROB.
 func (c *Core) resolveSelective(t *thread, u *uop) {
 	mi := u.miss
+	mi.state = missQueued
 
 	// Detection-time gating (fetchNormal) bounds concurrent selective
-	// recoveries to the FRQ capacity, so the push cannot fail.
-	if !t.fq.Push(mi) {
+	// recoveries to the FRQ capacity, so the queue cannot overflow.
+	frq := t.queuedMisses()
+	if frq > c.cfg.FRQSize {
 		panic("core: FRQ overflow despite detection-time gating")
 	}
-	if t.fq.Peak() > c.stats.FRQPeak {
-		c.stats.FRQPeak = t.fq.Peak()
-	}
+	c.stats.FRQPeak = max(c.stats.FRQPeak, frq)
 
 	t.pred.Resolve(u.pred, uint64(u.d.PC), u.d.Taken, false)
 	c.stats.SliceRecoveries++
@@ -67,11 +67,7 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	if c.traceOn {
 		c.trace("RECOVER-SEL t%d %s seg=%d", t.id, traceUop(u), len(mi.seg))
 	}
-	mi.resolved = true
-	if len(mi.seg) == 0 {
-		mi.segDispatched = true
-		c.releaseSeg(mi)
-	} else {
+	if len(mi.seg) > 0 {
 		// The branch entry is the initial splice cursor: the first
 		// resolved-path instruction is inserted right after it.
 		mi.insertPos = &u.node
@@ -106,7 +102,6 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 		fe = append(fe, w)
 	}
 	t.frontend = fe
-	mi.flushLen = dispFlushed
 	c.stats.FlushedSelective += uint64(dispFlushed + feFlushed)
 
 	// Wrong-path fetch for this miss still in progress: it dies here
@@ -141,10 +136,11 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	if t.pendingMisses == 0 {
 		t.fenceStall = false
 	}
+	if len(mi.seg) == 0 {
+		c.releaseMiss(t, mi) // nothing to splice
+	}
 
-	t.holes = append(t.holes, mi)
-
-	// Fetch turns to the oldest pending miss (this one, unless an even
+	// Fetch turns to the oldest queued miss (this one, unless an even
 	// older hole is still resolving) after a one-cycle redirect bubble.
 	t.startNextResolve()
 	t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
@@ -202,26 +198,39 @@ func (c *Core) resolveFull(t *thread, u *uop) {
 	}
 	c.stats.FlushedFull += uint64(len(victims))
 
-	// 2. Flush the frontend: wrong-path uops, regular uops younger than
-	// the branch, and resolve-path uops of cancelled misses. Resolve-
-	// path uops of older misses survive.
-	c.flushFrontendYounger(t, u.d.Seq)
+	// 2. Flush the frontend: wrong-path uops and regular uops younger
+	// than the branch.
+	fe := t.frontend[:0]
+	for _, w := range t.frontend {
+		if w.d.Wrong || w.d.Seq > u.d.Seq {
+			c.freeUop(w)
+			continue
+		}
+		fe = append(fe, w)
+	}
+	t.frontend = fe
 
-	// 3. Cancel pending misses whose branch was flushed, then squash
-	// them from the FRQ. (The cancel flag is authoritative: the branch
-	// uop pointer must not be consulted after it can be recycled.)
-	// Cancellation is not staged: a parked victim's FRQ entry must
-	// squash now, before startNextResolve picks a resolve target.
-	// Parked victims stay live (they may still issue and complete while
-	// draining) and are freed as the drain releases them.
-	for i, n := range victims {
-		c.cancelVictimMiss(t, n.Val)
-		if i >= released || faultMode == FaultSkipUnlink && i == 0 {
-			continue // parked, or re-linked by the injected fault: still live
+	// 3. Cancel every miss younger than the branch, with its resolve
+	// channel. These are exactly the misses whose branches were just
+	// flushed: u is a regular-stream branch, so a miss detected after
+	// it (in the regular stream, or nested in a younger miss's segment)
+	// is younger, and one detected before it is older, nested ones
+	// included, because a segment precedes the regular instructions
+	// fetched after its detection. Walking the table's suffix
+	// backwards, each release takes the last entry. Cancellation is not
+	// staged: a parked victim's miss must leave the FRQ now, before
+	// startNextResolve picks a resolve target. Parked victims stay live
+	// (they may still issue and complete while draining) and are freed
+	// as the drain releases them.
+	for i := len(t.misses) - 1; i >= 0 && t.misses[i].branchSeq > u.d.Seq; i-- {
+		c.cancelMiss(t, t.misses[i])
+	}
+	for i, n := range victims[:released] {
+		if faultMode == FaultSkipUnlink && i == 0 {
+			continue // re-linked by the injected fault: still live
 		}
 		c.freeUop(n.Val)
 	}
-	t.fq.Squash(func(mi *missInfo) bool { return mi.cancelled })
 	if t.pendingMisses == 0 {
 		t.fenceStall = false
 	}
@@ -252,69 +261,6 @@ func (c *Core) resolveFull(t *thread, u *uop) {
 	t.drainBoundary = u
 	t.drainBoundaryID = u.id
 	c.draining++
-}
-
-// flushFrontendYounger drops every frontend uop logically younger than
-// branchSeq (wrong-path uops, younger regular uops, resolve-path uops of
-// cancelled misses) and prunes the resolve channels the same way —
-// step 2 of every full-squash recovery.
-func (c *Core) flushFrontendYounger(t *thread, branchSeq uint64) {
-	fe := t.frontend[:0]
-	for _, w := range t.frontend {
-		drop := false
-		switch {
-		case w.d.Wrong:
-			drop = true
-		case w.resolvePath:
-			drop = w.resolveOf.branchSeq > branchSeq || w.resolveOf.cancelled
-		default:
-			drop = w.d.Seq > branchSeq
-		}
-		if drop {
-			if w.miss != nil && !w.miss.resolved && !w.miss.cancelled {
-				// A younger in-slice miss detected in the frontend:
-				// cancel it with its branch.
-				w.miss.cancelled = true
-				t.pendingMisses--
-				c.releaseSeg(w.miss)
-			}
-			c.freeUop(w)
-			continue
-		}
-		fe = append(fe, w)
-	}
-	t.frontend = fe
-	rms := t.resolveMisses[:0]
-	for _, mi := range t.resolveMisses {
-		if mi.branchSeq > branchSeq || mi.cancelled {
-			for _, w := range mi.feq[mi.feqHead:] {
-				if w.miss != nil && !w.miss.resolved && !w.miss.cancelled {
-					w.miss.cancelled = true
-					t.pendingMisses--
-					c.releaseSeg(w.miss)
-				}
-				c.freeUop(w)
-			}
-			mi.feq = mi.feq[:0]
-			mi.feqHead = 0
-			mi.inResolveList = false
-			continue
-		}
-		rms = append(rms, mi)
-	}
-	t.resolveMisses = rms
-}
-
-// cancelVictimMiss cancels a flushed victim's pending in-slice miss, if
-// any — the per-victim half of step 3 of a full-squash recovery.
-func (c *Core) cancelVictimMiss(t *thread, v *uop) {
-	if v.miss != nil && !v.miss.cancelled {
-		if !v.miss.resolved {
-			t.pendingMisses--
-		}
-		v.miss.cancelled = true
-		c.releaseSeg(v.miss)
-	}
 }
 
 // resetFetchAfterFlush points fetch back at the trace — step 5 of every

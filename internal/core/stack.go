@@ -28,7 +28,7 @@ func (c *Core) accountCycle() {
 	}
 
 	t, head := c.oldestHead()
-	if head != nil && head.spliceHold != nil && !head.spliceHold.segDispatched && !head.spliceHold.cancelled {
+	if head != nil && head.holdsSplice() {
 		c.stats.HoldSplice++
 	}
 	switch c.classifyStall(t, head) {
@@ -90,7 +90,7 @@ func (c *Core) classifyStall(t *thread, head *uop) stallCause {
 	}
 	// The splice cursor holding commit for the rest of its resolved
 	// path, or a mispredicted branch awaiting resolution.
-	if head.spliceHold != nil && !head.spliceHold.segDispatched && !head.spliceHold.cancelled {
+	if head.holdsSplice() {
 		return stallBranch
 	}
 	// The boundary branch of a partial flush holding commit while the

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/bpred"
 	"repro/internal/emu"
-	"repro/internal/frq"
 	"repro/internal/isa"
 	"repro/internal/rename"
 	"repro/internal/rob"
@@ -19,7 +18,7 @@ const (
 
 // thread is one hardware context: its architectural machine (trace
 // source), predictor state, rename table, logical-order ROB list, frontend
-// queue, and the selective-flush fetch state machine.
+// queue, miss table, and the selective-flush fetch state machine.
 type thread struct {
 	id int
 	c  *Core
@@ -30,19 +29,15 @@ type thread struct {
 
 	rt   rename.Table[renameRef]
 	list rob.List[*uop]
-	// fq holds misses whose correct paths still need fetching; serviced
-	// program-order-oldest-first (DESIGN.md, deviation 1).
-	fq *frq.Queue[*missInfo]
+	// misses is the miss table: every live in-slice miss in program
+	// order, from detection until release (see miss.go).
+	misses []*missInfo
 
 	// frontend is the regular fetch queue's live window; feBuf is its
 	// whole backing array, where enqueue moves the window back to when
 	// dispatch's pops have walked it to the end.
 	frontend []*uop
 	feBuf    []*uop
-	// resolveMisses lists the misses with fetched-but-undispatched
-	// resolve-path instructions (each miss queues them in missInfo.feq —
-	// the resolve channel, one FIFO per miss).
-	resolveMisses []*missInfo
 
 	// Fetch source state. shadow is the engine the frontend's last Fork
 	// returned; the frontend re-seeds that one engine on every Fork, so
@@ -58,20 +53,9 @@ type thread struct {
 	// escape analysis cannot see through emu.WrongPath.
 	wrongDir emu.BranchDir
 
-	// Resolve-path fetch: the program-order-oldest pending FRQ entry.
-	// The paper's FIFO discipline assumes detection order matches the
-	// order commit needs; servicing oldest-first (with preemption when
-	// an older miss resolves) implements the stated intent — "the
-	// oldest instructions are executed first, such that commit is not
-	// needlessly blocked" (§4.6) — and is what makes the §4.7
-	// deadlock-freedom argument hold (see DESIGN.md).
+	// resolving is the resolve-fetch target, the first queued miss
+	// (startNextResolve).
 	resolving *missInfo
-	// holes tracks resolved misses whose correct paths have not fully
-	// entered the ROB; unresolved tracks detected in-slice misses whose
-	// branches have not executed yet. The oldest across both owns the
-	// reserved resources.
-	holes      []*missInfo
-	unresolved []*missInfo
 
 	pendingMisses int // in-slice misses detected but not yet resolved
 	fenceStall    bool
@@ -113,7 +97,6 @@ func newThread(id int, c *Core, m emu.Frontend) *thread {
 		m:         m,
 		pred:      bpred.New(c.cfg.Predictor),
 		btb:       bpred.NewBTB(c.cfg.BTBSets, c.cfg.BTBWays),
-		fq:        frq.New[*missInfo](c.cfg.FRQSize),
 		lastILine: -1,
 	}
 	t.wrongDir = func(pc int, in isa.Inst, actual bool) bool {
@@ -155,54 +138,4 @@ func (t *thread) nextFetchPC() int {
 		return -1
 	}
 	return t.m.NextPC()
-}
-
-// startNextResolve points resolve fetch at the program-order-oldest
-// pending miss (preempting a younger one if an older branch just
-// resolved). Completed and cancelled entries are squashed.
-func (t *thread) startNextResolve() {
-	t.fq.Squash(func(mi *missInfo) bool {
-		return mi.cancelled || mi.fetched >= len(mi.seg)
-	})
-	t.resolving = nil
-	for _, mi := range t.fq.All() {
-		if t.resolving == nil || mi.branchSeq < t.resolving.branchSeq {
-			t.resolving = mi
-		}
-	}
-}
-
-// oldestHoleSeq returns the branch sequence number of the oldest in-slice
-// miss that is, or will become, a hole in the ROB: resolved misses whose
-// correct paths have not fully dispatched, and detected misses whose
-// branches have not executed yet. Only a resolve path at least as old as
-// every such miss may consume the reserved resources — it is guaranteed to
-// drain into commit, which is what makes reserving "a single resource of
-// each" deadlock-free (§4.7). A younger path must leave the reserved
-// entries alone, because an older hole may still claim them.
-func (t *thread) oldestHoleSeq() uint64 {
-	oldest := ^uint64(0)
-	live := t.holes[:0]
-	for _, mi := range t.holes {
-		if mi.cancelled || mi.segDispatched {
-			continue
-		}
-		live = append(live, mi)
-		if mi.branchSeq < oldest {
-			oldest = mi.branchSeq
-		}
-	}
-	t.holes = live
-	liveU := t.unresolved[:0]
-	for _, mi := range t.unresolved {
-		if mi.cancelled || mi.resolved {
-			continue
-		}
-		liveU = append(liveU, mi)
-		if mi.branchSeq < oldest {
-			oldest = mi.branchSeq
-		}
-	}
-	t.unresolved = liveU
-	return oldest
 }

@@ -77,9 +77,7 @@ type uop struct {
 	// it restores.
 	resolveOf *missInfo
 	// spliceHold marks this uop as the current splice cursor of a miss
-	// whose resolved path has not fully entered the ROB: it must not
-	// commit (and be unlinked) while later resolve-path instructions
-	// still need to be inserted after it.
+	// (see holdsSplice).
 	spliceHold *missInfo
 	// ck is the rename checkpoint taken at dispatch of a branch known
 	// to be mispredicted (conventional recovery restores it).
@@ -149,67 +147,6 @@ func makeRef(u *uop) renameRef {
 		return renameRef{}
 	}
 	return renameRef{u: u, id: u.id}
-}
-
-// missInfo describes one pending in-slice branch miss: everything a fetch
-// redirect queue entry carries (§4.6) plus the correct-path segment
-// buffered by the trace frontend.
-type missInfo struct {
-	branch *uop
-	// branchSeq snapshots the branch's program-order position: the
-	// branch uop itself is pooled and may be recycled once it commits,
-	// so ordering decisions must never read through the pointer.
-	branchSeq uint64
-	// seg is the correct-path remainder of the slice (including the
-	// closing slice_end marker), executed functionally at detection
-	// time and delivered to the pipeline at resolution.
-	seg []emu.DynInst
-	// wp records the wrong-path uops dispatched for this miss, to be
-	// selectively flushed at resolution.
-	wp []*uop
-	// ck is the rename checkpoint at the branch (CP1 in Fig. 2);
-	// rtbl is the segment's private rename table seeded from ck, so the
-	// regular stream's table never sees resolve-path renamings (the
-	// regular-fetch checkpoint CP2 "does not contain the renamings made
-	// after dispatching the resolved path", §4.2).
-	ck      renameSnapshot
-	ckValid bool
-	rtbl    *rename.Table[renameRef]
-	// insertPos is where the next resolve-path uop is spliced into the
-	// linked ROB.
-	insertPos *rob.Node[*uop]
-	// dispatched counts resolve-path uops dispatched so far;
-	// segDispatched is set when the whole segment entered the ROB.
-	dispatched    int
-	segDispatched bool
-	// feq queues this miss's fetched-but-undispatched resolve-path uops
-	// in segment order; feqHead is the consumed prefix (index cursor, so
-	// dispatch pops cost O(1)). inResolveList marks membership in the
-	// owning thread's resolveMisses list.
-	feq           []*uop
-	feqHead       int
-	inResolveList bool
-	// fetched counts segment instructions delivered to the frontend
-	// (resolve fetch can be preempted by an older miss and resumed).
-	fetched int
-	// stall is a mispredicted branch inside this resolve path; fetching
-	// the rest of the segment waits for it to resolve.
-	stall *uop
-	// resolved is set when the branch executed and the selective flush
-	// was performed.
-	resolved bool
-	// cancelled marks a miss squashed by an older conventional flush.
-	cancelled bool
-	// segOwner refcounts the pooled backing buffer of seg. Nested misses
-	// alias a suffix of their parent's array, so the buffer returns to
-	// the core's pool only when every miss sharing it has released;
-	// segReleased makes the release idempotent across the resolution and
-	// cancellation paths.
-	segOwner    *segBuf
-	segReleased bool
-	// flushLen is the number of wrong-path uops flushed at resolution
-	// (for block-gap accounting).
-	flushLen int
 }
 
 // event is a scheduled completion.
@@ -341,48 +278,4 @@ func (c *Core) getCheckpoint() *renameSnapshot {
 		return ck
 	}
 	return new(renameSnapshot)
-}
-
-// Segment-buffer pool: the append target handed to RunToSliceEnd at miss
-// detection. A buffer is recycled once every miss aliasing it — the root
-// and any nested children, which slice the parent's array — has stopped
-// consuming elements: its segment fully dispatched, or the miss was
-// cancelled by a conventional flush. After release only len(mi.seg)
-// reads remain, and a slice header's length stays valid when the backing
-// array is handed to a new miss.
-
-type segBuf struct {
-	buf  []emu.DynInst
-	refs int
-}
-
-func (c *Core) getSegBuf() *segBuf {
-	if n := len(c.segPool); n > 0 {
-		sb := c.segPool[n-1]
-		c.segPool = c.segPool[:n-1]
-		sb.refs = 1
-		return sb
-	}
-	return &segBuf{refs: 1}
-}
-
-// shareSeg makes child a co-owner of parent's segment buffer.
-func shareSeg(parent, child *missInfo) {
-	if parent.segOwner != nil {
-		child.segOwner = parent.segOwner
-		child.segOwner.refs++
-	}
-}
-
-// releaseSeg drops mi's reference to its segment buffer, returning the
-// buffer to the pool when mi was the last holder.
-func (c *Core) releaseSeg(mi *missInfo) {
-	if mi.segReleased || mi.segOwner == nil {
-		return
-	}
-	mi.segReleased = true
-	sb := mi.segOwner
-	if sb.refs--; sb.refs == 0 {
-		c.segPool = append(c.segPool, sb)
-	}
 }

@@ -13,7 +13,7 @@ import (
 // that a simulation was completed (not served from any cache) at a point
 // in time, under a given behavior version. The ledger is the durable
 // trajectory of the experiment campaign — unlike the object store it is
-// never evicted or invalidated, so `benchreport -ledger` can read the
+// never evicted or invalidated, so `sfserved -ledger` can read the
 // full history back even across behavior-version bumps.
 type LedgerEntry struct {
 	// Time is the completion time, RFC3339 UTC.

@@ -23,7 +23,7 @@
 //
 // The store also keeps an append-only NDJSON experiment ledger
 // (dir/ledger.ndjson): one line per completed simulation, readable back
-// as trajectory history (see ReadLedger and cmd/benchreport -ledger).
+// as trajectory history (see ReadLedger and sfserved -ledger).
 package store
 
 import (
