@@ -288,8 +288,8 @@ func buildSpec(n Options) kernels.Spec {
 func runContext(ctx context.Context, o Options, tr *trace.Trace) (*Result, error) {
 	n := o.normalized()
 
-	if _, err := core.ParsePolicy(n.Policy); err != nil {
-		return nil, fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("blp: %s (%v) canceled before build: %w", o.Benchmark, o.Mode, err)
@@ -324,11 +324,7 @@ func simConfig(ctx context.Context, n Options) sim.Config {
 	cfg.Core.Reserve = zv(n.Reserve)
 	cfg.Core.ROBBlockSize = zv(n.ROBBlockSize)
 	cfg.Core.FRQSize = zv(n.FRQSize)
-	if n.PaperScaleMem {
-		cfg.Mem = sim.Table1MemConfig(n.Cores)
-	} else {
-		cfg.Mem = sim.ScaledMemConfig(n.Cores)
-	}
+	cfg.Mem = memConfig(n)
 	if n.TraceEvents > 0 {
 		cfg.Core.Trace = os.Stderr
 		cfg.Core.TraceLimit = n.TraceEvents
@@ -337,6 +333,30 @@ func simConfig(ctx context.Context, n Options) sim.Config {
 	cfg.Recorder = n.Flight
 	cfg.Ctx = ctx
 	return cfg
+}
+
+// memConfig returns the memory hierarchy for normalized options.
+func memConfig(n Options) sim.MemConfig {
+	if n.PaperScaleMem {
+		return sim.Table1MemConfig(n.Cores)
+	}
+	return sim.ScaledMemConfig(n.Cores)
+}
+
+// Validate reports, before any work is done, options no simulation can
+// run: an unknown policy, or a memory hierarchy the cache model cannot
+// size exactly. Every cache level needs a power-of-two number of sets
+// and the LLC grows with the core count, so with both memory
+// configurations Cores must be a power of two.
+func (o Options) Validate() error {
+	n := o.normalized()
+	if _, err := core.ParsePolicy(n.Policy); err != nil {
+		return fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
+	}
+	if err := memConfig(n).Validate(); err != nil {
+		return fmt.Errorf("blp: %d cores (must be a power of two): %w", n.Cores, err)
+	}
+	return nil
 }
 
 // makeResult converts a sim result into the public Result, deriving the

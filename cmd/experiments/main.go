@@ -12,7 +12,7 @@
 //	experiments                 # everything, default scales, NumCPU workers
 //	experiments -fig 4          # one figure
 //	experiments -fig 7 -delta -1  # quicker, one scale step smaller
-//	experiments -fig 10 -cores 28 # the paper's full core count
+//	experiments -fig 10 -cores 32 # nearest power of two above the paper's 28 cores
 //	experiments -jobs 1 -quiet  # serial, no progress
 package main
 
@@ -36,7 +36,7 @@ func main() {
 
 	fig := flag.String("fig", "all", "which experiment: table1, motivation, 4..11, policy, or all")
 	delta := flag.Int("delta", 0, "input-scale delta (negative = smaller/faster)")
-	cores := flag.Int("cores", 16, "core count for fig10")
+	cores := flag.Int("cores", 16, "core count for fig10 (a power of two)")
 	sizeDelta := flag.Int("sizedelta", 3, "extra input-scale steps for fig10's multicore runs")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations (shared across figures)")
 	quiet := flag.Bool("quiet", false, "suppress the per-run progress line on stderr")

@@ -94,8 +94,8 @@ type strideEntry struct {
 	conf     int8
 }
 
-// New returns a cache level backed by next.
-func New(cfg Config, next Level) *Cache {
+// withDefaults fills in the defaulted geometry and prefetch fields.
+func (cfg Config) withDefaults() Config {
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = 64
 	}
@@ -105,6 +105,23 @@ func New(cfg Config, next Level) *Cache {
 	if cfg.StrideDegree == 0 {
 		cfg.StrideDegree = 2
 	}
+	return cfg
+}
+
+// Validate reports a geometry New cannot model exactly: a set count
+// (size / (line × ways)) that is not a power of two, which New rounds
+// down to a smaller cache than configured.
+func (cfg Config) Validate() error {
+	cfg = cfg.withDefaults()
+	if n := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways); n < 1 || n&(n-1) != 0 {
+		return fmt.Errorf("cache %s: %d sets is not a power of two", cfg.Name, n)
+	}
+	return nil
+}
+
+// New returns a cache level backed by next.
+func New(cfg Config, next Level) *Cache {
+	cfg = cfg.withDefaults()
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	if numSets < 1 {
 		numSets = 1

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -254,5 +255,32 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Access(0x1000, int64(i)+1000, false, false)
+	}
+}
+
+// TestValidateSets: New rounds a set count down to a power of two, so
+// Validate must refuse any other count, naming the level and its sets.
+func TestValidateSets(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "l1d", SizeBytes: 4 << 10},
+		{Name: "l2", SizeBytes: 1 << 20, Ways: 16},
+		{Name: "llc", SizeBytes: 1408 << 10, Ways: 11},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		sets int
+	}{
+		{Config{Name: "llc", SizeBytes: 48 << 10}, 96},
+		{Config{Name: "llc", SizeBytes: 1408 * 28 << 10, Ways: 11}, 57344},
+		{Config{Name: "tiny", SizeBytes: 64, Ways: 2}, 0},
+	} {
+		want := fmt.Sprintf("cache %s: %d sets is not a power of two", tc.cfg.Name, tc.sets)
+		if err := tc.cfg.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%+v: error %v, want %q", tc.cfg, err, want)
+		}
 	}
 }

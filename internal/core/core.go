@@ -54,12 +54,23 @@ type Core struct {
 	longUntil  []int64 // completion times of in-flight long-latency loads
 	events     eventHeap
 	pool       []*uop
-	segPool    []*segBuf
 	ckPool     []*renameSnapshot // free conventional-miss checkpoints (uop.ck)
 	victims    []*rob.Node[*uop] // resolveFull's scratch for the squashed range
 	nextID     uint64
 	dispSeqCtr uint64 // dispatch-order tie-break counter
 	forceCyc   bool   // cfg.ForceCycleAccurate cached
+
+	// Free lists of the selective path (segment.go, miss.go), with the
+	// number of each the core ever allocated: at quiesce every one is
+	// back on its list (CheckQuiescent).
+	chunkPool   []*segChunk
+	segPool     []*segBuf
+	missPool    []*missInfo
+	chunksMade  int
+	segBufsMade int
+	missesMade  int
+	// segStep is buildSegment's scratch record.
+	segStep emu.DynInst
 
 	now                int64
 	stats              Stats

@@ -27,11 +27,11 @@ func (c *Core) checkInvariants() {
 				continue
 			}
 			inFE := len(mi.feq) - mi.feqHead
-			got := mi.dispatched + inFE + (len(mi.seg) - mi.fetched)
-			if got != len(mi.seg) {
+			got := mi.dispatched + inFE + (mi.seg.len() - mi.fetched)
+			if got != mi.seg.len() {
 				panic(fmt.Sprintf("core %d @%d: miss br=#%d accounting broken: disp=%d fe=%d unfetched=%d seg=%d\n%s",
 					c.id, c.now, mi.branchSeq, mi.dispatched, inFE,
-					len(mi.seg)-mi.fetched, len(mi.seg), c.DumpState()))
+					mi.seg.len()-mi.fetched, mi.seg.len(), c.DumpState()))
 			}
 		}
 	}
@@ -61,10 +61,10 @@ func (c *Core) DumpState() string {
 				u.d.Seq, u.d.Inst, u.state, u.doneAt, u.mispred, u.d.Wrong, u.resolvePath, u.spliceHold != nil)
 			if u.spliceHold != nil {
 				mi := u.spliceHold
-				fmt.Fprintf(&b, " hold{%s disp=%d/%d}", mi.state, mi.dispatched, len(mi.seg))
+				fmt.Fprintf(&b, " hold{%s disp=%d/%d}", mi.state, mi.dispatched, mi.seg.len())
 			}
 			if u.miss != nil {
-				fmt.Fprintf(&b, " miss{%s disp=%d/%d}", u.miss.state, u.miss.dispatched, len(u.miss.seg))
+				fmt.Fprintf(&b, " miss{%s disp=%d/%d}", u.miss.state, u.miss.dispatched, u.miss.seg.len())
 			}
 			b.WriteString("\n")
 			if u.state == stWaiting {
@@ -84,7 +84,7 @@ func (c *Core) DumpState() string {
 		}
 		for _, mi := range t.misses {
 			fmt.Fprintf(&b, "   miss: br=#%d %s fetched=%d/%d disp=%d stall=%v",
-				mi.branchSeq, mi.state, mi.fetched, len(mi.seg), mi.dispatched, mi.stall != nil)
+				mi.branchSeq, mi.state, mi.fetched, mi.seg.len(), mi.dispatched, mi.stall != nil)
 			if n := len(mi.feq) - mi.feqHead; n > 0 {
 				w := mi.feq[mi.feqHead]
 				fmt.Fprintf(&b, " queued=%d head=#%d %v readyFE=%d priv=%v",

@@ -174,9 +174,12 @@ func (c *Core) tryDispatch(t *thread, u *uop) bool {
 	tbl := &t.rt
 	if u.resolvePath {
 		mi := u.resolveOf
-		if mi.rtbl == nil {
-			mi.rtbl = &renameTable{}
+		if !mi.rtblSeeded {
+			if mi.rtbl == nil {
+				mi.rtbl = new(renameTable)
+			}
 			mi.rtbl.Restore(mi.ck)
+			mi.rtblSeeded = true
 		}
 		tbl = mi.rtbl
 	}
@@ -263,7 +266,7 @@ func (c *Core) noteResolveDispatched(t *thread, mi *missInfo) {
 		// resume of this miss.
 		mi.feq, mi.feqHead = mi.feq[:0], 0
 	}
-	if mi.dispatched++; mi.dispatched < len(mi.seg) {
+	if mi.dispatched++; mi.dispatched < mi.seg.len() {
 		return
 	}
 	cur := mi.insertPos.Val

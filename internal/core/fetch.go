@@ -226,15 +226,10 @@ func (c *Core) fetchNormal(t *thread) bool {
 	}
 	t.wpAge = d.Seq
 	if selective {
-		sb := c.getSegBuf()
-		seg, err := t.m.RunToSliceEnd(sb.buf[:0])
-		if err != nil {
-			panic(fmt.Sprintf("core %d thread %d: %v", c.id, t.id, err))
-		}
-		sb.buf = seg
-		mi := &missInfo{branchSeq: d.Seq, seg: seg, segOwner: sb}
-		c.stats.SegLenSum += uint64(len(seg))
-		u.miss = mi
+		mi := c.newMiss(u)
+		b := c.buildSegment(t, d.SliceID)
+		mi.seg = segment{buf: b, hi: b.n}
+		c.stats.SegLenSum += uint64(b.n)
 		t.addMiss(mi)
 		t.shadow = t.m.Fork(wrongPC, true, d.SliceID)
 		t.shadowMiss = mi
@@ -286,7 +281,7 @@ func (c *Core) fetchWrong(t *thread) bool {
 func (c *Core) fetchResolve(t *thread) bool {
 	mi := t.resolving
 	u := c.newUop(t)
-	u.d = mi.seg[mi.fetched]
+	mi.seg.at(mi.fetched, &u.d)
 	mi.fetched++
 	d := &u.d
 	u.age = d.Seq
@@ -294,7 +289,7 @@ func (c *Core) fetchResolve(t *thread) bool {
 	u.resolvePath = true
 	u.resolveOf = mi
 
-	last := mi.fetched >= len(mi.seg)
+	last := mi.fetched >= mi.seg.len()
 
 	if d.IsBranch() {
 		mispred, _ := c.predictBranch(t, u)
@@ -309,13 +304,11 @@ func (c *Core) fetchResolve(t *thread) bool {
 			// misses is not modeled (see DESIGN.md).
 			if c.selEligible && d.InSlice &&
 				t.pendingMisses+t.queuedMisses() < c.cfg.FRQSize {
-				child := &missInfo{branchSeq: d.Seq, seg: mi.seg[mi.fetched:]}
-				shareSeg(mi, child)
-				u.miss = child
-				t.addMiss(child)
+				child := c.newMiss(u)
 				// Truncate the parent at the nested branch: its
 				// splice is complete once the branch dispatches.
-				mi.seg = mi.seg[:mi.fetched]
+				child.seg = mi.seg.split(mi.fetched)
+				t.addMiss(child)
 				last = true
 			} else {
 				// FRQ pressure: fall back to stalling resolve

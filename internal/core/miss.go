@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"repro/internal/emu"
 	"repro/internal/rob"
 )
 
@@ -29,16 +28,19 @@ import (
 // tries each entry's resolve channel in table order. A full squash
 // cancels the suffix younger than its branch.
 //
-// Uop back-pointers into a miss can outlive its release; pooling
-// missInfo must keep each of these reads valid or retire it:
-//   - uop.miss stays on the branch uop until the uop is freed. After
-//     release only DumpState reads it, and, on a victim branch that
-//     FaultSkipUnlink re-linked after a squash cancelled its miss,
-//     resolveBranch (the state test) and resolveFull (the checkpoint).
-//   - uop.spliceHold is cleared on the cursor when the splice completes.
-//     It outlives release only on a cursor re-linked by FaultSkipUnlink;
-//     commit and the cycle accounting read the miss's state through
-//     holdsSplice, so a released miss never holds commit.
+// Released misses are recycled through the core's free list (newMiss).
+// Four uop back-pointers can outlive a miss's release, and each is
+// handled:
+//   - uop.miss stays on the branch uop until the uop is freed, so a miss
+//     re-enters the free list only once it is released and its branch
+//     uop has been freed (branchLive). After release only DumpState
+//     reads it, and, on a victim branch that FaultSkipUnlink re-linked
+//     after a squash cancelled its miss, resolveBranch (the state test)
+//     and resolveFull (the checkpoint).
+//   - uop.spliceHold is cleared on the cursor when the splice completes,
+//     and releaseMiss clears it on a cancelled miss's cursor, which
+//     FaultSkipUnlink may have re-linked. So no live uop holds commit
+//     for a released miss, and holdsSplice needs no state test.
 //   - uop.resolveOf stays on spliced resolve-path uops, but nothing
 //     follows it after release: dispatch and the stall-fallback
 //     resolution only meet uops of live misses, and DumpState prints
@@ -63,33 +65,36 @@ func (s missState) String() string {
 }
 
 // missInfo describes one in-slice branch miss: everything a fetch
-// redirect queue entry carries (§4.6) plus the correct-path segment
-// buffered by the trace frontend.
+// redirect queue entry carries (§4.6) plus the correct-path segment the
+// core buffered at detection. missInfos are pooled per core; a recycled
+// one keeps its feq and wp capacity and its rtbl allocation.
 type missInfo struct {
 	state missState
 	// branchSeq is the branch's program-order position. The branch uop
 	// is pooled and may be recycled once it commits, so the miss keeps
 	// no pointer to it.
 	branchSeq uint64
+	// branchLive is set while the branch uop points here (uop.miss):
+	// a released miss returns to the free list only once it is clear.
+	branchLive bool
 	// seg is the correct-path remainder of the slice (including the
 	// closing slice_end marker), executed functionally at detection
-	// time and delivered to the pipeline at resolution. segOwner
-	// refcounts its pooled backing buffer: nested misses alias a suffix
-	// of their parent's array, so the buffer returns to the pool only
-	// when every miss sharing it has been released.
-	seg      []emu.DynInst
-	segOwner *segBuf
+	// time and delivered to the pipeline at resolution. It is a view of
+	// a segment buffer, which a nested miss's view shares (segment.go).
+	seg segment
 	// wp records the wrong-path uops dispatched for this miss, to be
 	// selectively flushed at resolution.
 	wp []*uop
 	// ck is the rename checkpoint at the branch (CP1 in Fig. 2);
-	// rtbl is the segment's private rename table seeded from ck, so the
-	// regular stream's table never sees resolve-path renamings (the
+	// rtbl is the segment's private rename table, seeded from ck when
+	// the first resolve-path uop dispatches (rtblSeeded), so the regular
+	// stream's table never sees resolve-path renamings (the
 	// regular-fetch checkpoint CP2 "does not contain the renamings made
 	// after dispatching the resolved path", §4.2).
-	ck      renameSnapshot
-	ckValid bool
-	rtbl    *renameTable
+	ck         renameSnapshot
+	ckValid    bool
+	rtbl       *renameTable
+	rtblSeeded bool
 	// insertPos is the splice cursor: the next resolve-path uop is
 	// inserted into the linked ROB after it.
 	insertPos *rob.Node[*uop]
@@ -112,9 +117,7 @@ type missInfo struct {
 // correct path has not fully entered the ROB: it must not commit (and be
 // unlinked) while later resolve-path instructions still need to be
 // inserted after it.
-func (u *uop) holdsSplice() bool {
-	return u.spliceHold != nil && u.spliceHold.state != missReleased
-}
+func (u *uop) holdsSplice() bool { return u.spliceHold != nil }
 
 // addMiss enters a newly detected miss into t's table as pending. A miss
 // detected in the regular stream is the youngest so far and appends; a
@@ -129,10 +132,38 @@ func (t *thread) addMiss(mi *missInfo) {
 	t.pendingMisses++
 }
 
-// releaseMiss takes mi out of t's table and drops its reference to the
-// segment buffer, which returns to the pool when mi was its last holder.
-// A miss cancelled while pending also leaves the pending count. Releasing
-// a miss twice is a bookkeeping bug and panics.
+// newMiss takes a cleared miss from the free list for u, the
+// mispredicted branch that detected it, and links it to u.miss.
+func (c *Core) newMiss(u *uop) *missInfo {
+	var mi *missInfo
+	if n := len(c.missPool); n > 0 {
+		mi = c.missPool[n-1]
+		c.missPool = c.missPool[:n-1]
+		*mi = missInfo{wp: mi.wp[:0], feq: mi.feq[:0], rtbl: mi.rtbl}
+	} else {
+		c.missesMade++
+		mi = &missInfo{}
+	}
+	mi.branchSeq = u.d.Seq
+	mi.branchLive = true
+	u.miss = mi
+	return mi
+}
+
+// branchFreed records that mi's branch uop was freed, recycling mi if it
+// was already released.
+func (c *Core) branchFreed(mi *missInfo) {
+	mi.branchLive = false
+	if mi.state == missReleased {
+		c.missPool = append(c.missPool, mi)
+	}
+}
+
+// releaseMiss takes mi out of t's table and drops its view of the
+// segment buffer, which returns to the free list when mi was its last
+// holder. A miss cancelled while pending also leaves the pending count;
+// a cancelled miss's splice cursor stops holding commit. Releasing a
+// miss twice is a bookkeeping bug and panics.
 func (c *Core) releaseMiss(t *thread, mi *missInfo) {
 	if mi.state == missReleased {
 		panic("core: miss released twice")
@@ -143,10 +174,15 @@ func (c *Core) releaseMiss(t *thread, mi *missInfo) {
 	mi.state = missReleased
 	i := slices.Index(t.misses, mi)
 	t.misses = slices.Delete(t.misses, i, i+1)
-	if sb := mi.segOwner; sb != nil {
-		if sb.refs--; sb.refs == 0 {
-			c.segPool = append(c.segPool, sb)
-		}
+	if p := mi.insertPos; p != nil && p.Val.spliceHold == mi {
+		p.Val.spliceHold = nil
+	}
+	if b := mi.seg.buf; b != nil {
+		mi.seg.buf = nil
+		c.dropSeg(b)
+	}
+	if !mi.branchLive {
+		c.missPool = append(c.missPool, mi)
 	}
 }
 
@@ -202,33 +238,4 @@ func (t *thread) oldestHoleSeq() uint64 {
 		return ^uint64(0)
 	}
 	return t.misses[0].branchSeq
-}
-
-// Segment-buffer pool: the append target handed to RunToSliceEnd at miss
-// detection. A buffer is recycled once every miss aliasing it — the root
-// and any nested children, which slice the parent's array — has been
-// released. A released miss's segment is never read again; DumpState
-// prints only its length.
-
-type segBuf struct {
-	buf  []emu.DynInst
-	refs int
-}
-
-func (c *Core) getSegBuf() *segBuf {
-	if n := len(c.segPool); n > 0 {
-		sb := c.segPool[n-1]
-		c.segPool = c.segPool[:n-1]
-		sb.refs = 1
-		return sb
-	}
-	return &segBuf{refs: 1}
-}
-
-// shareSeg makes child a co-owner of parent's segment buffer.
-func shareSeg(parent, child *missInfo) {
-	if parent.segOwner != nil {
-		child.segOwner = parent.segOwner
-		child.segOwner.refs++
-	}
 }

@@ -136,39 +136,99 @@ func TestSampleHolesExact(t *testing.T) {
 		withHoles, sampled, c.stats.SliceRecoveries, c.stats.NestedMisses)
 }
 
+// TestSegBufPoolRefcounts shares one two-chunk buffer between a miss and
+// a nested miss viewing its suffix: the chunks and the buffer go back to
+// their free lists only at the second release, and come back out of them.
 func TestSegBufPoolRefcounts(t *testing.T) {
+	prog, img := longSlices(2, 300)
 	c := &Core{}
-	th := &thread{c: c}
-	sb := c.getSegBuf()
-	sb.buf = append(sb.buf[:0], emu.DynInst{Seq: 1}, emu.DynInst{Seq: 2})
-	parent := &missInfo{branchSeq: 1, seg: sb.buf, segOwner: sb}
-	child := &missInfo{branchSeq: 2, seg: parent.seg[1:]}
-	shareSeg(parent, child)
+	th := &thread{c: c, m: emu.AsFrontend(emu.New(prog, img))}
+	var br emu.DynInst
+	stepToSliceBranch(t, th.m, &br)
+	sb := c.buildSegment(th, br.SliceID)
+	if len(sb.chunks) != 2 {
+		t.Fatalf("segment of %d records fills %d chunks, want 2", sb.n, len(sb.chunks))
+	}
+	parent := &missInfo{branchSeq: 1, seg: segment{buf: sb, hi: sb.n}}
+	child := &missInfo{branchSeq: 2}
+	child.seg = parent.seg.split(1)
 	th.addMiss(parent)
 	th.addMiss(child)
 	if sb.refs != 2 {
-		t.Fatalf("refs after share = %d, want 2", sb.refs)
+		t.Fatalf("refs after split = %d, want 2", sb.refs)
 	}
 
 	c.releaseMiss(th, parent)
-	if sb.refs != 1 || len(c.segPool) != 0 {
-		t.Fatalf("buffer freed while a child still aliases it (refs=%d pool=%d)",
-			sb.refs, len(c.segPool))
+	if sb.refs != 1 || len(c.segPool) != 0 || len(c.chunkPool) != 0 {
+		t.Fatalf("buffer freed while a child still views it (refs=%d pool=%d chunks=%d)",
+			sb.refs, len(c.segPool), len(c.chunkPool))
 	}
 	c.releaseMiss(th, child)
-	if len(c.segPool) != 1 {
-		t.Fatal("buffer not pooled after the last release")
+	if len(c.segPool) != 1 || len(c.chunkPool) != 2 || len(sb.chunks) != 0 {
+		t.Fatalf("after the last release: %d buffers, %d chunks free, %d chunks kept",
+			len(c.segPool), len(c.chunkPool), len(sb.chunks))
 	}
 	if len(th.misses) != 0 || th.pendingMisses != 0 {
 		t.Fatalf("released misses still counted: table=%d pending=%d", len(th.misses), th.pendingMisses)
 	}
 
-	sb2 := c.getSegBuf()
-	if sb2 != sb || sb2.refs != 1 {
-		t.Fatalf("pool did not recycle the buffer (refs=%d)", sb2.refs)
+	stepToSliceBranch(t, th.m, &br)
+	sb2 := c.buildSegment(th, br.SliceID)
+	if sb2 != sb || sb2.refs != 1 || c.segBufsMade != 1 || c.chunksMade != 2 {
+		t.Fatalf("second build did not recycle (refs=%d, %d buffers and %d chunks made)",
+			sb2.refs, c.segBufsMade, c.chunksMade)
 	}
-	if cap(sb2.buf) < 2 {
-		t.Fatal("recycled buffer lost its capacity")
+}
+
+// TestMissRecycling: a released miss re-enters the free list only once
+// its branch uop has been freed too, in either order, and comes back
+// cleared, with its channel capacity and rename table.
+func TestMissRecycling(t *testing.T) {
+	c := &Core{}
+	th := &thread{c: c}
+	u := &uop{}
+	u.d.Seq = 5
+	mi := c.newMiss(u)
+	if u.miss != mi || !mi.branchLive || mi.branchSeq != 5 {
+		t.Fatalf("newMiss did not link the branch: %+v", mi)
+	}
+	th.addMiss(mi)
+	mi.wp = append(mi.wp, &uop{})
+	mi.feq = append(mi.feq, &uop{})
+	mi.rtbl, mi.rtblSeeded, mi.ckValid = new(renameTable), true, true
+	rtbl := mi.rtbl
+
+	c.releaseMiss(th, mi)
+	if len(c.missPool) != 0 {
+		t.Fatal("miss recycled while its branch uop still points at it")
+	}
+	c.freeUop(u)
+	if len(c.missPool) != 1 || u.miss != nil {
+		t.Fatalf("freeing the branch did not recycle its released miss (pool=%d)", len(c.missPool))
+	}
+
+	u2 := &uop{}
+	u2.d.Seq = 9
+	if got := c.newMiss(u2); got != mi || c.missesMade != 1 {
+		t.Fatalf("newMiss allocated (%d made) instead of recycling", c.missesMade)
+	}
+	if mi.state != missPending || mi.branchSeq != 9 || mi.rtblSeeded || mi.ckValid ||
+		len(mi.wp) != 0 || len(mi.feq) != 0 {
+		t.Fatalf("recycled miss not cleared: %+v", mi)
+	}
+	if cap(mi.wp) == 0 || cap(mi.feq) == 0 || mi.rtbl != rtbl {
+		t.Fatal("recycled miss lost its capacity or rename table")
+	}
+
+	// A squash frees the branch first, then cancels the miss.
+	th.addMiss(mi)
+	c.freeUop(u2)
+	if len(c.missPool) != 0 {
+		t.Fatal("miss recycled before its release")
+	}
+	c.releaseMiss(th, mi)
+	if len(c.missPool) != 1 {
+		t.Fatal("released miss with a freed branch not recycled")
 	}
 }
 
@@ -218,9 +278,12 @@ func TestCheckQuiescentReportsLeftoverMiss(t *testing.T) {
 	c := runCore(t, selectiveConfig(), b.Build(), program.NewLayout().Image(), nil)
 	th := c.threads[0]
 
-	released := &missInfo{branchSeq: 3}
+	u := &uop{}
+	u.d.Seq = 3
+	released := c.newMiss(u)
 	th.addMiss(released)
 	c.releaseMiss(th, released)
+	c.branchFreed(released)
 	if err := c.CheckQuiescent(); err != nil {
 		t.Fatalf("released miss still reported: %v", err)
 	}

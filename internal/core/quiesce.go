@@ -8,9 +8,11 @@ import "fmt"
 // arms the §4.7 reservation, every thread's logical ROB list, frontend,
 // miss table and store-forwarding list, and the scheduler's
 // ready/specials/event structures. An empty miss table means every miss
-// was released (releaseMiss panics on a second release). It also asserts
-// the uop conservation law: every uop fetch created was committed,
-// squashed after dispatch, or discarded in the frontend.
+// was released (releaseMiss panics on a second release). The selective
+// path's free lists must each hold every segment chunk, segment buffer
+// and missInfo the core allocated. It also asserts the uop conservation
+// law: every uop fetch created was committed, squashed after dispatch,
+// or discarded in the frontend.
 //
 // It is meaningful only once Done() reports true; the sim driver calls it
 // after every successful run, making resource leaks and accounting drift
@@ -80,6 +82,19 @@ func (c *Core) CheckQuiescent() error {
 	for _, e := range c.events {
 		if e.u.id == e.id && e.u.state == stIssued {
 			return fmt.Errorf("core %d: live completion event at quiesce", c.id)
+		}
+	}
+	for _, p := range [...]struct {
+		name       string
+		free, made int
+	}{
+		{"segment chunk", len(c.chunkPool), c.chunksMade},
+		{"segment buffer", len(c.segPool), c.segBufsMade},
+		{"miss", len(c.missPool), c.missesMade},
+	} {
+		if p.free != p.made {
+			return fmt.Errorf("core %d: %s free list holds %d of the %d allocated",
+				c.id, p.name, p.free, p.made)
 		}
 	}
 	s := &c.stats

@@ -62,12 +62,12 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	t.pred.Resolve(u.pred, uint64(u.d.PC), u.d.Taken, false)
 	c.stats.SliceRecoveries++
 	if c.rec != nil {
-		c.recordMechanism(flight.EvRecoverSel, t, u, int64(len(mi.seg)))
+		c.recordMechanism(flight.EvRecoverSel, t, u, int64(mi.seg.len()))
 	}
 	if c.traceOn {
-		c.trace("RECOVER-SEL t%d %s seg=%d", t.id, traceUop(u), len(mi.seg))
+		c.trace("RECOVER-SEL t%d %s seg=%d", t.id, traceUop(u), mi.seg.len())
 	}
-	if len(mi.seg) > 0 {
+	if mi.seg.len() > 0 {
 		// The branch entry is the initial splice cursor: the first
 		// resolved-path instruction is inserted right after it.
 		mi.insertPos = &u.node
@@ -117,14 +117,14 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	// upcoming splice (§4.3, Fig. 3), reclaimed when the region retires.
 	if c.space.BlockSize() > 1 {
 		segReal := 0
-		for _, d := range mi.seg {
-			if !d.Inst.Op.IsSlice() {
+		for i := range mi.seg.len() {
+			if !mi.seg.op(i).IsSlice() {
 				segReal++
 			}
 		}
 		release := u.d.Seq
-		if n := len(mi.seg); n > 0 {
-			release = mi.seg[n-1].Seq
+		if n := mi.seg.len(); n > 0 {
+			release = mi.seg.seq(n - 1)
 		}
 		g := c.space.FlushGaps(dispFlushed, segReal, release, c.cfg.Reserve+1)
 		c.stats.GapsCreated += uint64(g)
@@ -136,7 +136,7 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	if t.pendingMisses == 0 {
 		t.fenceStall = false
 	}
-	if len(mi.seg) == 0 {
+	if mi.seg.len() == 0 {
 		c.releaseMiss(t, mi) // nothing to splice
 	}
 

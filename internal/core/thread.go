@@ -123,8 +123,8 @@ func (t *thread) active() bool { return !t.done }
 // the source cannot produce an instruction right now.
 func (t *thread) nextFetchPC() int {
 	if t.resolving != nil && t.resolving.stall == nil {
-		if t.resolving.fetched < len(t.resolving.seg) {
-			return t.resolving.seg[t.resolving.fetched].PC
+		if mi := t.resolving; mi.fetched < mi.seg.len() {
+			return mi.seg.pc(mi.fetched)
 		}
 		return -1
 	}

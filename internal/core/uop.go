@@ -261,7 +261,10 @@ func (c *Core) freeUop(u *uop) {
 		c.ckPool = append(c.ckPool, u.ck)
 		u.ck = nil
 	}
-	u.miss = nil
+	if u.miss != nil {
+		c.branchFreed(u.miss)
+		u.miss = nil
+	}
 	u.t = nil
 	u.waiters = u.waiters[:0]
 	c.pool = append(c.pool, u)

@@ -159,7 +159,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 // buildSliceLoop builds a sliced loop whose branch outcome depends on the
-// memory values, for shadow and RunToSliceEnd tests.
+// memory values, for the shadow tests.
 func buildSliceLoop(n int, vals []uint32) (*isa.Program, []byte, uint64) {
 	l := program.NewLayout()
 	in := l.AllocU32(n, vals)
@@ -186,55 +186,6 @@ func buildSliceLoop(n int, vals []uint32) (*isa.Program, []byte, uint64) {
 	b.SliceFence(true)
 	b.Halt()
 	return b.Build(), l.Image(), out
-}
-
-func TestRunToSliceEnd(t *testing.T) {
-	p, mem, _ := buildSliceLoop(4, []uint32{1, 2, 3, 4})
-	m := New(p, mem)
-	// Step until inside the first slice (after the in-slice branch).
-	for !m.InSlice() {
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Execute the branch inside the slice.
-	for {
-		d, err := m.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.IsBranch() {
-			break
-		}
-	}
-	seg, err := m.RunToSliceEnd(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seg) == 0 {
-		t.Fatal("empty segment")
-	}
-	last := seg[len(seg)-1]
-	if last.Inst.Op != isa.SliceEnd {
-		t.Fatalf("segment must end with slice_end, got %v", last.Inst.Op)
-	}
-	if m.InSlice() {
-		t.Fatal("machine still in slice after RunToSliceEnd")
-	}
-	// Sequence numbers are strictly increasing program order.
-	for i := 1; i < len(seg); i++ {
-		if seg[i].Seq != seg[i-1].Seq+1 {
-			t.Fatalf("non-contiguous seq at %d", i)
-		}
-	}
-}
-
-func TestRunToSliceEndOutsideSlice(t *testing.T) {
-	p, mem, _ := buildSliceLoop(2, []uint32{1, 2})
-	m := New(p, mem)
-	if _, err := m.RunToSliceEnd(nil); err == nil {
-		t.Fatal("RunToSliceEnd outside a slice should fail")
-	}
 }
 
 // forkShadow forks m's wrong-path engine the way the core does, through

@@ -1,9 +1,11 @@
 package emu
 
+import "repro/internal/isa"
+
 // Frontend is the correct-path instruction source a core's thread fetches
-// from: the architectural stream in program order plus the two extra
-// operations the selective-flush model needs (running ahead to a slice
-// boundary, and forking a wrong-path engine from the current state).
+// from: the architectural stream in program order, the static code it
+// runs, and the one extra operation the selective-flush model needs
+// (forking a wrong-path engine from the current state).
 //
 // Two implementations exist: the live functional emulator (*Machine, via
 // AsFrontend) and the trace replayer (internal/trace.Replay), which feeds
@@ -15,9 +17,8 @@ type Frontend interface {
 	// *d. The caller owns the record (the core steps straight into its
 	// pooled uop); the frontend keeps no reference to it.
 	StepInto(d *DynInst) error
-	// RunToSliceEnd advances through the current slice's remaining
-	// instructions (inclusive of its slice_end), appending them to buf.
-	RunToSliceEnd(buf []DynInst) ([]DynInst, error)
+	// Program is the static code the stream executes.
+	Program() *isa.Program
 	// Fork starts a wrong-path engine at startPC from the current
 	// architectural register state; inSlice/sliceID seed its slice
 	// context (that of the mispredicted branch). The frontend owns the
@@ -56,9 +57,7 @@ func AsFrontend(m *Machine) Frontend { return &machineFrontend{m: m} }
 
 func (f *machineFrontend) StepInto(d *DynInst) error { return f.m.StepInto(d) }
 
-func (f *machineFrontend) RunToSliceEnd(buf []DynInst) ([]DynInst, error) {
-	return f.m.RunToSliceEnd(buf)
-}
+func (f *machineFrontend) Program() *isa.Program { return f.m.Prog }
 
 func (f *machineFrontend) Fork(startPC int, inSlice bool, sliceID uint64) WrongPath {
 	f.shadow.Reseed(f.m.Prog, f.m.Mem, f.m.Regs, startPC, inSlice, sliceID)

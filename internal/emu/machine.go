@@ -106,8 +106,8 @@ func (m *Machine) Step() (DynInst, error) {
 
 // StepInto executes one instruction and writes its dynamic record into
 // *d, field by field, so a caller that owns the record's storage (a
-// pooled uop, a segment buffer slot) receives it without a copy. On an
-// error before execution starts (halted, pc out of range) *d is left
+// pooled uop, a scratch record) receives it without a copy. On an error
+// before execution starts (halted, pc out of range) *d is left
 // untouched; on a fault during execution it holds the partial record.
 func (m *Machine) StepInto(d *DynInst) error {
 	if m.Halted {
@@ -306,34 +306,6 @@ func (m *Machine) StepInto(d *DynInst) error {
 	m.PC = next
 	m.seq++
 	return nil
-}
-
-// RunToSliceEnd executes instructions until the current slice's slice_end
-// has executed (inclusive), stepping each dynamic instruction straight
-// into the slot it appends to buf.
-// It is used by the selective-flush model: when an in-slice branch
-// mispredicts, the correct-path remainder of the slice is executed now
-// (keeping functional execution in program order) but delivered to the
-// pipeline later, when the branch resolves (paper Fig. 2(d)).
-// The machine must currently be inside a slice.
-func (m *Machine) RunToSliceEnd(buf []DynInst) ([]DynInst, error) {
-	if !m.inSlice {
-		return buf, m.fault("RunToSliceEnd outside slice")
-	}
-	id := m.sliceID
-	for {
-		buf = append(buf, DynInst{})
-		d := &buf[len(buf)-1]
-		if err := m.StepInto(d); err != nil {
-			return buf[:len(buf)-1], err
-		}
-		if d.Inst.Op == isa.SliceEnd && d.SliceID == id {
-			return buf, nil
-		}
-		if m.Halted {
-			return buf, m.fault("halt inside slice %d", id)
-		}
-	}
 }
 
 // Run executes until halt and returns the instruction count. It is the

@@ -141,7 +141,7 @@ func (rq RunRequest) Options() (blp.Options, error) {
 	if rq.WatchdogCycles < 0 {
 		return o, fmt.Errorf("watchdog_cycles %d must be non-negative", rq.WatchdogCycles)
 	}
-	return blp.Options{
+	o = blp.Options{
 		Benchmark:          rq.Benchmark,
 		Mode:               mode,
 		Scale:              rq.Scale,
@@ -159,7 +159,11 @@ func (rq RunRequest) Options() (blp.Options, error) {
 		WrongPathMemAccess: rq.WrongPathMemAccess,
 		CheckIndependence:  rq.CheckIndependence,
 		WatchdogCycles:     rq.WatchdogCycles,
-	}, nil
+	}
+	if err := o.Validate(); err != nil {
+		return blp.Options{}, err
+	}
+	return o, nil
 }
 
 func parseMode(s string) (blp.SliceMode, error) {

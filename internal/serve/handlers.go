@@ -257,6 +257,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			q[name] = n
 		}
 	}
+	if id == "10" {
+		// Fig. 10's multicore runs must be able to size their LLC.
+		if err := (blp.Options{Cores: q["cores"]}).Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
 	format := r.URL.Query().Get("format")
 	switch format {
 	case "", "json", "csv":

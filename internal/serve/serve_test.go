@@ -190,6 +190,8 @@ func TestRunValidation(t *testing.T) {
 		{"bad policy conf", `{"benchmark":"cc","policy":"throttle:9"}`},
 		{"reserve below sentinel", `{"benchmark":"cc","reserve":-2}`},
 		{"negative watchdog", `{"benchmark":"cc","watchdog_cycles":-1}`},
+		{"3 cores", `{"benchmark":"cc","cores":3}`},
+		{"28 cores", `{"benchmark":"cc","cores":28}`},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/run", tc.body)
@@ -396,6 +398,8 @@ func TestFigureEndpoints(t *testing.T) {
 		"/v1/figures/4?delta=x":         http.StatusBadRequest,
 		"/v1/figures/4?format=yaml":     http.StatusBadRequest,
 		"/v1/figures/table1?cores=zero": http.StatusBadRequest,
+		"/v1/figures/10?cores=3":        http.StatusBadRequest,
+		"/v1/figures/10?cores=28":       http.StatusBadRequest,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

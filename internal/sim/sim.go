@@ -77,6 +77,34 @@ func ScaledMemConfig(cores int) MemConfig {
 	return m
 }
 
+// hierConfig returns the per-core private levels' configurations.
+func (m MemConfig) hierConfig() cache.HierConfig {
+	return cache.HierConfig{
+		L1I: cache.Config{Name: "l1i", SizeBytes: m.L1ISize, Ways: m.L1IWays,
+			HitLatency: m.L1ILatency, MSHRs: m.MSHRs},
+		L1D: cache.Config{Name: "l1d", SizeBytes: m.L1DSize, Ways: m.L1DWays,
+			HitLatency: m.L1DLatency, MSHRs: m.MSHRs,
+			StridePrefetch: m.StridePrefetch},
+		L2: cache.Config{Name: "l2", SizeBytes: m.L2Size, Ways: m.L2Ways,
+			HitLatency: m.L2Latency, MSHRs: 2 * m.MSHRs,
+			NextLinePrefetch: m.NextLinePrefetch},
+	}
+}
+
+// Validate reports a hierarchy the cache model cannot size exactly: a
+// level whose set count is not a power of two (cache.Config.Validate).
+// The LLC grows with Uncore.Cores, so with both shipped configurations
+// the core count must be a power of two.
+func (m MemConfig) Validate() error {
+	hc := m.hierConfig()
+	for _, c := range []cache.Config{hc.L1I, hc.L1D, hc.L2, m.Uncore.LLC()} {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DefaultWatchdogCycles is the no-commit watchdog threshold used when
 // Config.WatchdogCycles is zero.
 const DefaultWatchdogCycles = 1_000_000
@@ -199,17 +227,11 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		return nil, fmt.Errorf("sim: WatchdogCycles must be positive, got %d", cfg.WatchdogCycles)
 	}
 
-	llc, dram := uncore.Build(cfg.Mem.Uncore)
-	hc := cache.HierConfig{
-		L1I: cache.Config{Name: "l1i", SizeBytes: cfg.Mem.L1ISize, Ways: cfg.Mem.L1IWays,
-			HitLatency: cfg.Mem.L1ILatency, MSHRs: cfg.Mem.MSHRs},
-		L1D: cache.Config{Name: "l1d", SizeBytes: cfg.Mem.L1DSize, Ways: cfg.Mem.L1DWays,
-			HitLatency: cfg.Mem.L1DLatency, MSHRs: cfg.Mem.MSHRs,
-			StridePrefetch: cfg.Mem.StridePrefetch},
-		L2: cache.Config{Name: "l2", SizeBytes: cfg.Mem.L2Size, Ways: cfg.Mem.L2Ways,
-			HitLatency: cfg.Mem.L2Latency, MSHRs: 2 * cfg.Mem.MSHRs,
-			NextLinePrefetch: cfg.Mem.NextLinePrefetch},
+	if err := cfg.Mem.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: workload %s: %w", w.Name, err)
 	}
+	llc, dram := uncore.Build(cfg.Mem.Uncore)
+	hc := cfg.Mem.hierConfig()
 
 	if cfg.Replay != nil {
 		if threadsTotal != 1 {

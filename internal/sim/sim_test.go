@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -167,4 +168,19 @@ func TestOddEvenSMT(t *testing.T) {
 		t.Fatalf("no instructions committed")
 	}
 	t.Logf("smt2: cycles=%d committed=%d", res.Cycles, res.Total.Committed)
+}
+
+// TestRunRejectsNonPowerOfTwoLLC: three cores ask for a 48 KiB LLC of 96
+// sets, which the cache model would round down to 64. Run must refuse
+// before building anything, naming the level and its set count.
+func TestRunRejectsNonPowerOfTwoLLC(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 3
+	cfg.Mem = ScaledMemConfig(3)
+	w := buildOddEven(10, false, 1)
+	w.Progs = []*isa.Program{w.Progs[0], w.Progs[0], w.Progs[0]}
+	_, err := Run(cfg, w)
+	if err == nil || !strings.Contains(err.Error(), "cache llc: 96 sets is not a power of two") {
+		t.Fatalf("3-core run: %v", err)
+	}
 }

@@ -178,30 +178,6 @@ func (r *Replay) StepInto(d *emu.DynInst) error {
 	return nil
 }
 
-// RunToSliceEnd advances through the remainder of the current slice
-// (inclusive of its slice_end), appending each instruction to buf —
-// Machine.RunToSliceEnd over the recorded stream.
-func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
-	if !r.inSlice {
-		return buf, fmt.Errorf("trace: %s: RunToSliceEnd outside slice at record %d",
-			r.prog.Name, r.cur)
-	}
-	id := r.sliceID
-	for {
-		buf = append(buf, emu.DynInst{})
-		d := &buf[len(buf)-1]
-		if err := r.StepInto(d); err != nil {
-			return buf[:len(buf)-1], err
-		}
-		if d.Inst.Op == isa.SliceEnd && d.SliceID == id {
-			return buf, nil
-		}
-		if r.halted {
-			return buf, fmt.Errorf("trace: %s: halt inside slice %d", r.prog.Name, id)
-		}
-	}
-}
-
 // Fork re-seeds the replay's wrong-path engine from its current
 // architectural state. Wrong paths are the one part of execution that
 // cannot come from the trace — which branches mispredict (and therefore
@@ -212,6 +188,9 @@ func (r *Replay) Fork(startPC int, inSlice bool, sliceID uint64) emu.WrongPath {
 	r.wp.Reseed(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
 	return &r.wp
 }
+
+// Program is the code the trace was captured from.
+func (r *Replay) Program() *isa.Program { return r.prog }
 
 // Halted reports whether the stream's Halt has been consumed.
 func (r *Replay) Halted() bool { return r.halted }

@@ -32,21 +32,24 @@ type Config struct {
 	LLCMSHRs int
 }
 
-// Build constructs the shared LLC and memory. Every core's private
-// hierarchy should be stacked on the returned LLC.
-func Build(cfg Config) (*cache.Cache, *cache.Memory) {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	mem := cache.NewMemory(cfg.MemLatency, cfg.MemBytesPerCycle, 64)
-	hops := int(math.Round(math.Sqrt(float64(cfg.Cores))))
-	llc := cache.New(cache.Config{
+// LLC returns the shared last-level cache's configuration: LLCPerCore
+// for each core, behind the mesh's average hop latency.
+func (cfg Config) LLC() cache.Config {
+	cores := max(cfg.Cores, 1)
+	hops := int(math.Round(math.Sqrt(float64(cores))))
+	return cache.Config{
 		Name:         "llc",
-		SizeBytes:    cfg.LLCPerCore * cfg.Cores,
+		SizeBytes:    cfg.LLCPerCore * cores,
 		Ways:         cfg.LLCWays,
 		HitLatency:   cfg.LLCLatency,
 		ExtraLatency: cfg.MeshHopLatency * hops,
 		MSHRs:        cfg.LLCMSHRs,
-	}, mem)
-	return llc, mem
+	}
+}
+
+// Build constructs the shared LLC and memory. Every core's private
+// hierarchy should be stacked on the returned LLC.
+func Build(cfg Config) (*cache.Cache, *cache.Memory) {
+	mem := cache.NewMemory(cfg.MemLatency, cfg.MemBytesPerCycle, 64)
+	return cache.New(cfg.LLC(), mem), mem
 }

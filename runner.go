@@ -278,6 +278,11 @@ func (r *Runner) RunCached(ctx context.Context, o Options) (res *Result, shared 
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	// Invalid options never reach the memo cache or the durable store,
+	// so no stored result can answer them.
+	if err := o.Validate(); err != nil {
+		return nil, false, err
+	}
 	res, err, shared = r.cache.Do(ctx, o.Key(), func() (*Result, error) {
 		return r.execute(ctx, o)
 	})
