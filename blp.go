@@ -25,7 +25,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/kernels"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // FlightRecorder is the opt-in observability recorder of internal/flight:
@@ -97,8 +96,7 @@ type Options struct {
 	// rest; "partial:inf" drains everything), or "throttle:C" (full flush
 	// plus single-slot fetch while a branch with predictor confidence
 	// below C is outstanding). Empty (or "auto") follows Mode: selective
-	// when Mode places slices, conventional otherwise. A timing knob:
-	// excluded from TraceKey.
+	// when Mode places slices, conventional otherwise.
 	Policy string
 	// Reserve overrides the §4.7 resource reservation (0 = default 8;
 	// Zero for an explicit 0, i.e. no entries reserved). An explicit 0
@@ -184,17 +182,23 @@ func (o Options) normalized() Options {
 		o.WatchdogCycles = sim.DefaultWatchdogCycles
 	}
 	if o.Policy == "" || o.Policy == "auto" {
-		o.Policy = core.PolicyConventional
-		if o.Mode != SliceNone {
-			o.Policy = core.PolicySelective
-		}
+		o.Policy = autoPolicy(o.Mode)
 	}
 	if sp, err := core.ParsePolicy(o.Policy); err == nil {
 		o.Policy = sp.String()
 	}
-	// An unparseable Policy passes through verbatim; runContext rejects
-	// it with the parser's error before building the workload.
+	// An unparseable Policy passes through verbatim; Validate rejects it
+	// with the parser's error before the workload is built.
 	return o
+}
+
+// autoPolicy is the recovery policy an empty (or "auto") Policy selects:
+// selective when mode places slices, conventional otherwise.
+func autoPolicy(mode SliceMode) string {
+	if mode != SliceNone {
+		return core.PolicySelective
+	}
+	return core.PolicyConventional
 }
 
 // zv maps the Zero sentinel (and any negative value) to a literal 0.
@@ -263,7 +267,24 @@ func Run(o Options) (*Result, error) {
 // CPU back mid-simulation instead of waiting for the run to finish. The
 // returned error wraps ctx.Err().
 func RunContext(ctx context.Context, o Options) (*Result, error) {
-	return runContext(ctx, o, nil)
+	n := o.normalized()
+
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("blp: %s (%v) canceled before build: %w", o.Benchmark, o.Mode, err)
+	}
+	w, err := kernels.Build(buildSpec(n))
+	if err != nil {
+		return nil, err
+	}
+
+	r, err := sim.Run(simConfig(ctx, n), w)
+	if err != nil {
+		return nil, fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
+	}
+	return makeResult(r), nil
 }
 
 // buildSpec maps (normalized) options to the kernels build request.
@@ -279,38 +300,7 @@ func buildSpec(n Options) kernels.Spec {
 	}
 }
 
-// runContext is RunContext with an optional captured trace: when tr is
-// non-nil the timing model's frontend replays it instead of stepping the
-// functional emulator (the workload build still runs — the timing model
-// needs the program and memory image — but the per-instruction
-// emulation does not). Results are byte-identical either way; the
-// Runner is the caller that supplies traces.
-func runContext(ctx context.Context, o Options, tr *trace.Trace) (*Result, error) {
-	n := o.normalized()
-
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("blp: %s (%v) canceled before build: %w", o.Benchmark, o.Mode, err)
-	}
-	w, err := kernels.Build(buildSpec(n))
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := simConfig(ctx, n)
-	cfg.Replay = tr
-
-	r, err := sim.Run(cfg, w)
-	if err != nil {
-		return nil, fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
-	}
-	return makeResult(r), nil
-}
-
-// simConfig maps normalized options to the sim configuration — everything
-// but the frontend source (Replay is wired by the caller).
+// simConfig maps normalized options to the sim configuration.
 func simConfig(ctx context.Context, n Options) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = n.Cores

@@ -19,8 +19,8 @@
 //	curl -s localhost:8344/metrics
 //
 // With -store-dir the server keeps a durable result store: completed
-// simulations (and captured traces) persist across restarts, so a
-// restarted server warm-starts from disk instead of re-simulating.
+// simulations persist across restarts, so a restarted server
+// warm-starts from disk instead of re-simulating.
 // Objects are stamped with the simulator-behavior version; a binary
 // whose numbers changed invalidates stale entries automatically. The
 // directory also accumulates an append-only experiment ledger

@@ -4,8 +4,10 @@
 // and three timing-simulator variants (selective flush event-driven,
 // selective flush cycle-accurate, conventional full flush), and
 // cross-checks final memory, committed-instruction counts, resource
-// quiescence, and event-driven/cycle-accurate equivalence. Failures are
-// greedily minimized and written as replayable JSON repro files.
+// quiescence, and event-driven/cycle-accurate equivalence. A metamorphic
+// leg reruns each sample with the oracle predictor under three recovery
+// policies, which must agree byte for byte. Failures are greedily
+// minimized and written as replayable JSON repro files.
 //
 // Usage:
 //

@@ -91,22 +91,11 @@ type Core struct {
 
 // NewCore builds a core running the given machines (one per SMT thread).
 func NewCore(id int, cfg Config, hier *cache.Hierarchy, machines []*emu.Machine) (*Core, error) {
-	fes := make([]emu.Frontend, len(machines))
-	for i, m := range machines {
-		fes[i] = emu.AsFrontend(m)
-	}
-	return NewCoreFrontends(id, cfg, hier, fes)
-}
-
-// NewCoreFrontends is NewCore over explicit instruction sources (one per
-// SMT thread): live emulator machines wrapped by emu.AsFrontend, or trace
-// replayers feeding a captured stream (internal/trace).
-func NewCoreFrontends(id int, cfg Config, hier *cache.Hierarchy, fes []emu.Frontend) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(fes) != cfg.SMT {
-		return nil, fmt.Errorf("core: %d frontends for SMT%d", len(fes), cfg.SMT)
+	if len(machines) != cfg.SMT {
+		return nil, fmt.Errorf("core: %d machines for SMT%d", len(machines), cfg.SMT)
 	}
 	c := &Core{
 		cfg:         cfg,
@@ -120,8 +109,8 @@ func NewCoreFrontends(id int, cfg Config, hier *cache.Hierarchy, fes []emu.Front
 		traceOn:     cfg.Trace != nil,
 		forceCyc:    cfg.ForceCycleAccurate,
 	}
-	for i, fe := range fes {
-		c.threads = append(c.threads, newThread(i, c, fe))
+	for i, m := range machines {
+		c.threads = append(c.threads, newThread(i, c, m))
 	}
 	return c, nil
 }

@@ -231,25 +231,31 @@ func (c *Core) fetchNormal(t *thread) bool {
 		mi.seg = segment{buf: b, hi: b.n}
 		c.stats.SegLenSum += uint64(b.n)
 		t.addMiss(mi)
-		t.shadow = t.m.Fork(wrongPC, true, d.SliceID)
+		t.fork(wrongPC, true, d.SliceID)
 		t.shadowMiss = mi
-		t.mode = fmWrong
 	} else {
-		t.shadow = t.m.Fork(wrongPC, d.InSlice, d.SliceID)
+		t.fork(wrongPC, d.InSlice, d.SliceID)
 		t.shadowMiss = nil
 		t.convMiss = u
-		t.mode = fmWrong
 	}
 	// Redirect bubble: fetch resumes next cycle from the wrong path.
 	return true
 }
 
 // fetchWrong fetches one wrong-path instruction from the shadow engine.
-// The direction callback is t.wrongDir, built once per thread (see the
-// field comment for the escape-analysis rationale).
 func (c *Core) fetchWrong(t *thread) bool {
 	u := c.newUop(t)
-	if !t.shadow.StepInto(t.wrongDir, &u.d) {
+	// Wrong-path branches follow the shadow's own outcomes: the fork
+	// inherits real register values, so near-reconvergence wrong paths
+	// (the common case for slice bodies) terminate where the real wrong
+	// path would. The predictor still sees the fetched direction in its
+	// speculative history but is never trained on wrong-path branches
+	// (see DESIGN.md).
+	dir := func(pc int, in isa.Inst, actual bool) bool {
+		t.pred.OnFetch(actual)
+		return actual
+	}
+	if !t.shadow.StepInto(dir, &u.d) {
 		// The wrong path ran off the program. A conventional miss
 		// keeps fetch stalled until resolution; an in-slice miss that
 		// never reached its slice_end stalls the same way.

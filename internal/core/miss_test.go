@@ -142,7 +142,7 @@ func TestSampleHolesExact(t *testing.T) {
 func TestSegBufPoolRefcounts(t *testing.T) {
 	prog, img := longSlices(2, 300)
 	c := &Core{}
-	th := &thread{c: c, m: emu.AsFrontend(emu.New(prog, img))}
+	th := &thread{c: c, m: emu.New(prog, img)}
 	var br emu.DynInst
 	stepToSliceBranch(t, th.m, &br)
 	sb := c.buildSegment(th, br.SliceID)

@@ -10,8 +10,8 @@ import (
 // classic conventional full flush are the evaluated machines; partial:N
 // and throttle:C are ablation rows that recover like conventional and
 // differ from it in only two ways: when victims are released and how
-// wide fetch is. NewCoreFrontends reads three properties from
-// Config.Recovery once:
+// wide fetch is. NewCore reads three properties from Config.Recovery
+// once:
 //
 //	kind          selective path   squash depth     fetch-gate confidence
 //	selective     on               0 (all at once)  0 (never gates)

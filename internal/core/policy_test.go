@@ -154,7 +154,7 @@ func TestConfigPolicyValidation(t *testing.T) {
 	if got := DefaultConfig().Recovery; got != (PolicySpec{Kind: PolicyConventional}) {
 		t.Fatalf("default config recovers with %s", got)
 	}
-	// NewCoreFrontends reads the policy's three properties once: only
+	// NewCore reads the policy's three properties once: only
 	// selective is eligible for the §4.2 mechanism, only partial stages
 	// its squash, and only throttle gates fetch.
 	for _, tc := range []struct {
@@ -170,7 +170,7 @@ func TestConfigPolicyValidation(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		cfg.Recovery = tc.spec
-		c, err := NewCoreFrontends(0, cfg, nil, make([]emu.Frontend, cfg.SMT))
+		c, err := NewCore(0, cfg, nil, make([]*emu.Machine, cfg.SMT))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // The segment store. When an in-slice miss is detected, the core steps the
-// frontend through the rest of the slice and keeps that correct-path
+// machine through the rest of the slice and keeps that correct-path
 // remainder (the miss's segment) until the branch resolves and resolve
 // fetch delivers it (paper Fig. 2(d)). Most of a dynamic record follows
 // from the program and from the record's place in its segment, so the
@@ -22,7 +22,7 @@ import (
 //	NextPC   from Inst and Taken, as emu.Machine.StepInto computes it
 //
 // Appending rebuilds each record and panics unless it equals what the
-// frontend stepped: a record the scheme cannot represent is a bug, never
+// machine stepped: a record the scheme cannot represent is a bug, never
 // a silently different instruction.
 //
 // Records live in fixed-size chunks from a per-core free list. A segBuf
@@ -68,7 +68,7 @@ func (b *segBuf) rebuild(i int, d *emu.DynInst) {
 	if in.Op == isa.Jmp || in.Op.IsBranch() && r.taken {
 		next = int(in.Imm)
 	}
-	// Field by field, like the frontends' StepInto: a composite literal
+	// Field by field, like the emulator's StepInto: a composite literal
 	// would be built aside and block-copied.
 	d.Seq = b.seq0 + uint64(i)
 	d.PC = int(r.pc)
@@ -102,11 +102,11 @@ func (c *Core) appendSeg(b *segBuf, d *emu.DynInst) {
 	}
 }
 
-// buildSegment steps t's frontend through the rest of slice sliceID, its
-// slice_end included, into a new buffer. The frontend must be inside that
+// buildSegment steps t's machine through the rest of slice sliceID, its
+// slice_end included, into a new buffer. The machine must be inside that
 // slice: a record from outside it fails the append check.
 func (c *Core) buildSegment(t *thread, sliceID uint64) *segBuf {
-	prog := t.m.Program()
+	prog := t.m.Prog
 	b := c.getSegBuf()
 	b.sliceID = sliceID
 	b.code = prog.Code
@@ -119,7 +119,7 @@ func (c *Core) buildSegment(t *thread, sliceID uint64) *segBuf {
 		if d.Inst.Op == isa.SliceEnd {
 			return b
 		}
-		if t.m.Halted() {
+		if t.m.Halted {
 			panic(fmt.Sprintf("core %d thread %d: %s: halt inside slice %d",
 				c.id, t.id, prog.Name, sliceID))
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 	"unsafe"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/program"
-	"repro/internal/trace"
 )
 
 // longSlices builds a loop of the given number of slices. Each slice
@@ -59,12 +57,12 @@ func longSlices(slices, iters int) (*isa.Program, []byte) {
 	return b.Build(), l.Image()
 }
 
-// stepToSliceBranch steps fe into *d until d is an in-slice conditional
+// stepToSliceBranch steps m into *d until d is an in-slice conditional
 // branch, the point where fetch builds a miss's segment.
-func stepToSliceBranch(tb testing.TB, fe emu.Frontend, d *emu.DynInst) {
+func stepToSliceBranch(tb testing.TB, m *emu.Machine, d *emu.DynInst) {
 	tb.Helper()
 	for {
-		if err := fe.StepInto(d); err != nil {
+		if err := m.StepInto(d); err != nil {
 			tb.Fatal(err)
 		}
 		if d.InSlice && d.IsBranch() {
@@ -74,30 +72,19 @@ func stepToSliceBranch(tb testing.TB, fe emu.Frontend, d *emu.DynInst) {
 }
 
 // TestSegmentStoreEquivalence checks the 16-byte record, then builds each
-// slice's segment through a live machine and through a replay of its
-// trace, and requires every rebuilt record to equal what a reference
-// machine's StepInto produces, through whole views and through a nested
-// miss's suffix view. Each segment spans several chunks, and the second
-// build of each frontend reuses the first's chunks.
+// slice's segment through a thread's machine and requires every rebuilt
+// record to equal what a reference machine's StepInto produces, through
+// whole views and through a nested miss's suffix view. Each segment spans
+// several chunks, and every build after the first reuses the first's
+// chunks.
 func TestSegmentStoreEquivalence(t *testing.T) {
 	if n := unsafe.Sizeof(segRec{}); n != 16 {
 		t.Fatalf("a segment record takes %d bytes, want 16", n)
 	}
 	prog, img := longSlices(3, 500)
-	tr, err := trace.Capture(context.Background(), prog, bytes.Clone(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := trace.NewReplay(tr, prog, bytes.Clone(img))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref := emu.New(prog, bytes.Clone(img))
 	c := &Core{}
-	threads := []*thread{
-		{c: c, m: emu.AsFrontend(emu.New(prog, bytes.Clone(img)))},
-		{c: c, id: 1, m: rep},
-	}
+	th := &thread{c: c, m: emu.New(prog, bytes.Clone(img))}
 
 	var want, got emu.DynInst
 	segs := 0
@@ -105,61 +92,51 @@ func TestSegmentStoreEquivalence(t *testing.T) {
 		if err := ref.StepInto(&want); err != nil {
 			t.Fatal(err)
 		}
-		for _, th := range threads {
-			if err := th.m.StepInto(&got); err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("thread %d: record #%d diverges before any segment", th.id, want.Seq)
-			}
+		if err := th.m.StepInto(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("record #%d diverges before any segment", want.Seq)
 		}
 		if !want.InSlice || !want.IsBranch() {
 			continue
 		}
-		var heads, tails []segment
-		for _, th := range threads {
-			b := c.buildSegment(th, want.SliceID)
-			if b.n <= 2*segChunkLen {
-				t.Fatalf("segment of %d records spans fewer than three chunks", b.n)
-			}
-			head := segment{buf: b, hi: b.n}
-			tail := head.split(b.n / 2)
-			heads, tails = append(heads, head), append(tails, tail)
+		b := c.buildSegment(th, want.SliceID)
+		if b.n <= 2*segChunkLen {
+			t.Fatalf("segment of %d records spans fewer than three chunks", b.n)
 		}
-		n := heads[0].len() + tails[0].len()
+		head := segment{buf: b, hi: b.n}
+		tail := head.split(b.n / 2)
+		n := head.len() + tail.len()
 		for i := 0; i < n; i++ {
 			if err := ref.StepInto(&want); err != nil {
 				t.Fatal(err)
 			}
-			for j := range threads {
-				if k := heads[j].len(); i < k {
-					heads[j].at(i, &got)
-				} else {
-					tails[j].at(i-k, &got)
-				}
-				if got != want {
-					t.Fatalf("thread %d: record %d of segment %d rebuilds as %+v, stepped %+v",
-						j, i, segs, got, want)
-				}
+			if k := head.len(); i < k {
+				head.at(i, &got)
+			} else {
+				tail.at(i-k, &got)
+			}
+			if got != want {
+				t.Fatalf("record %d of segment %d rebuilds as %+v, stepped %+v",
+					i, segs, got, want)
 			}
 		}
 		if want.Inst.Op != isa.SliceEnd {
 			t.Fatalf("segment %d ends with %v, not slice_end", segs, want.Inst.Op)
 		}
-		for j := range threads {
-			if heads[j].len()+tails[j].len() != n || heads[j].buf.refs != 2 {
-				t.Fatalf("thread %d: views of segment %d disagree", j, segs)
-			}
-			c.dropSeg(heads[j].buf)
-			c.dropSeg(tails[j].buf)
+		if n != b.n || b.refs != 2 {
+			t.Fatalf("views of segment %d disagree", segs)
 		}
+		c.dropSeg(head.buf)
+		c.dropSeg(tail.buf)
 		segs++
 	}
 	if segs != 3 {
 		t.Fatalf("built %d segments, want 3", segs)
 	}
 	if len(c.segPool) != c.segBufsMade || len(c.chunkPool) != c.chunksMade ||
-		c.segBufsMade != 2 {
+		c.segBufsMade != 1 {
 		t.Fatalf("pools not recycled: %d of %d buffers, %d of %d chunks free",
 			len(c.segPool), c.segBufsMade, len(c.chunkPool), c.chunksMade)
 	}
@@ -170,11 +147,11 @@ func TestSegmentStoreEquivalence(t *testing.T) {
 // stored record would rebuild as a different instruction.
 func TestSegmentAppendCheckPanics(t *testing.T) {
 	prog, img := longSlices(1, 4)
-	fe := emu.AsFrontend(emu.New(prog, img))
+	m := emu.New(prog, img)
 	var br, first, second emu.DynInst
-	stepToSliceBranch(t, fe, &br)
+	stepToSliceBranch(t, m, &br)
 	for _, d := range []*emu.DynInst{&first, &second} {
-		if err := fe.StepInto(d); err != nil {
+		if err := m.StepInto(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +194,7 @@ func TestSegmentBuildToSliceEnd(t *testing.T) {
 	prog, mem := twoBranchSlice(4)
 	m := emu.New(prog, mem)
 	c := &Core{}
-	th := &thread{c: c, m: emu.AsFrontend(m)}
+	th := &thread{c: c, m: m}
 	var br emu.DynInst
 	stepToSliceBranch(t, th.m, &br)
 	b := c.buildSegment(th, br.SliceID)
@@ -242,12 +219,12 @@ func TestSegmentBuildToSliceEnd(t *testing.T) {
 	}
 }
 
-// TestSegmentBuildOutsideSlicePanics: a frontend outside any slice has no
+// TestSegmentBuildOutsideSlicePanics: a machine outside any slice has no
 // segment to build, and its first record fails the append check.
 func TestSegmentBuildOutsideSlicePanics(t *testing.T) {
 	prog, mem := twoBranchSlice(2)
 	c := &Core{}
-	th := &thread{c: c, m: emu.AsFrontend(emu.New(prog, mem))}
+	th := &thread{c: c, m: emu.New(prog, mem)}
 	defer func() {
 		r := recover()
 		if r == nil || !strings.Contains(r.(string), "cannot be rebuilt") {
@@ -295,7 +272,7 @@ const segBenchIters = 1000 // about 5,000 records a segment
 func BenchmarkSegmentStore(b *testing.B) {
 	prog, img := longSlices(b.N, segBenchIters)
 	c := &Core{}
-	th := &thread{c: c, m: emu.AsFrontend(emu.New(prog, img))}
+	th := &thread{c: c, m: emu.New(prog, img)}
 	var br, d emu.DynInst
 	records := 0
 	b.ReportAllocs()

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/bpred"
 	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/rename"
 	"repro/internal/rob"
 )
@@ -12,18 +11,19 @@ import (
 type fetchMode uint8
 
 const (
-	fmNormal fetchMode = iota // the correct-path trace (the Machine)
+	fmNormal fetchMode = iota // the correct path (the Machine)
 	fmWrong                   // a wrong path (the Shadow)
 )
 
-// thread is one hardware context: its architectural machine (trace
-// source), predictor state, rename table, logical-order ROB list, frontend
-// queue, miss table, and the selective-flush fetch state machine.
+// thread is one hardware context: its architectural machine (the
+// correct-path source) and wrong-path engine, predictor state, rename
+// table, logical-order ROB list, frontend queue, miss table, and the
+// selective-flush fetch state machine.
 type thread struct {
 	id int
 	c  *Core
 
-	m    emu.Frontend
+	m    *emu.Machine
 	pred bpred.Predictor
 	btb  *bpred.BTB
 
@@ -39,19 +39,15 @@ type thread struct {
 	frontend []*uop
 	feBuf    []*uop
 
-	// Fetch source state. shadow is the engine the frontend's last Fork
-	// returned; the frontend re-seeds that one engine on every Fork, so
-	// it is valid until the next mispredict forks again.
+	// Fetch source state. wp is the thread's one wrong-path engine,
+	// re-seeded from m on every mispredict (fork); shadow points at it
+	// while its wrong path is being fetched and is nil otherwise.
 	mode       fetchMode
-	shadow     emu.WrongPath
+	wp         emu.Shadow
+	shadow     *emu.Shadow
 	shadowMiss *missInfo // in-slice miss whose wrong path is being fetched
 	convMiss   *uop      // pending conventional miss: fetch stalls on its shadow
 	wpStuck    bool      // shadow died before reaching its slice_end
-	// wrongDir is the shadow's branch-direction callback, built once:
-	// rebuilding the closure per fetchWrong call would heap-allocate per
-	// wrong-path instruction, because StepInto is an interface call and
-	// escape analysis cannot see through emu.WrongPath.
-	wrongDir emu.BranchDir
 
 	// resolving is the resolve-fetch target, the first queued miss
 	// (startNextResolve).
@@ -90,8 +86,8 @@ type thread struct {
 // drainLen returns the number of parked victims not yet released.
 func (t *thread) drainLen() int { return len(t.drainQ) - t.drainHead }
 
-func newThread(id int, c *Core, m emu.Frontend) *thread {
-	t := &thread{
+func newThread(id int, c *Core, m *emu.Machine) *thread {
+	return &thread{
 		id:        id,
 		c:         c,
 		m:         m,
@@ -99,17 +95,6 @@ func newThread(id int, c *Core, m emu.Frontend) *thread {
 		btb:       bpred.NewBTB(c.cfg.BTBSets, c.cfg.BTBWays),
 		lastILine: -1,
 	}
-	t.wrongDir = func(pc int, in isa.Inst, actual bool) bool {
-		// Wrong-path branches follow the shadow's own outcomes: the
-		// fork inherits real register values, so near-reconvergence
-		// wrong paths (the common case for slice bodies) terminate
-		// where the real wrong path would. The predictor still sees
-		// the fetched direction in its speculative history but is
-		// never trained on wrong-path branches (see DESIGN.md).
-		t.pred.OnFetch(actual)
-		return actual
-	}
-	return t
 }
 
 // finishedFetching reports whether the thread will produce no more
@@ -134,8 +119,16 @@ func (t *thread) nextFetchPC() int {
 		}
 		return t.shadow.NextPC()
 	}
-	if t.fenceStall || t.barrierWait || t.haltSeen || t.m.Halted() {
+	if t.fenceStall || t.barrierWait || t.haltSeen || t.m.Halted {
 		return -1
 	}
-	return t.m.NextPC()
+	return t.m.PC
+}
+
+// fork re-seeds the thread's wrong-path engine from the machine's current
+// state and makes it the fetch source.
+func (t *thread) fork(startPC int, inSlice bool, sliceID uint64) {
+	t.wp.Reseed(t.m, startPC, inSlice, sliceID)
+	t.shadow = &t.wp
+	t.mode = fmWrong
 }

@@ -51,13 +51,13 @@ func BenchmarkShadowForkStep(b *testing.B) {
 	if _, err := m.Step(); err != nil { // li: the buffer base
 		b.Fatal(err)
 	}
-	fe := AsFrontend(m)
 	dir := func(pc int, in isa.Inst, actual bool) bool { return actual }
+	var s Shadow
 	var d DynInst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := fe.Fork(m.PC, false, 0)
+		s.Reseed(m, m.PC, false, 0)
 		for j := 0; j < 64; j++ {
 			if !s.StepInto(dir, &d) {
 				b.Fatal("wrong path died")

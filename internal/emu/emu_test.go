@@ -188,10 +188,11 @@ func buildSliceLoop(n int, vals []uint32) (*isa.Program, []byte, uint64) {
 	return b.Build(), l.Image(), out
 }
 
-// forkShadow forks m's wrong-path engine the way the core does, through
-// the machine's frontend, and returns the concrete Shadow.
+// forkShadow forks a wrong-path engine from m the way the core does.
 func forkShadow(m *Machine, startPC int, inSlice bool, sliceID uint64) *Shadow {
-	return AsFrontend(m).Fork(startPC, inSlice, sliceID).(*Shadow)
+	s := new(Shadow)
+	s.Reseed(m, startPC, inSlice, sliceID)
+	return s
 }
 
 func TestShadowIsolation(t *testing.T) {
@@ -287,6 +288,56 @@ func TestShadowOOB(t *testing.T) {
 	}
 	if !oob {
 		t.Fatal("shadow out-of-bounds access not flagged")
+	}
+}
+
+// TestShadowReseedIsolated reseeds one Shadow twice from a live
+// machine, as a core thread does on successive mispredicts: the second
+// wrong path must not see the first one's buffered store, so it loads
+// the stored word and must read the architectural value. Each path
+// exposes the value it loaded as the address of a dependent load.
+func TestShadowReseedIsolated(t *testing.T) {
+	l := program.NewLayout()
+	x := l.AllocU64(1, []uint64{7})
+	b := program.NewBuilder("reseediso")
+	rX, rV, rW := b.Reg(), b.Reg(), b.Reg()
+	b.Li(rX, int64(x))
+	b.Li(rV, 99)
+	b.Halt()
+	const firstPC = 3 // st x=99; ld w=x; ld [w]
+	b.St64(rX, 0, rV)
+	b.Ld64(rW, rX, 0)
+	b.Ld64(rW, rW, 0)
+	b.Halt()
+	const secondPC = 7 // ld w=x; ld [w]
+	b.Ld64(rW, rX, 0)
+	b.Ld64(rW, rW, 0)
+	b.Halt()
+	m := New(b.Build(), l.Image())
+	for i := 0; i < 2; i++ { // the two li: x's address and 99
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var s Shadow
+	dir := func(int, isa.Inst, bool) bool { return false }
+	// loadedValue reseeds s at pc, runs n records and returns the address
+	// of the last one: the value the path's previous load produced.
+	loadedValue := func(pc, n int) uint64 {
+		s.Reseed(m, pc, false, 0)
+		var d DynInst
+		for i := 0; i < n; i++ {
+			if !s.StepInto(dir, &d) {
+				t.Fatalf("wrong path from %d died at record %d", pc, i)
+			}
+		}
+		return d.Addr
+	}
+	if got := loadedValue(firstPC, 3); got != 99 {
+		t.Fatalf("first wrong path read %d, want its own store 99", got)
+	}
+	if got := loadedValue(secondPC, 2); got != 7 {
+		t.Fatalf("second wrong path read %d, want the architectural 7", got)
 	}
 }
 

@@ -20,9 +20,10 @@ type BranchDir func(pc int, in isa.Inst, actual bool) bool
 // Out-of-range accesses are tolerated (flagged MemOOB) because wrong-path
 // address computations can be arbitrary garbage.
 //
-// A frontend owns one Shadow and re-seeds it on every fork (Reseed), so
-// the engine and its overlay map are allocated once per frontend rather
-// than once per mispredict. The zero value is ready for Reseed.
+// A core thread owns one Shadow and re-seeds it on every mispredict
+// (Reseed), so the engine and its overlay map are allocated once per
+// thread rather than once per mispredict. The zero value is ready for
+// Reseed.
 type Shadow struct {
 	prog    *isa.Program
 	mem     []byte // read-only view of the machine's memory
@@ -35,17 +36,15 @@ type Shadow struct {
 	sliceID uint64
 }
 
-// Reseed forks a wrong-path engine from an explicit architectural
-// snapshot (program, memory view, register file), discarding whatever
-// wrong path s was running: it starts fetching at startPC with an empty
-// store overlay, and inSlice/sliceID seed the slice context the wrong
-// path starts in (the context of the mispredicted branch). Frontends
-// call it from Fork on the Shadow they own.
-func (s *Shadow) Reseed(prog *isa.Program, mem []byte, regs [isa.NumRegs]uint64,
-	startPC int, inSlice bool, sliceID uint64) {
-	s.prog = prog
-	s.mem = mem
-	s.regs = regs
+// Reseed forks a wrong-path engine from m's current architectural state
+// (program, memory view, register file), discarding whatever wrong path
+// s was running: it starts fetching at startPC with an empty store
+// overlay, and inSlice/sliceID seed the slice context the wrong path
+// starts in (the context of the mispredicted branch).
+func (s *Shadow) Reseed(m *Machine, startPC int, inSlice bool, sliceID uint64) {
+	s.prog = m.Prog
+	s.mem = m.Mem
+	s.regs = m.Regs
 	s.pc = startPC
 	clear(s.overlay)
 	s.dead = false

@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // refBudget bounds the reference run; generated programs execute a few
@@ -127,11 +125,10 @@ var (
 //	sel       core sim, selective flush, event-driven stepping
 //	ca        core sim, selective flush, forced cycle-accurate stepping
 //	conv      core sim, conventional full flush
-//	replay    core sim, selective flush, frontend fed from a captured
-//	          trace (single-threaded cases only — replay's domain)
 //	policy    when Cfg.Policy is set: the sampled recovery policy run
-//	          event-driven and cycle-accurate (the sixth leg; see
-//	          RunPolicy)
+//	          event-driven and cycle-accurate (see RunPolicy)
+//	oracle    core sim with the oracle predictor under conventional,
+//	          partial:16 and throttle:2 (see runOraclePolicies)
 //
 // Oracles: every sim variant must finish (no watchdog hang, no panic, and
 // — via the always-on quiescence check inside sim.Run — no leaked ROB/RS/
@@ -139,7 +136,7 @@ var (
 // variant's final memory must equal the reference image; every variant
 // must commit exactly the expected instruction count; the event-driven
 // and cycle-accurate selective runs must produce byte-identical results;
-// and the replayed run must be byte-identical to the live selective run.
+// and the oracle-predictor runs must agree across policies.
 func RunCase(c *Case) *Violation {
 	refMem, wantCommits, err := runRef(c)
 	if err != nil {
@@ -180,40 +177,41 @@ func RunCase(c *Case) *Violation {
 		}
 	}
 
-	// PR6's guarantee: a trace-replayed run is indistinguishable from a
-	// live-emulated one. Single-threaded cases only (replay's domain).
-	if len(c.Progs) == 1 {
-		capMem := append([]byte(nil), c.Mem...)
-		tr, err := trace.Capture(context.Background(), c.Progs[0], capMem)
-		if err != nil {
-			return violationf("capture-fault", "%s: %v", c.Name, err)
+	return runOraclePolicies(c, refMem, wantCommits)
+}
+
+// runOraclePolicies is the metamorphic leg, which needs no reference
+// result: under a perfect predictor no branch mispredicts, so no recovery
+// ever fires and the recovery policy cannot matter. It reruns the case
+// with the oracle predictor under conventional, partial:16 and throttle:2
+// (which never gates: the oracle predictor's confidence never falls below
+// 2), through the per-leg oracles, and requires zero mispredicts, zero
+// wrong-path dispatches and byte-identical results across the policies;
+// a breach is an "oracle-policy" violation.
+func runOraclePolicies(c *Case, refMem []byte, wantCommits uint64) *Violation {
+	specs := []core.PolicySpec{
+		conventionalSpec,
+		{Kind: core.PolicyPartial, Depth: 16},
+		{Kind: core.PolicyThrottle, Conf: 2},
+	}
+	oc := *c
+	oc.Cfg.Predictor = "oracle"
+	var first *sim.Result
+	for _, spec := range specs {
+		label := fmt.Sprintf("%s [oracle, %s]", c.Name, spec)
+		res, v := runLeg(&oc, "oracle-policy", label, oc.Cfg.simConfig(spec, false), refMem, wantCommits)
+		if v != nil {
+			return v
 		}
-		if !bytes.Equal(capMem, refMem) {
-			i := firstDiff(capMem, refMem)
-			return violationf("mem-capture",
-				"%s: capture's final memory diverges from reference at byte %#x (got %#x want %#x)",
-				c.Name, i, capMem[i], refMem[i])
+		if res.Total.Mispredicts != 0 || res.Total.DispWrong != 0 {
+			return violationf("oracle-policy", "%s: %d mispredicts, %d wrong-path dispatches",
+				label, res.Total.Mispredicts, res.Total.DispWrong)
 		}
-		// The independence checker must be off: it observes the live
-		// emulator, which a replayed run does not have (and checking
-		// happened in runRef and the live legs anyway).
-		cfg := c.Cfg.simConfig(selectiveSpec, false)
-		cfg.CheckIndependence = false
-		cfg.Replay = tr
-		res, mem, err := runSim(c, cfg)
-		if err != nil {
-			return violationf("replay-run", "%s: %v", c.Name, err)
-		}
-		if !bytes.Equal(mem, refMem) {
-			i := firstDiff(mem, refMem)
-			return violationf("mem-replay",
-				"%s: replayed final memory diverges from reference at byte %#x (got %#x want %#x)",
-				c.Name, i, mem[i], refMem[i])
-		}
-		if !reflect.DeepEqual(*res, *results["sel"]) {
-			return violationf("replay-equiv",
-				"%s: replayed and live selective runs diverge: %s",
-				c.Name, diffResults(res, results["sel"]))
+		if first == nil {
+			first = res
+		} else if !reflect.DeepEqual(*res, *first) {
+			return violationf("oracle-policy", "%s diverges from %s: %s",
+				label, specs[0], diffResults(res, first))
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -12,9 +11,8 @@ import (
 
 // conformanceCases returns the corpus the policy matrix runs over: the
 // committed scenario corpus under testdata/ (which includes every
-// hand-built adversarial scenario, via TestExportCorpus) plus a couple of
-// generated shapes so single-threaded replay-style programs are
-// represented too.
+// hand-built adversarial scenario, via TestExportCorpus) plus two
+// generated storm shapes, so generated programs are represented too.
 func conformanceCases(t *testing.T) []*Case {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
@@ -83,36 +81,20 @@ func TestPolicyConformance(t *testing.T) {
 	}
 }
 
-// TestOraclePredictorPoliciesAgree is a metamorphic check that needs no
-// reference result: under a perfect predictor no branch mispredicts, so no
-// recovery ever fires and the recovery policy cannot matter. Across the
-// corpus, conventional, partial:16 and throttle:2 (the oracle predictor's
-// confidence never falls below the throttle threshold) must produce
-// byte-identical results with no mispredicts and no wrong-path dispatch.
+// TestOraclePredictorPoliciesAgree runs RunCase's metamorphic
+// oracle-policy leg over the corpus: under a perfect predictor,
+// conventional, partial:16 and throttle:2 must produce byte-identical
+// results with no mispredicts and no wrong-path dispatch.
 func TestOraclePredictorPoliciesAgree(t *testing.T) {
 	for _, c := range conformanceCases(t) {
-		c := *c
-		c.Cfg.Predictor = "oracle"
+		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			var first *sim.Result
-			for _, pol := range []string{"conventional", "partial:16", "throttle:2"} {
-				spec, err := core.ParsePolicy(pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, _, err := runSim(&c, c.Cfg.simConfig(spec, false))
-				if err != nil {
-					t.Fatalf("%s: %v", pol, err)
-				}
-				if res.Total.Mispredicts != 0 || res.Total.DispWrong != 0 {
-					t.Fatalf("%s: %d mispredicts, %d wrong-path dispatches under the oracle predictor",
-						pol, res.Total.Mispredicts, res.Total.DispWrong)
-				}
-				if first == nil {
-					first = res
-				} else if !reflect.DeepEqual(*res, *first) {
-					t.Fatalf("%s diverges from conventional: %s", pol, diffResults(res, first))
-				}
+			refMem, wantCommits, err := runRef(c)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			if v := runOraclePolicies(c, refMem, wantCommits); v != nil {
+				t.Fatal(v)
 			}
 		})
 	}

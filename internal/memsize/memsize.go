@@ -4,7 +4,7 @@
 // (internal/memo) charge entries by this estimate, so it must track the
 // dominant terms — large backing arrays in particular — rather than the
 // shallow struct size, which undercounts by orders of magnitude for
-// results carrying per-sample timelines or captured traces.
+// results carrying per-sample timelines.
 //
 // The walk is an estimate, not an accounting of the allocator: it
 // ignores allocator size-class rounding and map bucket geometry beyond

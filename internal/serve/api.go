@@ -44,7 +44,11 @@ import (
 // v8: cluster mode is gone, and with it the v6 additions: node on
 // RunResponse and SweepItem, cluster on MetricsSnapshot, and the
 // cluster section of /healthz.
-const SchemaVersion = 8
+//
+// v9: MetricsSnapshot lost the v2 additions — trace_cache and
+// sims.captured/replayed — with the trace capture and replay they
+// counted.
+const SchemaVersion = 9
 
 // Zero is the wire spelling of blp.Zero: integer options whose zero
 // value means "default" accept -1 to request an explicit 0.

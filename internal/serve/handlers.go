@@ -135,14 +135,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.q.release()
 
-	// A sweep is a batch the Runner can see whole: hint it exactly as
-	// RunAllContext hints its own fan-outs, so a sweep varying only
-	// timing configuration captures each workload's trace once and
-	// replays it for every other run, instead of re-running the
-	// functional emulator per configuration.
-	release := s.runner.HintTraces(opts)
-	defer release()
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -98,18 +98,16 @@ type StoreMetrics struct {
 	Budget      int64 `json:"budget"`
 }
 
-// SimMetrics mirrors blp.RunnerStats on the wire. Captured/Replayed
-// expose the trace-once/simulate-many accounting: the functional
-// emulator ran simulated - replayed + captured times. Batched and the
-// Seg* fields are always zero and never on the wire (schema v7); they
-// mirror the RunnerStats fields of the same names, kept only for the
-// benchmark harness.
+// SimMetrics mirrors blp.RunnerStats on the wire. Captured, Replayed,
+// Batched and the Seg* fields are always zero and never on the wire
+// (schemas v7 and v9); they mirror the RunnerStats fields of the same
+// names, kept only for the benchmark harness.
 type SimMetrics struct {
 	Simulated      int   `json:"simulated"`
 	Cached         int   `json:"cached"`
 	InFlight       int   `json:"in_flight"`
-	Captured       int   `json:"captured"`
-	Replayed       int   `json:"replayed"`
+	Captured       int   `json:"-"`
+	Replayed       int   `json:"-"`
 	Batched        int   `json:"-"`
 	SegHits        int64 `json:"-"`
 	SegMisses      int64 `json:"-"`
@@ -144,7 +142,6 @@ type MetricsSnapshot struct {
 	QueueCapacity    int64            `json:"queue_capacity"`
 	Sims             SimMetrics       `json:"sims"`
 	Cache            CacheMetrics     `json:"cache"`
-	TraceCache       CacheMetrics     `json:"trace_cache"`
 	// Store is the durable second level (null when the server runs
 	// without one); BehaviorVersion is the stamp its objects are keyed
 	// under — it changes exactly when the simulator's numbers do.
@@ -174,19 +171,11 @@ func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, draining bool) Me
 	m.mu.Unlock()
 
 	rs := runner.Stats()
-	snap.Sims = SimMetrics{
-		Simulated: rs.Simulated, Cached: rs.Cached, InFlight: rs.InFlight,
-		Captured: rs.Captured, Replayed: rs.Replayed,
-	}
+	snap.Sims = SimMetrics{Simulated: rs.Simulated, Cached: rs.Cached, InFlight: rs.InFlight}
 	cs := runner.CacheStats()
 	snap.Cache = CacheMetrics{
 		Hits: cs.Hits, Joined: cs.Joined, Misses: cs.Misses,
 		Evictions: cs.Evictions, Entries: cs.Entries, Bytes: cs.Bytes, Budget: cs.Budget,
-	}
-	snap.TraceCache = CacheMetrics{
-		Hits: cs.Trace.Hits, Joined: cs.Trace.Joined, Misses: cs.Trace.Misses,
-		Evictions: cs.Trace.Evictions, Entries: cs.Trace.Entries,
-		Bytes: cs.Trace.Bytes, Budget: cs.Trace.Budget,
 	}
 	snap.BehaviorVersion = blp.BehaviorVersion()
 	if st := cs.Store; st != nil {

@@ -9,43 +9,6 @@ import (
 	blp "repro"
 )
 
-// TestSweepHintsTraces pins the sweep endpoint onto the trace-once/
-// simulate-many path: a sweep whose runs differ only in timing
-// configuration must capture the workload's trace exactly once and
-// replay it for every run — the same guarantee RunAllContext gives its
-// own batches. Before the hint was wired through, a fresh server ran the
-// functional emulator once or twice extra depending on goroutine
-// scheduling.
-func TestSweepHintsTraces(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	body := `{"runs":[
-		{"benchmark":"cc","scale":6},
-		{"benchmark":"cc","scale":6,"predictor":"oracle"},
-		{"benchmark":"cc","scale":6,"frq_size":4}
-	]}`
-	resp := postJSON(t, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	items := readSweepItems(t, resp)
-	if len(items) != 3 {
-		t.Fatalf("got %d items, want 3", len(items))
-	}
-	for _, it := range items {
-		if it.Error != "" || it.Result == nil {
-			t.Fatalf("bad item: %+v", it)
-		}
-	}
-	st := s.Runner().Stats()
-	if st.Captured != 1 {
-		t.Errorf("Captured = %d, want 1 (one functional pass for the whole sweep)", st.Captured)
-	}
-	if st.Replayed != len(items) {
-		t.Errorf("Replayed = %d, want %d (every run fed from the captured trace)",
-			st.Replayed, len(items))
-	}
-}
-
 // TestSweepItemErrorCounted pins per-item error accounting: a sweep item
 // that fails for a non-timeout reason must show up in the server's error
 // counter even though the sweep response itself is a 200 stream. (It

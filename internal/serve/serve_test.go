@@ -97,28 +97,16 @@ func TestRunEndpoint(t *testing.T) {
 	if snap.Sims.Simulated != 1 {
 		t.Fatalf("simulated %d, want 1", snap.Sims.Simulated)
 	}
-	// A one-shot workload must not pay for a trace capture.
-	if snap.Sims.Captured != 0 || snap.Sims.Replayed != 0 {
-		t.Fatalf("one-shot run used the trace path: captured=%d replayed=%d",
-			snap.Sims.Captured, snap.Sims.Replayed)
-	}
 
-	// A second timing configuration of the same workload is the Runner's
-	// cue to capture the trace and replay it; the accounting must be
-	// visible on the wire.
+	// A second timing configuration of the same workload simulates.
 	resp = postJSON(t, ts.URL+"/v1/run", `{"benchmark":"cc","scale":6,"predictor":"oracle"}`)
 	var rr3 RunResponse
 	decodeInto(t, resp, &rr3)
 	if rr3.Cached {
 		t.Fatal("distinct timing configuration reported cached")
 	}
-	snap = getMetrics(t, ts.URL)
-	if snap.Sims.Captured != 1 || snap.Sims.Replayed != 1 {
-		t.Fatalf("trace accounting: captured=%d replayed=%d, want 1/1",
-			snap.Sims.Captured, snap.Sims.Replayed)
-	}
-	if snap.TraceCache.Entries != 1 || snap.TraceCache.Bytes <= 0 {
-		t.Fatalf("trace cache not visible in metrics: %+v", snap.TraceCache)
+	if snap = getMetrics(t, ts.URL); snap.Sims.Simulated != 2 {
+		t.Fatalf("simulated %d, want 2", snap.Sims.Simulated)
 	}
 }
 
@@ -565,10 +553,10 @@ func TestPanicContained(t *testing.T) {
 	}
 }
 
-// TestMetricsSchemaV4Fields pins the fate of the v4 additions to GET
-// /metrics: schema v7 took the batched-replay and segment-cache fields
-// off the wire, while the replay counters they sat beside stay. The
-// current version is v8; TestClusterSingleNodeUnchanged pins what v8
+// TestMetricsSchemaV4Fields pins the fate of the v2 and v4 additions to
+// GET /metrics: schema v7 took the batched-replay and segment-cache
+// fields off the wire, and v9 the trace-cache and capture/replay
+// counters beside them. TestClusterSingleNodeUnchanged pins what v8
 // took off the wire.
 func TestMetricsSchemaV4Fields(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -584,11 +572,11 @@ func TestMetricsSchemaV4Fields(t *testing.T) {
 		t.Fatalf("got %d items, want 2", len(items))
 	}
 	snap := getMetrics(t, ts.URL)
-	if snap.SchemaVersion != 8 || SchemaVersion != 8 {
-		t.Fatalf("schema_version %d (const %d), want 8", snap.SchemaVersion, SchemaVersion)
+	if snap.SchemaVersion != 9 || SchemaVersion != 9 {
+		t.Fatalf("schema_version %d (const %d), want 9", snap.SchemaVersion, SchemaVersion)
 	}
-	if snap.Sims.Captured != 1 || snap.Sims.Replayed != 2 {
-		t.Fatalf("two timing configs of one workload did not capture once and replay: %+v", snap.Sims)
+	if snap.Sims.Simulated != 2 {
+		t.Fatalf("two timing configs of one workload simulated %d times, want 2", snap.Sims.Simulated)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -597,11 +585,14 @@ func TestMetricsSchemaV4Fields(t *testing.T) {
 	}
 	var raw map[string]any
 	decodeInto(t, resp, &raw)
-	if _, ok := raw["batch_group_sizes"]; ok {
-		t.Error("batch_group_sizes still on the wire")
+	for _, k := range []string{"batch_group_sizes", "trace_cache"} {
+		if _, ok := raw[k]; ok {
+			t.Errorf("%s still on the wire", k)
+		}
 	}
 	sims, _ := raw["sims"].(map[string]any)
-	for _, k := range []string{"batched", "batch_groups", "seg_hits", "seg_misses", "seg_invalidated", "seg_bypassed"} {
+	for _, k := range []string{"batched", "batch_groups", "seg_hits", "seg_misses", "seg_invalidated", "seg_bypassed",
+		"captured", "replayed"} {
 		if _, ok := sims[k]; ok {
 			t.Errorf("sims.%s still on the wire", k)
 		}

@@ -59,8 +59,8 @@ type Config struct {
 	RunTimeout time.Duration
 	// Store, when non-nil, is the durable result store behind the
 	// Runner's in-memory caches (open one with blp.OpenStore): memo
-	// misses consult it before simulating, fresh results and traces are
-	// written through, and a restarted server warm-starts from it. The
+	// misses consult it before simulating, fresh results are written
+	// through, and a restarted server warm-starts from it. The
 	// caller owns the store's lifecycle (Close it after Shutdown).
 	Store *store.Store
 	// Logf receives operational log lines (nil: discard).

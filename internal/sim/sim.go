@@ -14,7 +14,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/flight"
 	"repro/internal/isa"
-	"repro/internal/trace"
 	"repro/internal/uncore"
 )
 
@@ -140,17 +139,6 @@ type Config struct {
 	// Ctx.Err(). Polling changes no simulated state, so results stay
 	// byte-identical whether or not a context is attached.
 	Ctx context.Context
-	// Replay, when non-nil, feeds the core's frontend from a captured
-	// instruction trace (internal/trace) instead of stepping the
-	// functional emulator — the capture-once/simulate-many decoupling of
-	// the paper's Pin + Sniper split. Results are byte-identical to a
-	// live run of the same workload. Replay is restricted to
-	// single-hardware-thread configurations (a multicore emu-step
-	// interleaving is timing-dependent through shared-memory atomics, so
-	// a per-thread trace would not be config-invariant) and is
-	// incompatible with CheckIndependence (the checker lives in the live
-	// emulator).
-	Replay *trace.Trace
 }
 
 // DefaultConfig is a single-core scaled configuration.
@@ -233,41 +221,20 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 	llc, dram := uncore.Build(cfg.Mem.Uncore)
 	hc := cfg.Mem.hierConfig()
 
-	if cfg.Replay != nil {
-		if threadsTotal != 1 {
-			return nil, fmt.Errorf("sim: workload %s: trace replay supports exactly one hardware thread, got %d",
-				w.Name, threadsTotal)
-		}
-		if cfg.CheckIndependence {
-			return nil, fmt.Errorf("sim: workload %s: trace replay is incompatible with CheckIndependence",
-				w.Name)
-		}
-	}
-
-	// All frontends share the workload's memory image.
-	mem := w.Mem
+	// All machines share the workload's memory image.
 	cfg.Core.Recorder = cfg.Recorder
 	cores := make([]*core.Core, cfg.Cores)
 	hiers := make([]*cache.Hierarchy, cfg.Cores)
 	ti := 0
 	for i := range cores {
-		fes := make([]emu.Frontend, cfg.Core.SMT)
-		for j := range fes {
-			if cfg.Replay != nil {
-				r, err := trace.NewReplay(cfg.Replay, w.Progs[ti], mem)
-				if err != nil {
-					return nil, fmt.Errorf("sim: workload %s: %w", w.Name, err)
-				}
-				fes[j] = r
-			} else {
-				m := emu.New(w.Progs[ti], mem)
-				m.CheckIndependence = cfg.CheckIndependence
-				fes[j] = emu.AsFrontend(m)
-			}
+		ms := make([]*emu.Machine, cfg.Core.SMT)
+		for j := range ms {
+			ms[j] = emu.New(w.Progs[ti], w.Mem)
+			ms[j].CheckIndependence = cfg.CheckIndependence
 			ti++
 		}
 		hiers[i] = cache.NewHierarchy(hc, llc, dram)
-		c, err := core.NewCoreFrontends(i, cfg.Core, hiers[i], fes)
+		c, err := core.NewCore(i, cfg.Core, hiers[i], ms)
 		if err != nil {
 			return nil, err
 		}
@@ -422,7 +389,7 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 	}
 
 	if w.Check != nil {
-		if err := w.Check(mem); err != nil {
+		if err := w.Check(w.Mem); err != nil {
 			return nil, fmt.Errorf("sim: workload %s output check failed: %w", w.Name, err)
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -182,5 +184,37 @@ func TestRunRejectsNonPowerOfTwoLLC(t *testing.T) {
 	_, err := Run(cfg, w)
 	if err == nil || !strings.Contains(err.Error(), "cache llc: 96 sets is not a power of two") {
 		t.Fatalf("3-core run: %v", err)
+	}
+}
+
+// TestCancelDuringIdleFastForward is the regression test for the
+// cancellation-latency bug: with a long memory latency, nearly all
+// simulated time is covered by idle fast-forward jumps, and a short run
+// can finish in far fewer loop iterations than the counter-based
+// cancellation poll's interval — so a canceled context was silently
+// ignored. The fix polls before committing any jump at least as long as
+// the poll interval.
+func TestCancelDuringIdleFastForward(t *testing.T) {
+	w := buildOddEven(6, false, 3)
+	cfg := DefaultConfig()
+	cfg.CheckIndependence = false
+	// Every miss stalls for ~300k idle cycles — far more than the poll
+	// interval, well under the watchdog — while the run takes only a few
+	// dozen loop iterations end to end.
+	cfg.Mem.Uncore.MemLatency = 300_000
+	cfg.MaxCycles = 50_000_000
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+	if _, err := Run(cfg, w); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled run finished with err=%v; want context.Canceled", err)
+	}
+
+	// Sanity: the same configuration completes when not canceled.
+	cfg.Ctx = context.Background()
+	w2 := buildOddEven(6, false, 3)
+	if _, err := Run(cfg, w2); err != nil {
+		t.Fatalf("uncanceled control run failed: %v", err)
 	}
 }

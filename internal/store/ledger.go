@@ -18,11 +18,11 @@ import (
 type LedgerEntry struct {
 	// Time is the completion time, RFC3339 UTC.
 	Time string `json:"time"`
-	// Kind classifies the record ("result" for a simulation, "trace" for
-	// a functional capture).
+	// Kind classifies the record: "result" for a simulation. Ledgers
+	// written by older versions also hold "trace" records, one per
+	// functional trace capture.
 	Kind string `json:"kind"`
-	// Key is the canonical identity of the computation (Options.Key or
-	// Options.TraceKey).
+	// Key is the canonical identity of the computation (Options.Key).
 	Key string `json:"key"`
 	// Version is the behavior stamp the computation ran under.
 	Version string `json:"version"`

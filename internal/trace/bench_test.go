@@ -22,7 +22,7 @@ func BenchmarkReplayStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r == nil || r.Halted() {
+		if r == nil || r.Done() {
 			copy(mem, img)
 			if r, err = NewReplay(tr, prog, mem); err != nil {
 				b.Fatal(err)

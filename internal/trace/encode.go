@@ -6,13 +6,10 @@ import (
 )
 
 // encMagic heads every encoded trace; the format version rides on the
-// package's Version constant (a version bump invalidates persisted
-// traces through their cache keys as well, so Decode rejecting an old
-// stamp is a second line of defense, not the primary one).
+// package's Version constant.
 const encMagic = "sftrace\x00"
 
-// MarshalBinary encodes the trace for persistence (the disk spill path
-// of the Runner's trace cache). The layout is the record streams plus
+// MarshalBinary encodes the trace for persistence. The layout is the record streams plus
 // identity metadata, little-endian, ending with the content digest so
 // Decode can verify integrity without trusting the container.
 func (t *Trace) MarshalBinary() ([]byte, error) {
@@ -48,8 +45,8 @@ func (t *Trace) MarshalBinary() ([]byte, error) {
 // Decode reconstructs a trace encoded by MarshalBinary, recomputing the
 // content digest over the decoded streams and requiring it to match the
 // recorded one — a corrupted or tampered encoding can therefore never
-// feed the timing model. A trace from a different capture-behavior
-// Version is rejected outright.
+// be replayed. A trace from a different capture-behavior Version is
+// rejected outright.
 func Decode(data []byte) (*Trace, error) {
 	d := decoder{buf: data}
 	if string(d.take(len(encMagic))) != encMagic {

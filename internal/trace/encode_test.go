@@ -26,7 +26,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tr, got) {
 		t.Fatal("decoded trace differs from the original")
 	}
-	if got.ID() != tr.ID() || got.Len() != tr.Len() || got.ProgName() != tr.ProgName() {
+	if got.ID() != tr.ID() || got.Len() != tr.Len() {
 		t.Fatalf("identity mismatch: %q/%d vs %q/%d", got.ID(), got.Len(), tr.ID(), tr.Len())
 	}
 	// The decoded trace drives a replay to the same final memory.
@@ -35,7 +35,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !r.Halted() {
+	for !r.Done() {
 		if _, err := r.Step(); err != nil {
 			t.Fatal(err)
 		}

@@ -8,19 +8,16 @@ import (
 	"repro/internal/isa"
 )
 
-// Replay feeds a captured trace to the timing model as an emu.Frontend.
-// It reconstructs every DynInst of the original execution — same sequence
-// numbers, branch outcomes, addresses, and slice context — without
-// re-executing the functional emulator, and maintains the architectural
-// register file and memory image as a cursor over the stream so that
-// wrong-path engines can fork from the exact state a live machine would
-// have at any branch.
+// Replay steps through a captured trace. It reconstructs every DynInst of
+// the original execution — same sequence numbers, branch outcomes,
+// addresses, and slice context — without re-executing the functional
+// emulator, and maintains the architectural register file and memory
+// image as a cursor over the stream.
 //
 // A Replay owns its memory image the way a Machine does: recorded stores
 // are applied in program order, so after the stream is consumed the image
-// equals the live execution's final memory (workload output checks pass
-// unchanged). One Replay serves one run; the underlying Trace is immutable
-// and shared.
+// equals the live execution's final memory. One Replay serves one pass;
+// the underlying Trace is immutable and shared.
 type Replay struct {
 	tr   *Trace
 	prog *isa.Program
@@ -30,16 +27,12 @@ type Replay struct {
 	cur    int // next record index; doubles as the sequence number
 	vi, ai int // cursors into the dense vals/addrs streams
 
-	nextPC  int
 	halted  bool
 	inSlice bool
 	sliceID uint64
-
-	// wp is the wrong-path engine every Fork re-seeds.
-	wp emu.Shadow
 }
 
-// NewReplay builds a frontend replaying tr against prog and mem. The
+// NewReplay builds a Replay of tr against prog and mem. The
 // program must be the one the trace was captured from (checked cheaply by
 // name and length); mem is the workload's initial memory image, mutated
 // in place as recorded stores are applied.
@@ -48,11 +41,7 @@ func NewReplay(tr *Trace, prog *isa.Program, mem []byte) (*Replay, error) {
 		return nil, fmt.Errorf("trace: replaying %s (%d insts) with trace of %s (%d insts)",
 			prog.Name, len(prog.Code), tr.progName, tr.progLen)
 	}
-	r := &Replay{tr: tr, prog: prog, mem: mem}
-	if len(tr.pcs) > 0 {
-		r.nextPC = int(tr.pcs[0])
-	}
-	return r, nil
+	return &Replay{tr: tr, prog: prog, mem: mem}, nil
 }
 
 func (r *Replay) get(reg isa.Reg) uint64 {
@@ -174,29 +163,8 @@ func (r *Replay) StepInto(d *emu.DynInst) error {
 		next = int(in.Imm)
 	}
 	d.NextPC = next
-	r.nextPC = next
 	return nil
 }
-
-// Fork re-seeds the replay's wrong-path engine from its current
-// architectural state. Wrong paths are the one part of execution that
-// cannot come from the trace — which branches mispredict (and therefore
-// where wrong paths start) depends on the timing configuration — so they
-// are regenerated exactly as a live machine regenerates them. As for
-// every emu.Frontend, the engine is valid until the next Fork.
-func (r *Replay) Fork(startPC int, inSlice bool, sliceID uint64) emu.WrongPath {
-	r.wp.Reseed(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
-	return &r.wp
-}
-
-// Program is the code the trace was captured from.
-func (r *Replay) Program() *isa.Program { return r.prog }
-
-// Halted reports whether the stream's Halt has been consumed.
-func (r *Replay) Halted() bool { return r.halted }
-
-// NextPC is the code index of the next instruction Step would produce.
-func (r *Replay) NextPC() int { return r.nextPC }
 
 // Done reports whether every record has been consumed (the replayed run
 // reached its halt); the final memory image is complete only then.

@@ -1,33 +1,18 @@
-// Package trace implements the capture-once/replay-many decoupling of the
-// functional frontend from the timing model — the split the paper's
-// Pin + Sniper setup exploits (§5.1): for a fixed workload (kernel, input,
-// seed), the committed instruction stream is a property of the program
-// alone, identical across every hardware configuration, so it can be
-// captured once and replayed under any number of timing configs.
+// Package trace records one single-threaded program's complete
+// architectural execution and steps through it again without the
+// functional emulator. The simulator itself always runs the live
+// emulator; the benchmark harness (bench/) measures capture, encoding,
+// decoding and replay as layers of their own.
 //
-// A Trace is a compact, content-addressed record of one single-threaded
-// program's complete architectural execution. Per dynamic instruction it
-// stores the code index, a flag byte, and — only where needed — the
-// effective address (memory ops) and the value written to the destination
-// register. Everything else the timing model consumes (the static
-// instruction, branch outcomes, next-PC, slice context, sequence numbers)
-// is either recorded in the flags or reconstructed deterministically
-// during replay.
-//
-// The destination-value stream is what makes replay a full frontend
-// rather than a passive tape: Replay maintains the architectural register
-// file and memory image by applying the recorded values and stores in
-// program order, so it can fork wrong-path engines (emu.Shadow.Reseed) from
-// the exact state a live machine would have at any mispredicted branch.
-// This matters because the set of mispredicted branches is
-// timing-dependent — predictor choice, FRQ occupancy, and resolution
-// order all shift speculative history — so wrong paths cannot be
-// precomputed at capture; they are regenerated on demand from
-// reconstructed state, exactly as the live emulator does.
-//
-// Traces are invalidated by Version, a simulator-behavior stamp embedded
-// in every trace cache key: bump it whenever emulator or capture
-// semantics change so stale traces can never feed a newer timing model.
+// A Trace is a compact, content-addressed record of one execution. Per
+// dynamic instruction it stores the code index, a flag byte, and — only
+// where needed — the effective address (memory ops) and the value written
+// to the destination register. Everything else a DynInst carries (the
+// static instruction, branch outcomes, next-PC, slice context, sequence
+// numbers) is either recorded in the flags or reconstructed
+// deterministically during replay. Replay applies the recorded values
+// and stores in program order, so the memory image it leaves equals the
+// live execution's final memory.
 package trace
 
 import (
@@ -41,10 +26,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Version stamps the capture/replay behavior. It participates in every
-// trace cache key (see blp.Options.TraceKey), so bumping it after an
-// emulator or trace-format change invalidates all previously captured
-// traces at once.
+// Version stamps the capture/replay behavior. It is hashed into every
+// trace's content address and written into every encoding, so Decode
+// rejects a trace captured under another version.
 const Version = 1
 
 // Per-record flag bits.
@@ -78,9 +62,6 @@ func (t *Trace) Len() int { return len(t.pcs) }
 // ID returns the content digest of the trace (hex sha256 over the record
 // streams and the format version) — the trace's content address.
 func (t *Trace) ID() string { return t.id }
-
-// ProgName returns the name of the captured program.
-func (t *Trace) ProgName() string { return t.progName }
 
 // Capture executes prog to completion on mem with a fresh functional
 // emulator and records its full architectural instruction stream. The

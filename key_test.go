@@ -71,62 +71,3 @@ func TestKeyCoversEveryField(t *testing.T) {
 		}
 	}
 }
-
-// TestTraceKeyCoversExactlyWorkloadFields is the TraceKey twin of the Key
-// coverage walk: every Options field must either determine the committed
-// instruction stream (and therefore change TraceKey when perturbed) or be
-// a pure timing/output knob (and leave TraceKey alone, so one captured
-// trace serves every setting of it). A new field that lands in neither
-// camp — or in the wrong one — is named here. Policy is the canonical
-// timing knob: selective, conventional, partial, and throttle machines
-// all replay the same captured trace.
-func TestTraceKeyCoversExactlyWorkloadFields(t *testing.T) {
-	// Fields that determine the functional execution (keep in sync with
-	// Options.TraceKey).
-	workload := map[string]bool{
-		"Benchmark": true,
-		"Mode":      true,
-		"Scale":     true,
-		"Degree":    true,
-		"Seed":      true,
-		"Cores":     true, // thread count changes the interleaving
-		"SMT":       true,
-		"PRIters":   true,
-	}
-
-	base := Options{Benchmark: "cc", Scale: 6}
-	baseKey := base.TraceKey()
-	rt := reflect.TypeOf(Options{})
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		o := base
-		fv := reflect.ValueOf(&o).Elem().Field(i)
-		// Values no normalized() default resolves to (see the Key walk).
-		switch f.Type.Kind() {
-		case reflect.String:
-			fv.SetString("perturbed")
-		case reflect.Int, reflect.Int64:
-			fv.SetInt(7)
-		case reflect.Uint64:
-			fv.SetUint(9)
-		case reflect.Bool:
-			fv.SetBool(true)
-		case reflect.Pointer:
-			fv.Set(reflect.New(f.Type.Elem()))
-		default:
-			t.Errorf("field %s has kind %v this test does not know how to perturb; extend it",
-				f.Name, f.Type.Kind())
-			continue
-		}
-
-		changed := o.TraceKey() != baseKey
-		if workload[f.Name] && !changed {
-			t.Errorf("workload field %s does not affect TraceKey(): two different executions would share a trace",
-				f.Name)
-		}
-		if !workload[f.Name] && changed {
-			t.Errorf("timing/output field %s leaked into TraceKey(): it would defeat trace-once/simulate-many",
-				f.Name)
-		}
-	}
-}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/memsize"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Runner executes simulations concurrently with memoization. Requests are
@@ -36,14 +35,8 @@ type Runner struct {
 	jobs  int
 	sem   chan struct{}
 	cache *memo.Cache[*Result]
-	// traces memoizes captured instruction traces by Options.TraceKey —
-	// the workload-identity sub-key of Options.Key, with every timing
-	// knob excluded — so a sweep varying only timing configuration runs
-	// the functional emulator once per workload and replays the captured
-	// stream for every configuration.
-	traces *memo.Cache[*trace.Trace]
 	// store, when non-nil (NewRunnerStore), is the durable second level
-	// behind both caches: consulted on memo miss before simulating,
+	// behind the cache: consulted on memo miss before simulating,
 	// written through on compute, spilled to on LRU eviction.
 	store *store.Store
 
@@ -52,17 +45,8 @@ type Runner struct {
 	simulated int // simulations actually executed
 	cached    int // requests served by an in-flight or completed duplicate
 	inFlight  int // simulations currently executing
-	captured  int // functional emulator executions that captured a trace
-	replayed  int // simulations fed from a captured trace
 
-	// Capture policy state (see wantCapture): traceHint counts live
-	// RunAllContext batches that contain two or more distinct
-	// configurations of the TraceKey, traceSeen records TraceKeys met
-	// exactly once on the single-run path.
-	traceHint map[string]int
-	traceSeen map[string]bool
-
-	// runFn stands in for blp.RunContext in tests; nil means RunContext.
+	// runFn runs one simulation: RunContext, or a test's stand-in.
 	runFn func(context.Context, Options) (*Result, error)
 }
 
@@ -71,19 +55,8 @@ type Runner struct {
 // still bounding an unattended long-running service.
 const DefaultCacheBudget int64 = 64 << 20
 
-// DefaultTraceCacheBudget bounds the captured-trace cache. Traces are
-// orders of magnitude larger than results (roughly 10 bytes per
-// committed instruction), so they get their own budget rather than
-// competing with results for the same bytes; at the default benchmark
-// scales one trace runs a few dozen megabytes.
-const DefaultTraceCacheBudget int64 = 256 << 20
-
 // runnerShards spreads the result cache over this many LRU shards.
 const runnerShards = 16
-
-// traceShards spreads the trace cache; few, because entries are few and
-// large (a per-workload, not per-config, population).
-const traceShards = 4
 
 // NewRunner returns a Runner executing at most jobs simulations at once
 // (jobs <= 0 selects runtime.NumCPU()) with the default result-cache
@@ -92,18 +65,15 @@ func NewRunner(jobs int) *Runner { return NewRunnerCache(jobs, DefaultCacheBudge
 
 // NewRunnerCache is NewRunner with an explicit result-cache byte budget;
 // cacheBytes <= 0 makes the cache unbounded (the pre-PR-5 behaviour).
-// The trace cache keeps its default budget either way.
 func NewRunnerCache(jobs int, cacheBytes int64) *Runner {
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
 	}
 	return &Runner{
-		jobs:      jobs,
-		sem:       make(chan struct{}, jobs),
-		cache:     memo.New[*Result](runnerShards, cacheBytes, resultCost),
-		traces:    memo.New[*trace.Trace](traceShards, DefaultTraceCacheBudget, traceCost),
-		traceHint: make(map[string]int),
-		traceSeen: make(map[string]bool),
+		jobs:  jobs,
+		sem:   make(chan struct{}, jobs),
+		cache: memo.New[*Result](runnerShards, cacheBytes, resultCost),
+		runFn: RunContext,
 	}
 }
 
@@ -115,13 +85,6 @@ func NewRunnerCache(jobs int, cacheBytes int64) *Runner {
 // exceed its budget unnoticed; memsize walks the real footprint.
 func resultCost(key string, r *Result) int64 {
 	return int64(len(key)) + memsize.Of(r)
-}
-
-// traceCost is resultCost for captured traces, dominated by the record
-// streams' backing arrays. Traces are immutable once captured, so the
-// insert-time cost stays exact for as long as the entry is resident.
-func traceCost(key string, t *trace.Trace) int64 {
-	return int64(len(key)) + memsize.Of(t)
 }
 
 // Jobs returns the worker budget.
@@ -145,18 +108,13 @@ type RunnerStats struct {
 	Cached int
 	// InFlight is the number of simulations executing right now.
 	InFlight int
-	// Captured counts functional-emulator executions performed to
-	// capture a trace; Replayed counts simulations fed from a captured
-	// trace instead of the live emulator. The emulator therefore ran
-	// Simulated - Replayed + Captured times; a timing sweep over one
-	// workload drives Replayed toward Simulated with Captured stuck at 1.
-	Captured int
-	Replayed int
-	// Batched and the Seg* counters are always zero. They counted batched
-	// replay and the wrong-path segment cache, both removed (DESIGN.md,
-	// "Batched replay and wrong-path memoization (removed)"); they stay
-	// only because the benchmark harness still reads them, and go when it
+	// Captured, Replayed, Batched and the Seg* counters are always zero.
+	// They counted trace capture and replay, batched replay and the
+	// wrong-path segment cache, all removed (DESIGN.md); they stay only
+	// because the benchmark harness still reads them, and go when it
 	// stops.
+	Captured       int
+	Replayed       int
 	Batched        int
 	SegHits        int64
 	SegMisses      int64
@@ -168,10 +126,7 @@ type RunnerStats struct {
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RunnerStats{
-		Simulated: r.simulated, Cached: r.cached, InFlight: r.inFlight,
-		Captured: r.captured, Replayed: r.replayed,
-	}
+	return RunnerStats{Simulated: r.simulated, Cached: r.cached, InFlight: r.inFlight}
 }
 
 // CacheStats describes the Runner's result cache: request outcomes and
@@ -191,11 +146,6 @@ type CacheStats struct {
 	Bytes   int64
 	Budget  int64
 
-	// Trace describes the captured-trace cache, keyed by
-	// Options.TraceKey: a Hit or Joined means a simulation reused a
-	// workload's trace instead of re-running the functional emulator.
-	Trace TraceCacheStats
-
 	// Store describes the durable second level (nil without one): a Hit
 	// is a memo miss answered from disk without simulating — the warm-
 	// start path — and Invalidated counts stale-version or corrupt
@@ -211,27 +161,12 @@ type StoreStats struct {
 	Budget                                       int64
 }
 
-// TraceCacheStats describes the Runner's trace cache (see
-// CacheStats.Trace).
-type TraceCacheStats struct {
-	Hits, Joined, Misses int64
-	Evictions            int64
-	Entries              int
-	Bytes                int64
-	Budget               int64
-}
-
-// CacheStats returns a snapshot of the result and trace caches.
+// CacheStats returns a snapshot of the result cache and the store.
 func (r *Runner) CacheStats() CacheStats {
 	s := r.cache.Stats()
-	t := r.traces.Stats()
 	cs := CacheStats{
 		Hits: s.Hits, Joined: s.Joined, Misses: s.Misses,
 		Evictions: s.Evictions, Entries: s.Entries, Bytes: s.Bytes, Budget: s.Budget,
-		Trace: TraceCacheStats{
-			Hits: t.Hits, Joined: t.Joined, Misses: t.Misses,
-			Evictions: t.Evictions, Entries: t.Entries, Bytes: t.Bytes, Budget: t.Budget,
-		},
 	}
 	if r.store != nil {
 		st := r.store.Stats()
@@ -339,153 +274,12 @@ func (r *Runner) execute(ctx context.Context, o Options) (res *Result, err error
 		}
 	}()
 
-	res, err = r.simulate(ctx, o)
+	res, err = r.runFn(ctx, o)
 	if err == nil {
 		r.storeSaveResult(o.Key(), res)
 		r.ledgerResult(o, res, time.Since(start))
 	}
 	return res, err
-}
-
-// simulate performs the actual computation behind execute: the runFn
-// test seam, or the real simulator fed live or from a captured trace.
-func (r *Runner) simulate(ctx context.Context, o Options) (*Result, error) {
-	if run := r.runFn; run != nil {
-		return run(ctx, o)
-	}
-
-	// Trace-once/simulate-many: for replay-eligible configurations,
-	// fetch (or capture, once per workload identity) the committed
-	// instruction trace and feed the timing model from it. Ineligible
-	// configurations — multithreaded, or with the independence checker
-	// on — run the live emulator as before, and so does a workload with
-	// no reuse in prospect (see wantCapture): the separate capture pass
-	// plus trace residency only pays for itself when at least a second
-	// timing configuration replays the stream. A trace already persisted
-	// in the durable store overrides that bet — it is paid for, so a
-	// restarted process replays it even for a one-shot request. Results
-	// are byte-identical either way.
-	n := o.normalized()
-	if !replayEligible(n) {
-		return runContext(ctx, o, nil)
-	}
-	tk := n.TraceKey()
-	if _, ok := r.traces.Get(tk); !ok && !r.storeHasTrace(tk) && !r.wantCapture(tk) {
-		return runContext(ctx, o, nil)
-	}
-	tr, err := r.fetchTrace(ctx, n)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.replayed++
-	r.mu.Unlock()
-	return runContext(ctx, o, tr)
-}
-
-// fetchTrace returns the workload's captured trace — from the memo cache,
-// the durable store, or a fresh capture (singleflighted per TraceKey).
-func (r *Runner) fetchTrace(ctx context.Context, n Options) (*trace.Trace, error) {
-	tk := n.TraceKey()
-	tr, err, _ := r.traces.Do(ctx, tk, func() (*trace.Trace, error) {
-		if t, ok := r.storeLoadTrace(tk); ok {
-			return t, nil
-		}
-		capStart := time.Now()
-		t, err := captureTrace(ctx, n)
-		if err == nil {
-			r.mu.Lock()
-			r.captured++
-			r.mu.Unlock()
-			r.storeSaveTrace(tk, t)
-			r.ledgerTrace(tk, t, time.Since(capStart))
-		}
-		return t, err
-	})
-	return tr, err
-}
-
-// traceSeenCap bounds the first-sighting set; past it the history is
-// simply forgotten (the policy is a heuristic — the worst case is one
-// extra live run before a workload starts capturing again).
-const traceSeenCap = 4096
-
-// wantCapture decides whether a replay-eligible run whose trace is not
-// resident should capture one, or stay on the live emulator. Capturing
-// is a bet: it costs a separate functional pass plus trace residency,
-// and pays only when further timing configurations of the same workload
-// replay the stream. So capture when a live RunAllContext batch has
-// promised reuse (traceHint), or on the second sighting of a TraceKey
-// on the single-run path — a caller sweeping configurations one
-// RunContext at a time pays one live run, then converges to replays.
-// One-shot workloads (every point of a figure axis that varies the
-// input) never capture and never displace hot traces from the cache.
-func (r *Runner) wantCapture(tk string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.traceHint[tk] > 0 || r.traceSeen[tk] {
-		return true
-	}
-	if len(r.traceSeen) >= traceSeenCap {
-		r.traceSeen = make(map[string]bool)
-	}
-	r.traceSeen[tk] = true
-	return false
-}
-
-// hintTraces registers the reuse a batch makes certain: every TraceKey
-// shared by two or more distinct configurations in opts is marked for
-// capture while the batch runs. Duplicate Options (same canonical Key)
-// coalesce onto one simulation in the result cache, so they are counted
-// once. The returned keys must be released with unhintTraces.
-func (r *Runner) hintTraces(opts []Options) []string {
-	byKey := make(map[string]bool)
-	count := make(map[string]int)
-	for _, o := range opts {
-		n := o.normalized()
-		if !replayEligible(n) {
-			continue
-		}
-		if k := o.Key(); byKey[k] {
-			continue
-		} else {
-			byKey[k] = true
-		}
-		count[n.TraceKey()]++
-	}
-	var keys []string
-	r.mu.Lock()
-	for tk, c := range count {
-		if c >= 2 {
-			r.traceHint[tk]++
-			keys = append(keys, tk)
-		}
-	}
-	r.mu.Unlock()
-	return keys
-}
-
-// HintTraces registers the trace reuse a caller-managed batch makes
-// certain, exactly as RunAllContext does for its own fan-outs: every
-// workload shared by two or more distinct replay-eligible
-// configurations in opts is marked for capture until the returned
-// release function is called. Callers that fan out RunContext requests
-// themselves (the serve layer's sweep endpoint, for instance) use this
-// to get the same trace-once/simulate-many behaviour as a RunAll batch.
-// release is idempotent-free: call it exactly once, after the batch.
-func (r *Runner) HintTraces(opts []Options) (release func()) {
-	keys := r.hintTraces(opts)
-	return func() { r.unhintTraces(keys) }
-}
-
-func (r *Runner) unhintTraces(keys []string) {
-	r.mu.Lock()
-	for _, tk := range keys {
-		if r.traceHint[tk]--; r.traceHint[tk] <= 0 {
-			delete(r.traceHint, tk)
-		}
-	}
-	r.mu.Unlock()
 }
 
 // RunAll executes every request concurrently (each bounded by the worker
@@ -503,8 +297,6 @@ func (r *Runner) RunAll(opts []Options) ([]*Result, error) {
 // returned error is the first in input order that is not a cancellation
 // induced by the failure itself.
 func (r *Runner) RunAllContext(ctx context.Context, opts []Options) ([]*Result, error) {
-	hinted := r.hintTraces(opts)
-	defer r.unhintTraces(hinted)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	res := make([]*Result, len(opts))
@@ -545,11 +337,19 @@ func (r *Runner) RunAllContext(ctx context.Context, opts []Options) ([]*Result, 
 }
 
 // describeRun renders a compact human-readable run identity for the
-// progress line: benchmark, placement, scale, and any non-default knobs.
+// progress and panic lines: benchmark, placement, scale, and any knob
+// that differs from its normalized default (for Policy, the mode's auto
+// policy).
 func describeRun(o Options) string {
 	n := o.normalized()
 	s := fmt.Sprintf("%s/%s s%d", n.Benchmark, n.Mode, n.Scale)
 	d := core.DefaultConfig()
+	if n.Policy != autoPolicy(n.Mode) {
+		s += " " + n.Policy
+	}
+	if n.Seed != 1 {
+		s += fmt.Sprintf(" seed%d", n.Seed)
+	}
 	if n.Predictor != d.Predictor {
 		s += " " + n.Predictor
 	}
@@ -567,6 +367,12 @@ func describeRun(o Options) string {
 	}
 	if n.FRQSize != d.FRQSize {
 		s += fmt.Sprintf(" frq%d", zv(n.FRQSize))
+	}
+	if n.WrongPathMemAccess {
+		s += " wpmem"
+	}
+	if n.PaperScaleMem {
+		s += " papermem"
 	}
 	return s
 }

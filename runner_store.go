@@ -7,17 +7,13 @@ import (
 	"time"
 
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
-// Store-key namespaces. Results and traces share one store directory;
-// the prefix keeps their key spaces disjoint (Options.Key and
-// Options.TraceKey could never collide textually, but the namespace
-// makes the ledger and any future kinds self-describing).
-const (
-	storeResultPrefix = "result/"
-	storeTracePrefix  = "traceobj/"
-)
+// storeResultPrefix namespaces result objects in the store. Stores
+// written by older versions also hold "traceobj/" objects (captured
+// instruction traces); nothing reads them any more, so a budgeted store
+// evicts them first as least recently used.
+const storeResultPrefix = "result/"
 
 // OpenStore opens (creating if needed) a durable result store rooted at
 // dir, stamped with the current BehaviorVersion — the standard way to
@@ -28,10 +24,9 @@ func OpenStore(dir string, budgetBytes int64) (*store.Store, error) {
 }
 
 // NewRunnerStore is NewRunnerCache with a durable second level: on a
-// memo miss the Runner consults st before simulating, fresh results
-// (and captured traces) are written through to st, LRU-evicted entries
-// are spilled to it, and every fresh computation is appended to its
-// experiment ledger. st may be shared by several Runners in one
+// memo miss the Runner consults st before simulating, fresh results are
+// written through to st, LRU-evicted results are spilled to it, and every
+// fresh computation is appended to its experiment ledger. st may be shared by several Runners in one
 // process; nil st degrades to NewRunnerCache exactly.
 //
 // Persistence is an optimization, never a dependency: store I/O errors
@@ -47,7 +42,6 @@ func NewRunnerStore(jobs int, cacheBytes int64, st *store.Store) *Runner {
 	// the spill a cheap Has-check no-op in the common case; it matters
 	// when an earlier write failed or the store evicted the object.
 	r.cache.OnEvict(func(key string, res *Result) { r.storeSaveResult(key, res) })
-	r.traces.OnEvict(func(key string, tr *trace.Trace) { r.storeSaveTrace(key, tr) })
 	return r
 }
 
@@ -104,35 +98,6 @@ func (r *Runner) storeSaveResult(key string, res *Result) {
 	}
 }
 
-func (r *Runner) storeLoadTrace(key string) (*trace.Trace, bool) {
-	if r.store == nil {
-		return nil, false
-	}
-	data, ok := r.store.Get(storeTracePrefix + key)
-	if !ok {
-		return nil, false
-	}
-	tr, err := trace.Decode(data)
-	if err != nil {
-		r.store.Delete(storeTracePrefix + key)
-		return nil, false
-	}
-	return tr, true
-}
-
-func (r *Runner) storeHasTrace(key string) bool {
-	return r.store != nil && r.store.Has(storeTracePrefix+key)
-}
-
-func (r *Runner) storeSaveTrace(key string, tr *trace.Trace) {
-	if r.store == nil || r.store.Has(storeTracePrefix+key) {
-		return
-	}
-	if data, err := tr.MarshalBinary(); err == nil {
-		r.store.Put(storeTracePrefix+key, data)
-	}
-}
-
 // ledgerResult appends one fresh simulation to the experiment ledger.
 // Only actual computations are recorded — cache and store hits are
 // replays of history, not history.
@@ -148,19 +113,6 @@ func (r *Runner) ledgerResult(o Options, res *Result, elapsed time.Duration) {
 		Mode:        fmt.Sprintf("%v", n.Mode),
 		Cycles:      res.Cycles,
 		IPC:         res.IPC,
-		WallSeconds: elapsed.Seconds(),
-	})
-}
-
-// ledgerTrace appends one functional capture to the experiment ledger.
-func (r *Runner) ledgerTrace(tk string, tr *trace.Trace, elapsed time.Duration) {
-	if r.store == nil {
-		return
-	}
-	r.store.AppendLedger(store.LedgerEntry{
-		Kind:        "trace",
-		Key:         storeTracePrefix + tk,
-		Benchmark:   tr.ProgName(),
 		WallSeconds: elapsed.Seconds(),
 	})
 }

@@ -114,53 +114,6 @@ func TestWarmStartVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmStartReplaysStoredTrace exercises the trace spill path: a
-// workload traced in one process is replayed — not re-captured, not run
-// on the live emulator — when a later process requests a new timing
-// configuration of it.
-func TestWarmStartReplaysStoredTrace(t *testing.T) {
-	dir := t.TempDir()
-	// Two timing configs of one workload: the batch hint makes the first
-	// life capture the trace once and persist it.
-	batch := []Options{
-		{Benchmark: "cc", Scale: 6},
-		{Benchmark: "cc", Scale: 6, Predictor: "oracle"},
-	}
-
-	st1, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := NewRunnerStore(2, 0, st1)
-	if _, err := r1.RunAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := r1.Stats().Captured; got != 1 {
-		t.Fatalf("first life Captured = %d, want 1", got)
-	}
-	if !st1.Has("traceobj/" + batch[0].TraceKey()) {
-		t.Fatal("captured trace was not persisted")
-	}
-	st1.Close()
-
-	// Second life: a third timing configuration — its result key is not
-	// in the store, but the workload's trace is, so the single request
-	// replays without a capture pass.
-	st2, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	r2 := NewRunnerStore(1, 0, st2)
-	if _, err := r2.Run(Options{Benchmark: "cc", Scale: 6, FRQSize: 4}); err != nil {
-		t.Fatal(err)
-	}
-	s := r2.Stats()
-	if s.Simulated != 1 || s.Captured != 0 || s.Replayed != 1 {
-		t.Errorf("second life stats = %+v, want Simulated=1 Captured=0 Replayed=1", s)
-	}
-}
-
 // TestLedgerRecordsFreshComputations checks the experiment ledger holds
 // one line per actual computation — and none for cache or store hits.
 func TestLedgerRecordsFreshComputations(t *testing.T) {

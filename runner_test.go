@@ -170,6 +170,42 @@ func TestRunnerPanicDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// TestDescribeRunDistinguishesRuns pins the run identity that progress
+// and panic lines print: the benchmark's timing sweep (eight timing
+// configs of one workload), a second input seed, and the two memory
+// switches must all describe differently, while the mode's own auto
+// policy spelled out adds nothing.
+func TestDescribeRunDistinguishesRuns(t *testing.T) {
+	base := Options{Benchmark: "cc", Mode: BestMode("cc"), Scale: 11}
+	sets := []func(*Options){
+		func(o *Options) { o.Policy = "conventional" },
+		func(o *Options) { o.Policy = "partial:16" },
+		func(o *Options) { o.Policy = "throttle:2" },
+		func(o *Options) { o.FRQSize = 2 },
+		func(o *Options) { o.Reserve = 16 },
+		func(o *Options) { o.ROBBlockSize = 4 },
+		func(o *Options) { o.Predictor = "oracle" },
+		func(o *Options) { o.Seed = 2 },
+		func(o *Options) { o.WrongPathMemAccess = true },
+		func(o *Options) { o.PaperScaleMem = true },
+	}
+	auto := base
+	auto.Policy = "selective"
+	if d := describeRun(auto); d != describeRun(base) {
+		t.Errorf("the auto policy spelled out describes as %q, want %q", d, describeRun(base))
+	}
+	seen := map[string]int{describeRun(base): -1}
+	for i, set := range sets {
+		o := base
+		set(&o)
+		d := describeRun(o)
+		if j, dup := seen[d]; dup {
+			t.Errorf("configs %d and %d both describe as %q", j, i, d)
+		}
+		seen[d] = i
+	}
+}
+
 func TestSpeedupUnmeasurableIsNaN(t *testing.T) {
 	base := &Result{Cycles: 100}
 	if s := Speedup(base, &Result{}); !math.IsNaN(s) {
