@@ -76,6 +76,30 @@ func TestTable1Renders(t *testing.T) {
 	}
 }
 
+// TestFigureIDs pins the names both front ends accept for a figure.
+func TestFigureIDs(t *testing.T) {
+	for name, want := range map[string]string{
+		"table1": "table1", "1": "table1", "motivation": "motivation", "3": "motivation",
+		"4": "4", "fig4": "4", "fig10": "10", "policy": "policy",
+	} {
+		if id, ok := FigureID(name); !ok || id != want {
+			t.Errorf("FigureID(%q) = %q, %v; want %q", name, id, ok, want)
+		}
+	}
+	for _, name := range []string{"", "fig", "2", "12", "nope"} {
+		if id, ok := FigureID(name); ok {
+			t.Errorf("FigureID(%q) = %q, want unknown", name, id)
+		}
+	}
+	if _, err := NewRunner(1).Figure("nope", DefaultFigureParams()); err == nil {
+		t.Error("Figure(nope) did not fail")
+	}
+	f, err := NewRunner(1).Figure("1", DefaultFigureParams())
+	if err != nil || f.ID != "table1" {
+		t.Fatalf("Figure(1) = %v, %v", f, err)
+	}
+}
+
 // TestFigureHarnessTiny runs the lightest figure end-to-end at a small
 // scale to keep the experiment plumbing covered by `go test`.
 func TestFigureHarnessTiny(t *testing.T) {

@@ -34,10 +34,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 
+	def := blp.DefaultFigureParams()
 	fig := flag.String("fig", "all", "which experiment: table1, motivation, 4..11, policy, or all")
-	delta := flag.Int("delta", 0, "input-scale delta (negative = smaller/faster)")
-	cores := flag.Int("cores", 16, "core count for fig10 (a power of two)")
-	sizeDelta := flag.Int("sizedelta", 3, "extra input-scale steps for fig10's multicore runs")
+	delta := flag.Int("delta", def.Delta, "input-scale delta (negative = smaller/faster)")
+	cores := flag.Int("cores", def.Cores, "core count for fig10 (a power of two)")
+	sizeDelta := flag.Int("sizedelta", def.SizeDelta, "extra input-scale steps for fig10's multicore runs")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations (shared across figures)")
 	quiet := flag.Bool("quiet", false, "suppress the per-run progress line on stderr")
 	asJSON := flag.Bool("json", false, "emit the machine-readable metrics report (JSON) on stdout instead of text tables")
@@ -78,46 +79,22 @@ func main() {
 		r.SetProgress(os.Stderr)
 	}
 
-	type exp struct {
-		id  string
-		run func() (*blp.Figure, error)
-	}
-	all := []exp{
-		{"table1", func() (*blp.Figure, error) { return blp.Table1(), nil }},
-		{"motivation", func() (*blp.Figure, error) { return r.Motivation(*delta) }},
-		{"4", func() (*blp.Figure, error) { return r.Fig4(*delta) }},
-		{"5", func() (*blp.Figure, error) { return r.Fig5(*delta) }},
-		{"6", func() (*blp.Figure, error) { return r.Fig6(*delta) }},
-		{"7", func() (*blp.Figure, error) { return r.Fig7(*delta, nil) }},
-		{"8", func() (*blp.Figure, error) { return r.Fig8(*delta, nil) }},
-		{"9", func() (*blp.Figure, error) { return r.Fig9(*delta) }},
-		{"10", func() (*blp.Figure, error) { return r.Fig10(*delta, *cores, *sizeDelta) }},
-		{"11", func() (*blp.Figure, error) { return r.Fig11(*delta) }},
-		{"policy", func() (*blp.Figure, error) { return r.PolicyMatrix(*delta) }},
-	}
-
-	want := strings.Split(*fig, ",")
-	match := func(id string) bool {
-		if *fig == "all" {
-			return true
+	want := map[string]bool{}
+	for _, name := range strings.Split(*fig, ",") {
+		if id, ok := blp.FigureID(strings.TrimSpace(name)); ok {
+			want[id] = true
 		}
-		for _, w := range want {
-			if strings.TrimSpace(w) == id || "fig"+strings.TrimSpace(w) == id {
-				return true
-			}
-		}
-		return false
 	}
-
-	var sel []exp
-	for _, e := range all {
-		if match(e.id) {
-			sel = append(sel, e)
+	var sel []string
+	for _, id := range blp.FigureIDs() {
+		if *fig == "all" || want[id] {
+			sel = append(sel, id)
 		}
 	}
 	if len(sel) == 0 {
 		log.Fatalf("no experiment matches -fig %q", *fig)
 	}
+	params := blp.FigureParams{Delta: *delta, Cores: *cores, SizeDelta: *sizeDelta}
 
 	// Launch every selected figure concurrently — the shared Runner
 	// bounds total simulation concurrency and deduplicates the runs
@@ -136,15 +113,15 @@ func main() {
 		go func(i int) {
 			defer close(outs[i].done)
 			figStart := time.Now()
-			outs[i].f, outs[i].err = sel[i].run()
+			outs[i].f, outs[i].err = r.Figure(sel[i], params)
 			outs[i].dur = time.Since(figStart)
 		}(i)
 	}
 	figs := make([]*blp.Figure, len(sel))
-	for i, e := range sel {
+	for i, id := range sel {
 		<-outs[i].done
 		if outs[i].err != nil {
-			log.Fatalf("fig %s: %v", e.id, outs[i].err)
+			log.Fatalf("fig %s: %v", id, outs[i].err)
 		}
 		figs[i] = outs[i].f
 		if !*asJSON {

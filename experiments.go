@@ -687,3 +687,77 @@ func (r *Runner) PolicyMatrix(scaleDelta int) (*Figure, error) {
 	f.addNote(scaleNote(scaleDelta))
 	return f, nil
 }
+
+// FigureParams are the inputs of a figure requested by id: every figure
+// takes the input-scale Delta; only Fig. 10 reads Cores and SizeDelta.
+type FigureParams struct {
+	Delta, Cores, SizeDelta int
+}
+
+// DefaultFigureParams are the defaults both front ends start from:
+// full scale, and Fig. 10 at 16 cores with three extra input-scale
+// steps for its multicore runs.
+func DefaultFigureParams() FigureParams { return FigureParams{Cores: 16, SizeDelta: 3} }
+
+// figureSpec is one row of the figure table: the id, a second accepted
+// name, and how to regenerate the figure.
+type figureSpec struct {
+	id, alias string
+	run       func(r *Runner, p FigureParams) (*Figure, error)
+}
+
+// figures is the one table of figure ids, shared by `experiments -fig`
+// and serve's /v1/figures/{id}, in the order `-fig all` prints them.
+var figures = []figureSpec{
+	{"table1", "1", func(*Runner, FigureParams) (*Figure, error) { return Table1(), nil }},
+	{"motivation", "3", func(r *Runner, p FigureParams) (*Figure, error) { return r.Motivation(p.Delta) }},
+	{"4", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig4(p.Delta) }},
+	{"5", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig5(p.Delta) }},
+	{"6", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig6(p.Delta) }},
+	{"7", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig7(p.Delta, nil) }},
+	{"8", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig8(p.Delta, nil) }},
+	{"9", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig9(p.Delta) }},
+	{"10", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig10(p.Delta, p.Cores, p.SizeDelta) }},
+	{"11", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.Fig11(p.Delta) }},
+	{"policy", "", func(r *Runner, p FigureParams) (*Figure, error) { return r.PolicyMatrix(p.Delta) }},
+}
+
+// lookupFigure finds the row a figure name resolves to: an id, an alias
+// ("1" for table1, "3" for motivation), or either behind a "fig" prefix
+// ("fig4").
+func lookupFigure(name string) (figureSpec, bool) {
+	name = strings.TrimPrefix(name, "fig")
+	for _, f := range figures {
+		if name == f.id || (f.alias != "" && name == f.alias) {
+			return f, true
+		}
+	}
+	return figureSpec{}, false
+}
+
+// FigureIDs returns every figure id in the order `experiments -fig all`
+// prints them.
+func FigureIDs() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}
+
+// FigureID resolves a figure name — an id, an alias such as "1" or
+// "fig4" — to its id; ok is false for an unknown name.
+func FigureID(name string) (id string, ok bool) {
+	f, ok := lookupFigure(name)
+	return f.id, ok
+}
+
+// Figure regenerates the figure with the given name (see FigureID)
+// through the Runner.
+func (r *Runner) Figure(name string, p FigureParams) (*Figure, error) {
+	f, ok := lookupFigure(name)
+	if !ok {
+		return nil, fmt.Errorf("blp: unknown figure %q (%s)", name, strings.Join(FigureIDs(), ", "))
+	}
+	return f.run(r, p)
+}

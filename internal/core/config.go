@@ -76,9 +76,6 @@ type Config struct {
 	// dispatched instructions per thread.
 	FrontendQueue int
 
-	// MaxCycles aborts runaway simulations (0 = no limit).
-	MaxCycles int64
-
 	// ForceCycleAccurate disables the event-driven fast paths — wakeup-
 	// driven issue selection and the sim driver's idle-cycle fast-forward
 	// — and steps every cycle with the legacy full-RS scan. The two modes
@@ -127,7 +124,6 @@ func DefaultConfig() Config {
 		AtomicExtra:        5,
 		BarrierLat:         20,
 		FrontendQueue:      64,
-		MaxCycles:          0,
 	}
 }
 

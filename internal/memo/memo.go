@@ -1,70 +1,63 @@
-// Package memo provides the sharded, byte-budgeted result cache with
-// singleflight deduplication that backs blp.Runner and the serve layer.
+// Package memo provides the byte-budgeted result cache with singleflight
+// deduplication that backs blp.Runner and the serve layer.
 //
 // A Cache maps string keys to values computed at most once at a time:
 // the first requester of a key runs the compute function while every
 // concurrent duplicate blocks on the same call and shares its outcome
-// (singleflight). Successful results are retained in a per-shard LRU
-// whose total byte footprint — as measured by a caller-supplied cost
-// function — never exceeds the configured budget; the least recently
-// used entries are evicted first. Errors are never cached: a failed or
-// canceled computation is retried by the next requester, so a transient
-// cancellation cannot poison the cache.
-//
-// Keys are distributed over N shards by hash, so unrelated keys contend
-// on different locks; the budget is split evenly across shards.
+// (singleflight). Successful results are retained in one LRU under one
+// mutex whose total byte footprint — as measured by a caller-supplied
+// cost function — never exceeds the configured budget; the least
+// recently used entries are evicted first. Errors are never cached: a
+// failed or canceled computation is retried by the next requester, so a
+// transient cancellation cannot poison the cache.
 package memo
 
 import (
 	"container/list"
 	"context"
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
 
-// Stats is a point-in-time snapshot of a Cache's activity counters.
+// Stats is a point-in-time snapshot of a Cache's activity counters. The
+// JSON names are the cache section of the serve layer's /metrics.
 type Stats struct {
 	// Hits counts requests answered by a completed, still-resident entry.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// Joined counts requests that attached to an in-flight computation
 	// of the same key (the singleflight path) and shared its successful
 	// result. A waiter canceled mid-join, or a shared computation that
 	// errored, is not counted: Hits+Joined is exactly the number of
 	// successfully shared results, so callers that count shares (e.g.
 	// blp.RunnerStats.Cached) can reconcile against it.
-	Joined int64
+	Joined int64 `json:"joined"`
 	// Misses counts requests that had to run the compute function.
-	Misses int64
-	// Evictions counts entries removed to keep a shard under budget.
-	Evictions int64
+	Misses int64 `json:"misses"`
+	// Evictions counts entries removed to keep the cache under budget.
+	Evictions int64 `json:"evictions"`
 	// Entries and Bytes describe the resident set right now.
-	Entries int
-	Bytes   int64
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 	// Budget is the configured total byte budget (0 = unbounded).
-	Budget int64
+	Budget int64 `json:"budget"`
 }
 
-// Cache is a sharded LRU keyed by strings. The zero value is not usable;
+// Cache is an LRU keyed by strings. The zero value is not usable;
 // construct with New. All methods are safe for concurrent use.
 type Cache[V any] struct {
-	seed   maphash.Seed
-	shards []shard[V]
 	cost   func(key string, v V) int64
-	budget int64 // per shard; 0 = unbounded
+	budget int64 // 0 = unbounded
 
 	onEvict func(key string, v V)
 
-	hits, joined, misses, evictions atomic.Int64
-}
-
-type shard[V any] struct {
 	mu       sync.Mutex
 	done     map[string]*list.Element // completed entries, element.Value = *entry[V]
 	inflight map[string]*call[V]
 	lru      list.List // front = most recently used
 	bytes    int64
+
+	hits, joined, misses, evictions atomic.Int64
 }
 
 type entry[V any] struct {
@@ -81,47 +74,26 @@ type call[V any] struct {
 	err  error
 }
 
-// New returns a Cache with the given shard count (values < 1 select 1),
-// total byte budget (<= 0 means unbounded), and per-entry cost function
-// (nil counts every entry as 1 byte). The budget is divided evenly
-// across shards; each shard always retains at least its most recent
-// entry, so a single entry larger than the per-shard budget is cached
-// alone rather than rejected.
-func New[V any](shards int, budgetBytes int64, cost func(key string, v V) int64) *Cache[V] {
-	if shards < 1 {
-		shards = 1
-	}
+// New returns a Cache with the given total byte budget (<= 0 means
+// unbounded) and per-entry cost function (nil counts every entry as 1
+// byte). The cache always retains its most recent entry, so a single
+// entry larger than the budget is cached alone rather than rejected.
+func New[V any](budgetBytes int64, cost func(key string, v V) int64) *Cache[V] {
 	if cost == nil {
 		cost = func(string, V) int64 { return 1 }
 	}
-	perShard := int64(0)
-	if budgetBytes > 0 {
-		perShard = budgetBytes / int64(shards)
-		if perShard < 1 {
-			perShard = 1
-		}
+	return &Cache[V]{
+		cost:     cost,
+		budget:   max(budgetBytes, 0),
+		done:     make(map[string]*list.Element),
+		inflight: make(map[string]*call[V]),
 	}
-	c := &Cache[V]{
-		seed:   maphash.MakeSeed(),
-		shards: make([]shard[V], shards),
-		cost:   cost,
-		budget: perShard,
-	}
-	for i := range c.shards {
-		c.shards[i].done = make(map[string]*list.Element)
-		c.shards[i].inflight = make(map[string]*call[V])
-	}
-	return c
 }
 
-// OnEvict registers a hook invoked (outside the shard lock) for every
+// OnEvict registers a hook invoked (outside the cache lock) for every
 // entry evicted to make room. Call before the cache is in use; it is not
 // synchronized with Do.
 func (c *Cache[V]) OnEvict(fn func(key string, v V)) { c.onEvict = fn }
-
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
-}
 
 // Do returns the cached value for key, or computes it with fn. Exactly
 // one computation per key runs at a time: concurrent duplicates block
@@ -135,17 +107,16 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // waiter and then re-raised in the first caller, so duplicates are never
 // stranded.
 func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, err error, shared bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.done[key]; ok {
-		s.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.done[key]; ok {
+		c.lru.MoveToFront(el)
 		e := el.Value.(*entry[V])
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return e.val, nil, true
 	}
-	if cl, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
+	if cl, ok := c.inflight[key]; ok {
+		c.mu.Unlock()
 		select {
 		case <-cl.done:
 			// Only a successful share counts as joined; an error is
@@ -160,8 +131,8 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 		}
 	}
 	cl := &call[V]{done: make(chan struct{})}
-	s.inflight[key] = cl
-	s.mu.Unlock()
+	c.inflight[key] = cl
+	c.mu.Unlock()
 	c.misses.Add(1)
 
 	// Publish the outcome even if fn panics: waiters get an error, the
@@ -172,15 +143,15 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 			cl.err = fmt.Errorf("memo: computation for key %q panicked", key)
 		}
 		var evicted []*entry[V]
-		s.mu.Lock()
-		delete(s.inflight, key)
+		c.mu.Lock()
+		delete(c.inflight, key)
 		if cl.err == nil {
 			e := &entry[V]{key: key, val: cl.val, cost: c.cost(key, cl.val)}
-			s.done[key] = s.lru.PushFront(e)
-			s.bytes += e.cost
-			evicted = s.evictToLocked(c.budget)
+			c.done[key] = c.lru.PushFront(e)
+			c.bytes += e.cost
+			evicted = c.evictLocked()
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		close(cl.done)
 		for _, e := range evicted {
 			c.evictions.Add(1)
@@ -194,37 +165,22 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 	return cl.val, cl.err, false
 }
 
-// Get returns the resident value for key without computing, touching the
-// LRU on hit.
-func (c *Cache[V]) Get(key string) (v V, ok bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.done[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*entry[V]).val, true
-}
-
-// evictToLocked trims the shard to the given per-shard budget, evicting
-// from the LRU tail but never removing the most recent entry (so a
-// single oversized result is cached alone rather than thrashing).
-// Caller holds s.mu; returned entries are reported to the eviction hook
-// after the lock is released.
-func (s *shard[V]) evictToLocked(budget int64) []*entry[V] {
-	if budget <= 0 {
+// evictLocked trims the cache to its budget, evicting from the LRU tail
+// but never removing the most recent entry (so a single oversized
+// result is cached alone rather than thrashing). Caller holds c.mu;
+// returned entries are reported to the eviction hook after the lock is
+// released.
+func (c *Cache[V]) evictLocked() []*entry[V] {
+	if c.budget <= 0 {
 		return nil
 	}
 	var out []*entry[V]
-	for s.bytes > budget && s.lru.Len() > 1 {
-		el := s.lru.Back()
+	for c.bytes > c.budget && c.lru.Len() > 1 {
+		el := c.lru.Back()
 		e := el.Value.(*entry[V])
-		s.lru.Remove(el)
-		delete(s.done, e.key)
-		s.bytes -= e.cost
+		c.lru.Remove(el)
+		delete(c.done, e.key)
+		c.bytes -= e.cost
 		out = append(out, e)
 	}
 	return out
@@ -232,19 +188,16 @@ func (s *shard[V]) evictToLocked(budget int64) []*entry[V] {
 
 // Stats returns the cache's counters and resident-set size.
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{
+	c.mu.Lock()
+	entries, bytes := len(c.done), c.bytes
+	c.mu.Unlock()
+	return Stats{
 		Hits:      c.hits.Load(),
 		Joined:    c.joined.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Budget:    c.budget * int64(len(c.shards)),
+		Entries:   entries,
+		Bytes:     bytes,
+		Budget:    c.budget,
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.done)
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
 }

@@ -16,8 +16,21 @@ func bg() context.Context { return context.Background() }
 // byteCost charges each string value its length, ignoring the key.
 func byteCost(_ string, v string) int64 { return int64(len(v)) }
 
+// Get returns the resident value for key without computing, touching the
+// LRU on hit: how these tests probe residency.
+func (c *Cache[V]) Get(key string) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.done[key]
+	if !ok {
+		return v, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry[V]).val, true
+}
+
 func TestDoComputesOnceThenHits(t *testing.T) {
-	c := New[string](4, 0, nil)
+	c := New[string](0, nil)
 	calls := 0
 	fn := func() (string, error) { calls++; return "v", nil }
 	v, err, shared := c.Do(bg(), "k", fn)
@@ -38,7 +51,7 @@ func TestDoComputesOnceThenHits(t *testing.T) {
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
-	c := New[string](1, 0, nil)
+	c := New[string](0, nil)
 	calls := 0
 	fail := errors.New("boom")
 	fn := func() (string, error) {
@@ -63,7 +76,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 // Concurrent requesters of one key must run the function exactly once and
 // all share its result; later arrivals count as joined.
 func TestSingleflightJoin(t *testing.T) {
-	c := New[string](4, 0, nil)
+	c := New[string](0, nil)
 	var calls atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -114,7 +127,7 @@ func TestSingleflightJoin(t *testing.T) {
 // A waiter whose context is canceled stops waiting with ctx.Err() while
 // the in-flight computation finishes for everyone else.
 func TestWaiterCancellation(t *testing.T) {
-	c := New[string](1, 0, nil)
+	c := New[string](0, nil)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go c.Do(bg(), "k", func() (string, error) {
@@ -157,8 +170,8 @@ func TestWaiterCancellation(t *testing.T) {
 }
 
 func TestLRUEvictionOrderAndBudget(t *testing.T) {
-	// One shard, budget 10 bytes, 4-byte values: holds 2 entries.
-	c := New[string](1, 10, byteCost)
+	// Budget 10 bytes, 4-byte values: holds 2 entries.
+	c := New[string](10, byteCost)
 	var evicted []string
 	c.OnEvict(func(key string, _ string) { evicted = append(evicted, key) })
 	put := func(k string) {
@@ -185,16 +198,16 @@ func TestLRUEvictionOrderAndBudget(t *testing.T) {
 
 // One oversized insert that trims several entries at once reports every
 // trimmed entry to the OnEvict hook exactly once — and invokes the hook
-// outside the shard lock, proven by the hook re-entering the cache
-// (Stats and Get would deadlock under a held shard mutex).
+// outside the cache lock, proven by the hook re-entering the cache
+// (Stats and Get would deadlock under a held cache mutex).
 func TestOnEvictSeesEveryTrimmedEntryOnceOutsideLock(t *testing.T) {
-	// One shard, 10-byte budget, 3-byte values: holds 3 entries.
-	c := New[string](1, 10, byteCost)
+	// 10-byte budget, 3-byte values: holds 3 entries.
+	c := New[string](10, byteCost)
 	evicted := map[string]int{}
 	c.OnEvict(func(key string, v string) {
 		evicted[key]++
 		// Re-enter the cache: both would deadlock if the hook ran under
-		// the shard lock.
+		// the cache lock.
 		c.Stats()
 		if _, ok := c.Get(key); ok {
 			t.Errorf("evicted key %q still resident inside the hook", key)
@@ -227,7 +240,7 @@ func TestOnEvictSeesEveryTrimmedEntryOnceOutsideLock(t *testing.T) {
 // leader's error, or cancels out of the join, must not inflate it —
 // otherwise Hits+Joined over-reports the shared results callers count.
 func TestJoinedCountsOnlySuccessfulShares(t *testing.T) {
-	c := New[string](1, 0, nil)
+	c := New[string](0, nil)
 	fail := errors.New("boom")
 
 	// Waiter shares the leader's error: shared=true, not joined.
@@ -312,7 +325,7 @@ func TestJoinedCountsOnlySuccessfulShares(t *testing.T) {
 // recent entry is never evicted, so singleflight keeps deduplicating hot
 // oversized results instead of thrashing.
 func TestOversizedEntryCachedAlone(t *testing.T) {
-	c := New[string](1, 4, byteCost)
+	c := New[string](4, byteCost)
 	c.Do(bg(), "small", func() (string, error) { return "xx", nil })
 	big := strings.Repeat("y", 100)
 	c.Do(bg(), "big", func() (string, error) { return big, nil })
@@ -328,10 +341,10 @@ func TestOversizedEntryCachedAlone(t *testing.T) {
 }
 
 // The budget bounds the resident set under a long stream of distinct keys
-// across every shard — the regression the Runner's unbounded map had.
+// — the regression the Runner's unbounded map had.
 func TestBudgetBoundedUnderChurn(t *testing.T) {
 	const budget = 1 << 10
-	c := New[string](8, budget, byteCost)
+	c := New[string](budget, byteCost)
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("key-%d", i)
 		c.Do(bg(), k, func() (string, error) { return strings.Repeat("v", 64), nil })
@@ -349,7 +362,7 @@ func TestBudgetBoundedUnderChurn(t *testing.T) {
 }
 
 func TestPanicDoesNotStrandWaiters(t *testing.T) {
-	c := New[string](1, 0, nil)
+	c := New[string](0, nil)
 	started := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
@@ -383,7 +396,7 @@ func TestPanicDoesNotStrandWaiters(t *testing.T) {
 // Hammer one hot key plus a churning tail from many goroutines; meant for
 // -race. Every response for the hot key must be the canonical value.
 func TestConcurrentChurn(t *testing.T) {
-	c := New[string](4, 512, byteCost)
+	c := New[string](512, byteCost)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

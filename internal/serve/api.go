@@ -11,6 +11,12 @@ import (
 // responses (RunResponse, SweepItem, MetricsSnapshot). Figure endpoints
 // reuse blp.Report, which carries blp.MetricsSchemaVersion.
 //
+// Adding a field does not bump it: a client must ignore keys it does
+// not know, so a new counter — in MetricsSnapshot, or in the
+// blp.RunnerStats, blp.CacheStats and store.Stats it renders — is a
+// compatible change. Removing or renaming a key, or changing what one
+// means, bumps it.
+//
 // v2: MetricsSnapshot gained trace_cache and sims.captured/replayed
 // (the trace-once/simulate-many counters).
 //

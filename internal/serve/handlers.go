@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	blp "repro"
@@ -181,37 +182,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// figureFuncs regenerates one figure by id through the shared Runner, so
-// repeated figure requests — and single runs that overlap a figure's
-// grid — reuse each other's simulations. Matches cmd/experiments' ids.
-func (s *Server) figureByID(id string, q map[string]int) (*blp.Figure, error) {
-	r := s.runner
-	delta := q["delta"]
-	switch id {
-	case "table1", "1":
-		return blp.Table1(), nil
-	case "motivation", "3":
-		return r.Motivation(delta)
-	case "4":
-		return r.Fig4(delta)
-	case "5":
-		return r.Fig5(delta)
-	case "6":
-		return r.Fig6(delta)
-	case "7":
-		return r.Fig7(delta, nil)
-	case "8":
-		return r.Fig8(delta, nil)
-	case "9":
-		return r.Fig9(delta)
-	case "10":
-		return r.Fig10(delta, q["cores"], q["sizedelta"])
-	case "11":
-		return r.Fig11(delta)
-	}
-	return nil, nil
-}
-
 // figureParamRange bounds each figure query parameter. Parsing alone is
 // not validation: a syntactically fine integer like cores=-1 or
 // sizedelta=-10 used to sail through to the figure functions and
@@ -232,26 +202,33 @@ var figureParamRange = map[string][2]int{
 // predates contexts); the admission queue still bounds how many can run
 // and the underlying runs stay memoized for the next request.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	q := map[string]int{"delta": 0, "cores": 16, "sizedelta": 3}
-	for name := range q {
-		if v := r.URL.Query().Get(name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", name, v))
-				return
-			}
-			if rng := figureParamRange[name]; n < rng[0] || n > rng[1] {
-				writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("%s %d out of range [%d, %d]", name, n, rng[0], rng[1]))
-				return
-			}
-			q[name] = n
+	id, ok := blp.FigureID(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown figure %q (%s)",
+			r.PathValue("id"), strings.Join(blp.FigureIDs(), ", ")))
+		return
+	}
+	p := blp.DefaultFigureParams()
+	for name, dst := range map[string]*int{"delta": &p.Delta, "cores": &p.Cores, "sizedelta": &p.SizeDelta} {
+		v := r.URL.Query().Get(name)
+		if v == "" {
+			continue
 		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", name, v))
+			return
+		}
+		if rng := figureParamRange[name]; n < rng[0] || n > rng[1] {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("%s %d out of range [%d, %d]", name, n, rng[0], rng[1]))
+			return
+		}
+		*dst = n
 	}
 	if id == "10" {
 		// Fig. 10's multicore runs must be able to size their LLC.
-		if err := (blp.Options{Cores: q["cores"]}).Validate(); err != nil {
+		if err := (blp.Options{Cores: p.Cores}).Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -268,14 +245,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.q.release()
 
-	fig, err := s.figureByID(id, q)
+	fig, err := s.runner.Figure(id, p)
 	if err != nil {
 		s.runError(w, err)
-		return
-	}
-	if fig == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown figure %q (table1, motivation, 4..11)", id))
 		return
 	}
 	if format == "csv" {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	blp "repro"
+	"repro/internal/store"
 )
 
 // latencyWindow is how many recent request latencies the percentile
@@ -72,49 +73,6 @@ func (m *serverMetrics) addError() {
 	m.mu.Unlock()
 }
 
-// CacheMetrics mirrors blp.CacheStats on the wire.
-type CacheMetrics struct {
-	Hits      int64 `json:"hits"`
-	Joined    int64 `json:"joined"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Budget    int64 `json:"budget"`
-}
-
-// StoreMetrics mirrors blp.StoreStats on the wire: the durable result
-// store behind the in-memory caches. hits are memo misses answered from
-// disk without simulating (the warm-start path); invalidated counts
-// stale-version or corrupt objects dropped instead of served.
-type StoreMetrics struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Writes      int64 `json:"writes"`
-	Invalidated int64 `json:"invalidated"`
-	Evictions   int64 `json:"evictions"`
-	Entries     int   `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	Budget      int64 `json:"budget"`
-}
-
-// SimMetrics mirrors blp.RunnerStats on the wire. Captured, Replayed,
-// Batched and the Seg* fields are always zero and never on the wire
-// (schemas v7 and v9); they mirror the RunnerStats fields of the same
-// names, kept only for the benchmark harness.
-type SimMetrics struct {
-	Simulated      int   `json:"simulated"`
-	Cached         int   `json:"cached"`
-	InFlight       int   `json:"in_flight"`
-	Captured       int   `json:"-"`
-	Replayed       int   `json:"-"`
-	Batched        int   `json:"-"`
-	SegHits        int64 `json:"-"`
-	SegMisses      int64 `json:"-"`
-	SegInvalidated int64 `json:"-"`
-	SegBypassed    int64 `json:"-"`
-}
-
 // LatencyMetrics summarizes the recent-request latency window.
 type LatencyMetrics struct {
 	Count int64      `json:"count"` // observations ever, not window size
@@ -126,9 +84,12 @@ type LatencyMetrics struct {
 
 // MetricsSnapshot answers GET /metrics: request counters, the admission
 // queue, the Runner's simulation and cache counters, and recent-latency
-// percentiles. The singleflight story is directly legible here:
-// cache.joined counts requests that attached to an identical in-flight
-// simulation, cache.hits the ones served from the resident LRU.
+// percentiles. The counter sections are the types that count them —
+// blp.RunnerStats, blp.CacheStats and store.Stats — rendered through
+// their own JSON names, so a counter is defined once. The singleflight
+// story is directly legible here: cache.joined counts requests that
+// attached to an identical in-flight simulation, cache.hits the ones
+// served from the resident LRU.
 type MetricsSnapshot struct {
 	SchemaVersion    int              `json:"schema_version"`
 	UptimeSeconds    float64          `json:"uptime_seconds"`
@@ -140,12 +101,15 @@ type MetricsSnapshot struct {
 	InFlightRequests int64            `json:"in_flight_requests"`
 	QueueDepth       int64            `json:"queue_depth"` // waiting for admission
 	QueueCapacity    int64            `json:"queue_capacity"`
-	Sims             SimMetrics       `json:"sims"`
-	Cache            CacheMetrics     `json:"cache"`
+	Sims             blp.RunnerStats  `json:"sims"`
+	Cache            blp.CacheStats   `json:"cache"`
 	// Store is the durable second level (null when the server runs
-	// without one); BehaviorVersion is the stamp its objects are keyed
-	// under — it changes exactly when the simulator's numbers do.
-	Store           *StoreMetrics  `json:"store"`
+	// without one): hits are memo misses answered from disk without
+	// simulating (the warm-start path), invalidated counts stale-version
+	// or corrupt objects dropped instead of served. BehaviorVersion is
+	// the stamp its objects are keyed under — it changes exactly when
+	// the simulator's numbers do.
+	Store           *store.Stats   `json:"store"`
 	BehaviorVersion string         `json:"behavior_version"`
 	Latency         LatencyMetrics `json:"latency"`
 }
@@ -170,20 +134,12 @@ func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, draining bool) Me
 	}
 	m.mu.Unlock()
 
-	rs := runner.Stats()
-	snap.Sims = SimMetrics{Simulated: rs.Simulated, Cached: rs.Cached, InFlight: rs.InFlight}
-	cs := runner.CacheStats()
-	snap.Cache = CacheMetrics{
-		Hits: cs.Hits, Joined: cs.Joined, Misses: cs.Misses,
-		Evictions: cs.Evictions, Entries: cs.Entries, Bytes: cs.Bytes, Budget: cs.Budget,
-	}
+	snap.Sims = runner.Stats()
+	snap.Cache = runner.CacheStats()
 	snap.BehaviorVersion = blp.BehaviorVersion()
-	if st := cs.Store; st != nil {
-		snap.Store = &StoreMetrics{
-			Hits: st.Hits, Misses: st.Misses, Writes: st.Writes,
-			Invalidated: st.Invalidated, Evictions: st.Evictions,
-			Entries: st.Entries, Bytes: st.Bytes, Budget: st.Budget,
-		}
+	if st := runner.Store(); st != nil {
+		ss := st.Stats()
+		snap.Store = &ss
 	}
 	if q != nil {
 		snap.QueueDepth = q.depth()

@@ -7,8 +7,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -431,6 +433,28 @@ func TestFigureWithRuns(t *testing.T) {
 	}
 }
 
+// The recovery-policy matrix is served under the id `experiments -fig`
+// takes for it; the figure-id table used to exist twice, and serve's
+// copy had no "policy".
+func TestFigurePolicyCSV(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/figures/policy?delta=-10&format=csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("policy status %d, want 200", resp.StatusCode)
+	}
+	rows, err := csv.NewReader(resp.Body).ReadAll()
+	if err != nil || len(rows) < 2 {
+		t.Fatalf("csv: %d rows, %v", len(rows), err)
+	}
+	if !slices.Contains(rows[0], "selective") {
+		t.Fatalf("header %v has no selective column", rows[0])
+	}
+}
+
 // Backpressure: with one execution slot and a one-deep waiting room, a
 // third concurrent request is rejected with 429 + Retry-After while the
 // first two eventually succeed. The blocking "simulation" is a test seam
@@ -597,6 +621,66 @@ func TestMetricsSchemaV4Fields(t *testing.T) {
 			t.Errorf("sims.%s still on the wire", k)
 		}
 	}
+
+	// With a store attached, pin every key of the body and of its
+	// counter sections, in wire order.
+	st, err := blp.OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, tsStore := newTestServer(t, Config{Store: st})
+	resp, err = http.Get(tsStore.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(wire, &sections); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]string{
+		"": {"schema_version", "uptime_seconds", "draining", "requests", "rejected", "timeouts", "errors",
+			"in_flight_requests", "queue_depth", "queue_capacity", "sims", "cache", "store",
+			"behavior_version", "latency"},
+		"sims":  {"simulated", "cached", "in_flight"},
+		"cache": {"hits", "joined", "misses", "evictions", "entries", "bytes", "budget"},
+		"store": {"hits", "misses", "writes", "invalidated", "evictions", "entries", "bytes", "budget"},
+	} {
+		obj := []byte(sections[name])
+		if name == "" {
+			obj = wire
+		}
+		if got := objectKeys(t, obj); !slices.Equal(got, want) {
+			t.Errorf("/metrics %q keys = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// objectKeys returns the top-level keys of a JSON object in wire order.
+func objectKeys(t *testing.T, obj []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(obj))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", obj)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // TestClusterSingleNodeUnchanged pins the single-node server, the only

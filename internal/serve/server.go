@@ -7,14 +7,16 @@
 //	POST /v1/run          one blp.Options → versioned result JSON
 //	POST /v1/sweep        batch of options → streamed NDJSON, one line
 //	                      per run in completion order
-//	GET  /v1/figures/{id} paper figure/table as JSON (blp.Report) or CSV
+//	GET  /v1/figures/{id} paper figure/table as JSON (blp.Report) or CSV;
+//	                      ids as `experiments -fig` takes them (blp.FigureID)
 //	GET  /healthz         liveness (503 while draining)
 //	GET  /metrics         counters: requests, cache hits/joins/misses,
 //	                      queue depth, in-flight sims, p50/p99 latency
 //
-// Behind the handlers sit the Runner's sharded byte-budgeted LRU result
-// cache and singleflight dedup (identical requests from different HTTP
-// clients simulate once), a bounded admission queue with 429
+// Behind the handlers sit the Runner's result cache — one LRU under a
+// byte budget, each result charged its exact size — and singleflight
+// dedup (identical requests from different HTTP clients simulate
+// once), a bounded admission queue with 429
 // backpressure, per-request timeouts plumbed as context cancellation
 // into the sim driver loop, and graceful drain: Shutdown (or the
 // DrainOnSignal helper wired to SIGTERM in cmd/sfserved) stops

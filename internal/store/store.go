@@ -49,25 +49,27 @@ import (
 const magic = "sfstore v1"
 
 // Stats is a point-in-time snapshot of a Store's activity and resident
-// set.
+// set. The JSON names are the store section of the serve layer's
+// /metrics.
 type Stats struct {
 	// Hits counts Gets answered from a valid on-disk object; Misses
 	// counts Gets that found nothing usable.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Writes counts objects actually written (Put on an already-present
 	// key is a no-op and does not count).
-	Writes int64
+	Writes int64 `json:"writes"`
 	// Invalidated counts objects dropped because their version stamp no
 	// longer matches the store's, their payload failed the checksum, or
 	// their container was malformed — plus explicit Delete calls.
-	Invalidated int64
+	Invalidated int64 `json:"invalidated"`
 	// Evictions counts objects removed to keep the store under budget.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// Entries and Bytes describe the on-disk resident set; Budget is the
 	// configured byte limit (0 = unbounded).
-	Entries int
-	Bytes   int64
-	Budget  int64
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+	Budget  int64 `json:"budget"`
 }
 
 // object is the in-memory index entry for one on-disk file.

@@ -8,10 +8,10 @@ import (
 	"runtime"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/memo"
-	"repro/internal/memsize"
 	"repro/internal/store"
 )
 
@@ -22,12 +22,13 @@ import (
 // exactly once; concurrency is bounded by a worker budget. blp.Run stays
 // unmemoized for callers that need a fresh simulation per call.
 //
-// Completed results are retained in a sharded LRU bounded by a byte
-// budget (DefaultCacheBudget unless NewRunnerCache chose otherwise), so
-// an arbitrarily long sweep no longer grows memory without limit: cold
-// configurations are evicted least-recently-used first and re-simulate
-// if requested again. Errors are never retained — a failed or canceled
-// run is retried by the next request for its key.
+// Completed results are retained in one LRU bounded by a byte budget
+// (DefaultCacheBudget unless NewRunnerCache chose otherwise) and charged
+// their exact size (resultCost), so an arbitrarily long sweep does not
+// grow memory without limit: cold configurations are evicted
+// least-recently-used first and re-simulate if requested again. Errors
+// are never retained — a failed or canceled run is retried by the next
+// request for its key.
 //
 // Results returned for duplicate requests alias the same *Result; treat
 // them as read-only.
@@ -55,9 +56,6 @@ type Runner struct {
 // still bounding an unattended long-running service.
 const DefaultCacheBudget int64 = 64 << 20
 
-// runnerShards spreads the result cache over this many LRU shards.
-const runnerShards = 16
-
 // NewRunner returns a Runner executing at most jobs simulations at once
 // (jobs <= 0 selects runtime.NumCPU()) with the default result-cache
 // budget.
@@ -72,19 +70,20 @@ func NewRunnerCache(jobs int, cacheBytes int64) *Runner {
 	return &Runner{
 		jobs:  jobs,
 		sem:   make(chan struct{}, jobs),
-		cache: memo.New[*Result](runnerShards, cacheBytes, resultCost),
+		cache: memo.New[*Result](cacheBytes, resultCost),
 		runFn: RunContext,
 	}
 }
 
-// resultCost estimates the resident bytes a memoized result pins: the
-// key string plus everything reachable from the Result — per-core stats
-// and any heap payload nested inside them. The previous shallow
-// estimate (struct size plus the PerCore slice header math) undercounted
-// as soon as Stats grew reference fields, which let the "bounded" cache
-// exceed its budget unnoticed; memsize walks the real footprint.
+// resultCost is the exact resident size of a memoized result: the key
+// string, the *Result pointer, the Result itself, and the whole backing
+// array of PerCore — cap, not len, since that is what the result pins.
+// It is exact only while PerCore is the one heap reference in Result,
+// core.Stats and sim.Energy; TestResultCostFlatTypes fails when one of
+// them gains another.
 func resultCost(key string, r *Result) int64 {
-	return int64(len(key)) + memsize.Of(r)
+	return int64(len(key)) + int64(unsafe.Sizeof(r)) + int64(unsafe.Sizeof(*r)) +
+		int64(cap(r.PerCore))*int64(unsafe.Sizeof(core.Stats{}))
 }
 
 // Jobs returns the worker budget.
@@ -99,27 +98,28 @@ func (r *Runner) SetProgress(w io.Writer) {
 	r.mu.Unlock()
 }
 
-// RunnerStats counts a Runner's activity so far.
+// RunnerStats counts a Runner's activity so far. The JSON names are the
+// sims section of the serve layer's /metrics.
 type RunnerStats struct {
 	// Simulated is the number of simulations actually executed.
-	Simulated int
+	Simulated int `json:"simulated"`
 	// Cached is the number of requests answered by a duplicate —
 	// joined in flight or already completed.
-	Cached int
+	Cached int `json:"cached"`
 	// InFlight is the number of simulations executing right now.
-	InFlight int
-	// Captured, Replayed, Batched and the Seg* counters are always zero.
-	// They counted trace capture and replay, batched replay and the
-	// wrong-path segment cache, all removed (DESIGN.md); they stay only
-	// because the benchmark harness still reads them, and go when it
-	// stops.
-	Captured       int
-	Replayed       int
-	Batched        int
-	SegHits        int64
-	SegMisses      int64
-	SegInvalidated int64
-	SegBypassed    int64
+	InFlight int `json:"in_flight"`
+	// Captured, Replayed, Batched and the Seg* counters are always zero
+	// and never on the wire. They counted trace capture and replay,
+	// batched replay and the wrong-path segment cache, all removed
+	// (DESIGN.md); they stay only because the benchmark harness still
+	// reads them, and go when it stops.
+	Captured       int   `json:"-"`
+	Replayed       int   `json:"-"`
+	Batched        int   `json:"-"`
+	SegHits        int64 `json:"-"`
+	SegMisses      int64 `json:"-"`
+	SegInvalidated int64 `json:"-"`
+	SegBypassed    int64 `json:"-"`
 }
 
 // Stats returns the Runner's current counters.
@@ -129,55 +129,16 @@ func (r *Runner) Stats() RunnerStats {
 	return RunnerStats{Simulated: r.simulated, Cached: r.cached, InFlight: r.inFlight}
 }
 
-// CacheStats describes the Runner's result cache: request outcomes and
-// the resident set against its byte budget.
-type CacheStats struct {
-	// Hits were answered by a completed resident result; Joined attached
-	// to an identical in-flight simulation (singleflight) and shared its
-	// successful result; Misses simulated. Only successful shares count
-	// on either side, so Hits+Joined equals RunnerStats.Cached exactly —
-	// a waiter canceled mid-join or a shared failure inflates neither.
-	Hits, Joined, Misses int64
-	// Evictions counts results dropped to keep the cache under budget.
-	Evictions int64
-	// Entries/Bytes are the resident set; Budget is the byte limit
-	// (0 = unbounded).
-	Entries int
-	Bytes   int64
-	Budget  int64
+// CacheStats describes the Runner's result cache: Hits were answered by
+// a completed resident result, Joined attached to an identical
+// in-flight simulation, Misses simulated or were answered by the store.
+// Only successful shares count, so Hits+Joined equals
+// RunnerStats.Cached exactly. The durable store's counters are
+// Runner.Store().Stats().
+type CacheStats = memo.Stats
 
-	// Store describes the durable second level (nil without one): a Hit
-	// is a memo miss answered from disk without simulating — the warm-
-	// start path — and Invalidated counts stale-version or corrupt
-	// objects dropped instead of served.
-	Store *StoreStats
-}
-
-// StoreStats mirrors store.Stats for CacheStats (see CacheStats.Store).
-type StoreStats struct {
-	Hits, Misses, Writes, Invalidated, Evictions int64
-	Entries                                      int
-	Bytes                                        int64
-	Budget                                       int64
-}
-
-// CacheStats returns a snapshot of the result cache and the store.
-func (r *Runner) CacheStats() CacheStats {
-	s := r.cache.Stats()
-	cs := CacheStats{
-		Hits: s.Hits, Joined: s.Joined, Misses: s.Misses,
-		Evictions: s.Evictions, Entries: s.Entries, Bytes: s.Bytes, Budget: s.Budget,
-	}
-	if r.store != nil {
-		st := r.store.Stats()
-		cs.Store = &StoreStats{
-			Hits: st.Hits, Misses: st.Misses, Writes: st.Writes,
-			Invalidated: st.Invalidated, Evictions: st.Evictions,
-			Entries: st.Entries, Bytes: st.Bytes, Budget: st.Budget,
-		}
-	}
-	return cs
-}
+// CacheStats returns a snapshot of the result cache.
+func (r *Runner) CacheStats() CacheStats { return r.cache.Stats() }
 
 // Run is a memoized, concurrency-bounded blp.Run: the first request for a
 // canonical Options key simulates (waiting for a worker slot); duplicates

@@ -3,6 +3,7 @@ package blp
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -170,8 +171,8 @@ func TestRunContextWaiterDetaches(t *testing.T) {
 // results (~34 MiB resident). The honest cost keeps both the cache's
 // own ledger and the process heap within a small multiple of the
 // budget, measured by runtime.MemStats deltas across the churn.
-// (Entries stay under the per-shard budget — an oversized entry is
-// deliberately cached alone even over budget; see memo.New.)
+// (Entries stay under the budget — an oversized entry is deliberately
+// cached alone even over budget; see memo.New.)
 func TestRunnerCacheHonestCost(t *testing.T) {
 	const budget = 2 << 20
 	const pinned = 256 // cap of each PerCore backing array, ~115 KB
@@ -206,5 +207,36 @@ func TestRunnerCacheHonestCost(t *testing.T) {
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 8*budget {
 		t.Fatalf("heap grew %d bytes across churn; want <= %d (8x the %d budget)",
 			growth, 8*budget, budget)
+	}
+}
+
+// TestResultCostFlatTypes guards resultCost's exactness. The formula
+// charges the Result and PerCore's whole backing array and nothing
+// else, so it undercounts the moment Result, core.Stats or sim.Energy
+// gains another field that can reference the heap. This walks the types
+// (nested structs and arrays included) and names any such field.
+func TestResultCostFlatTypes(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if path == "Result" && f.Name == "PerCore" {
+					walk("Result.PerCore[i]", f.Type.Elem())
+					continue
+				}
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[i]", typ.Elem())
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: resultCost no longer charges every byte a cached result pins", path, typ.Kind())
+		}
+	}
+	walk("Result", reflect.TypeOf(Result{}))
+	if got := reflect.TypeOf(Result{}.PerCore).Elem(); got != reflect.TypeOf(core.Stats{}) {
+		t.Errorf("Result.PerCore holds %v; resultCost charges core.Stats", got)
 	}
 }

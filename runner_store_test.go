@@ -170,8 +170,8 @@ func TestRunnerStoreNilDegrades(t *testing.T) {
 	if got := r.Stats().Simulated; got != 1 {
 		t.Errorf("Simulated = %d, want 1", got)
 	}
-	if r.CacheStats().Store != nil {
-		t.Error("CacheStats.Store should be nil without a store")
+	if r.Store() != nil {
+		t.Error("a run should not attach a store")
 	}
 }
 
