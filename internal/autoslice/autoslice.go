@@ -173,33 +173,22 @@ func analyze(p *isa.Program, lp rawLoop) (Loop, string) {
 	// condition lives either on the back edge (bottom-test loops) or in
 	// the peeled top exit tests (top-test loops with a bottom jump).
 	glueRegs := map[isa.Reg]bool{}
-	seed := func(in isa.Inst) {
-		if !in.Op.IsBranch() {
-			return
-		}
-		if in.Src1 != isa.R0 {
-			glueRegs[in.Src1] = true
-		}
-		if in.Src2 != isa.R0 {
-			glueRegs[in.Src2] = true
+	absorb := func(in isa.Inst) {
+		regs, n := in.Reads()
+		for _, r := range regs[:n] {
+			glueRegs[r] = true
 		}
 	}
-	seed(p.Code[lp.back])
-	for i := lp.head; i < sliceStart; i++ {
-		seed(p.Code[i])
+	absorb(p.Code[lp.back])
+	for _, in := range p.Code[lp.head:sliceStart] {
+		absorb(in)
 	}
 	glueStart := lp.back
 	for i := lp.back - 1; i >= sliceStart; i-- {
 		in := p.Code[i]
 		if in.Op.HasDst() && glueRegs[in.Dst] && !in.Op.IsMem() {
 			// Part of the induction chain: absorb its sources too.
-			if in.Src1 != isa.R0 {
-				glueRegs[in.Src1] = true
-			}
-			if in.Src2 != isa.R0 && in.Op != isa.AddI && in.Op != isa.ShlI &&
-				in.Op != isa.ShrI && in.Op != isa.MulI {
-				glueRegs[in.Src2] = true
-			}
+			absorb(in)
 			glueStart = i
 			continue
 		}
@@ -224,12 +213,9 @@ func analyze(p *isa.Program, lp rawLoop) (Loop, string) {
 	writtenIn := map[isa.Reg]bool{}
 	writtenBefore := map[isa.Reg]bool{}
 	for _, in := range slice {
-		reads := []isa.Reg{in.Src1, in.Src2}
-		if in.Op.IsStore() || in.Op.IsAtomic() {
-			reads = append(reads, in.Val)
-		}
-		for _, r := range reads {
-			if r == isa.R0 || writtenBefore[r] {
+		regs, n := in.Reads()
+		for _, r := range regs[:n] {
+			if writtenBefore[r] {
 				continue
 			}
 			if glueRegs[r] {
@@ -255,12 +241,9 @@ func analyze(p *isa.Program, lp rawLoop) (Loop, string) {
 		if pc >= sliceStart && pc < glueStart {
 			continue
 		}
-		reads := []isa.Reg{in.Src1, in.Src2}
-		if in.Op.IsStore() || in.Op.IsAtomic() {
-			reads = append(reads, in.Val)
-		}
-		for _, r := range reads {
-			if r != isa.R0 && writtenIn[r] {
+		regs, n := in.Reads()
+		for _, r := range regs[:n] {
+			if writtenIn[r] {
 				return Loop{}, fmt.Sprintf("slice-written register %v read at pc %d", r, pc)
 			}
 		}

@@ -282,23 +282,13 @@ func (c *Core) noteResolveDispatched(t *thread, mi *missInfo) {
 // registers the uop as producer of its destination.
 func (c *Core) renameDeps(t *thread, u *uop, tbl *renameTable) {
 	in := u.d.Inst
-	add := func(r isa.Reg) {
-		if r == isa.R0 {
-			return
-		}
+	regs, n := in.Reads()
+	for _, r := range regs[:n] {
 		ref := tbl.Producer(r)
 		if ref.u != nil && u.ndeps < len(u.deps) {
 			u.deps[u.ndeps] = ref
 			u.ndeps++
 		}
-	}
-	add(in.Src1)
-	if in.Op != isa.Li && in.Op != isa.Mov && in.Op != isa.FAbs &&
-		in.Op != isa.CvtIF && in.Op != isa.CvtFI {
-		add(in.Src2)
-	}
-	if in.Op.IsStore() || in.Op.IsAtomic() {
-		add(in.Val)
 	}
 
 	// Load-store forwarding: depend on the youngest older in-flight

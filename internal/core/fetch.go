@@ -220,10 +220,7 @@ func (c *Core) fetchNormal(t *thread) bool {
 	// resolution; an over-limit miss recovers conventionally (§4.8).
 	selective := c.selEligible && d.InSlice &&
 		t.pendingMisses+t.queuedMisses() < c.cfg.FRQSize
-	wrongPC := d.PC + 1
-	if u.predTaken {
-		wrongPC = int(d.Inst.Imm)
-	}
+	wrongPC := d.Inst.Next(d.PC, u.predTaken)
 	t.wpAge = d.Seq
 	if selective {
 		mi := c.newMiss(u)
@@ -245,17 +242,7 @@ func (c *Core) fetchNormal(t *thread) bool {
 // fetchWrong fetches one wrong-path instruction from the shadow engine.
 func (c *Core) fetchWrong(t *thread) bool {
 	u := c.newUop(t)
-	// Wrong-path branches follow the shadow's own outcomes: the fork
-	// inherits real register values, so near-reconvergence wrong paths
-	// (the common case for slice bodies) terminate where the real wrong
-	// path would. The predictor still sees the fetched direction in its
-	// speculative history but is never trained on wrong-path branches
-	// (see DESIGN.md).
-	dir := func(pc int, in isa.Inst, actual bool) bool {
-		t.pred.OnFetch(actual)
-		return actual
-	}
-	if !t.shadow.StepInto(dir, &u.d) {
+	if !t.shadow.StepInto(&u.d) {
 		// The wrong path ran off the program. A conventional miss
 		// keeps fetch stalled until resolution; an in-slice miss that
 		// never reached its slice_end stalls the same way.
@@ -266,6 +253,15 @@ func (c *Core) fetchWrong(t *thread) bool {
 		return true
 	}
 	d := &u.d
+	// Wrong-path branches follow the shadow's own outcomes: the fork
+	// inherits real register values, so near-reconvergence wrong paths
+	// (the common case for slice bodies) terminate where the real wrong
+	// path would. The predictor sees the fetched direction in its
+	// speculative history but is never trained on wrong-path branches
+	// (DESIGN.md, approximation 1).
+	if d.IsBranch() {
+		t.pred.OnFetch(d.Taken)
+	}
 	u.wpOf = t.shadowMiss
 	u.age = t.wpAge
 	c.stats.FetchedWrongPath++

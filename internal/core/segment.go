@@ -19,7 +19,7 @@ import (
 //	SliceID  the segment's slice
 //	InSlice  true; Wrong and MemOOB false (correct path, one slice)
 //	Inst     the program's code at PC
-//	NextPC   from Inst and Taken, as emu.Machine.StepInto computes it
+//	NextPC   from Inst and Taken (isa.Inst.Next, as the machine steps it)
 //
 // Appending rebuilds each record and panics unless it equals what the
 // machine stepped: a record the scheme cannot represent is a bug, never
@@ -64,16 +64,12 @@ func (b *segBuf) rec(i int) *segRec {
 func (b *segBuf) rebuild(i int, d *emu.DynInst) {
 	r := b.rec(i)
 	in := b.code[r.pc]
-	next := int(r.pc) + 1
-	if in.Op == isa.Jmp || in.Op.IsBranch() && r.taken {
-		next = int(in.Imm)
-	}
 	// Field by field, like the emulator's StepInto: a composite literal
 	// would be built aside and block-copied.
 	d.Seq = b.seq0 + uint64(i)
 	d.PC = int(r.pc)
 	d.Inst = in
-	d.NextPC = next
+	d.NextPC = in.Next(int(r.pc), r.taken)
 	d.Taken = r.taken
 	d.Addr = r.addr
 	d.MemOOB = false

@@ -51,7 +51,6 @@ func BenchmarkShadowForkStep(b *testing.B) {
 	if _, err := m.Step(); err != nil { // li: the buffer base
 		b.Fatal(err)
 	}
-	dir := func(pc int, in isa.Inst, actual bool) bool { return actual }
 	var s Shadow
 	var d DynInst
 	b.ReportAllocs()
@@ -59,7 +58,7 @@ func BenchmarkShadowForkStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Reseed(m, m.PC, false, 0)
 		for j := 0; j < 64; j++ {
-			if !s.StepInto(dir, &d) {
+			if !s.StepInto(&d) {
 				b.Fatal("wrong path died")
 			}
 		}

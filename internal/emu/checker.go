@@ -75,26 +75,11 @@ func (m *Machine) checkRegDiscipline(in isa.Inst, inSlice bool) error {
 		// are neither marked nor checked.
 		return nil
 	}
-	check := func(r isa.Reg) error {
-		if r == isa.R0 {
-			return nil
-		}
+	regs, n := in.Reads()
+	for _, r := range regs[:n] {
 		owner := c.regOwner[r]
-		if owner == 0 {
-			return nil
-		}
-		if inSlice && owner == m.sliceID {
-			return nil
-		}
-		return m.fault("independence violation: %v reads %v written inside slice %d", in, r, owner)
-	}
-	reads := []isa.Reg{in.Src1, in.Src2}
-	if in.Op.IsStore() || in.Op.IsAtomic() {
-		reads = append(reads, in.Val)
-	}
-	for _, r := range reads {
-		if err := check(r); err != nil {
-			return err
+		if owner != 0 && (!inSlice || owner != m.sliceID) {
+			return m.fault("independence violation: %v reads %v written inside slice %d", in, r, owner)
 		}
 	}
 	if in.Op.HasDst() && in.Dst != isa.R0 {

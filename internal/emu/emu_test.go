@@ -211,15 +211,21 @@ func TestShadowIsolation(t *testing.T) {
 	before := append([]byte(nil), mem...)
 	regsBefore := m.Regs
 
-	// Shadow down the not-actually-taken direction; force everything
-	// not-taken so it rolls forward through stores.
+	// Shadow on from the branch; it rolls forward through the loop's
+	// remaining stores.
 	s := forkShadow(m, m.PC, true, 1)
-	dir := func(pc int, in isa.Inst, actual bool) bool { return false }
 	var d DynInst
+	stores := 0
 	for i := 0; i < 50 && !s.Dead(); i++ {
-		if !s.StepInto(dir, &d) {
+		if !s.StepInto(&d) {
 			break
 		}
+		if d.Inst.Op.IsStore() {
+			stores++
+		}
+	}
+	if stores == 0 {
+		t.Fatal("shadow executed no store")
 	}
 	// Architectural state untouched.
 	if !bytes.Equal(before, mem) {
@@ -246,11 +252,10 @@ func TestShadowForwarding(t *testing.T) {
 	p := b.Build()
 	m := New(p, l.Image())
 	s := forkShadow(m, 0, false, 0)
-	dir := func(int, isa.Inst, bool) bool { return false }
 	var d DynInst
 	var lastLd DynInst
 	for !s.Dead() {
-		if !s.StepInto(dir, &d) {
+		if !s.StepInto(&d) {
 			break
 		}
 		if d.Inst.Op == isa.Ld64 {
@@ -275,11 +280,10 @@ func TestShadowOOB(t *testing.T) {
 	p := b.Build()
 	m := New(p, make([]byte, 64))
 	s := forkShadow(m, 0, false, 0)
-	dir := func(int, isa.Inst, bool) bool { return false }
 	var d DynInst
 	oob := false
 	for !s.Dead() {
-		if !s.StepInto(dir, &d) {
+		if !s.StepInto(&d) {
 			break
 		}
 		if d.MemOOB {
@@ -320,14 +324,13 @@ func TestShadowReseedIsolated(t *testing.T) {
 		}
 	}
 	var s Shadow
-	dir := func(int, isa.Inst, bool) bool { return false }
 	// loadedValue reseeds s at pc, runs n records and returns the address
 	// of the last one: the value the path's previous load produced.
 	loadedValue := func(pc, n int) uint64 {
 		s.Reseed(m, pc, false, 0)
 		var d DynInst
 		for i := 0; i < n; i++ {
-			if !s.StepInto(dir, &d) {
+			if !s.StepInto(&d) {
 				t.Fatalf("wrong path from %d died at record %d", pc, i)
 			}
 		}

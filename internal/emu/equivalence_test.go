@@ -10,22 +10,28 @@ import (
 )
 
 // genStraightLine builds a random straight-line program over every
-// non-control opcode, with memory accesses confined to a scratch buffer.
+// non-control opcode (the 30 register-computing ops, the 8 loads and
+// stores and the 8 atomics), with memory accesses confined to a scratch
+// buffer of words 8-byte words: plain forms take an in-range offset and
+// indexed forms an in-range index loaded just before them.
 func genStraightLine(rng *graph.RNG, scratch uint64, words int) *isa.Program {
 	b := program.NewBuilder("straight")
-	regs := b.Regs(8)
-	rBase := regs[0]
+	regs := b.Regs(9)
+	rBase, rIdx := regs[0], regs[1]
 	b.Li(rBase, int64(scratch))
-	for i, r := range regs[1:] {
+	for _, r := range regs[2:] {
 		b.Li(r, int64(rng.Next()%1024)+1)
-		_ = i
 	}
-	pick := func() isa.Reg { return regs[1+int(rng.Next()%7)] }
-	n := 20 + int(rng.Next()%40)
+	pick := func() isa.Reg { return regs[2+int(rng.Next()%7)] }
+	imm := func() int64 { return int64(rng.Next()%997) - 498 }
+	off64 := func() int64 { return int64(rng.Next()%uint64(words)) * 8 }
+	off32 := func() int64 { return int64(rng.Next()%uint64(2*words)) * 4 }
+	idx64 := func() isa.Reg { b.Li(rIdx, int64(rng.Next()%uint64(words))); return rIdx }
+	idx32 := func() isa.Reg { b.Li(rIdx, int64(rng.Next()%uint64(2*words))); return rIdx }
+	n := 40 + int(rng.Next()%60)
 	for i := 0; i < n; i++ {
 		d, s1, s2 := pick(), pick(), pick()
-		off := int64(rng.Next()%uint64(words)) * 8
-		switch rng.Next() % 20 {
+		switch rng.Next() % 46 {
 		case 0:
 			b.Add(d, s1, s2)
 		case 1:
@@ -53,19 +59,71 @@ func genStraightLine(rng *graph.RNG, scratch uint64, words int) *isa.Program {
 		case 12:
 			b.Max(d, s1, s2)
 		case 13:
-			b.AddI(d, s1, int64(rng.Next()%997))
+			b.AddI(d, s1, imm())
 		case 14:
-			b.FAdd(d, s1, s2)
+			b.AndI(d, s1, imm())
 		case 15:
-			b.FMul(d, s1, s2)
+			b.OrI(d, s1, imm())
 		case 16:
-			b.Ld64(d, rBase, off)
+			b.XorI(d, s1, imm())
 		case 17:
-			b.St64(rBase, off, s1)
+			b.ShlI(d, s1, imm())
 		case 18:
-			b.AAdd64(d, rBase, off, s1)
+			b.ShrI(d, s1, imm())
 		case 19:
-			b.AMin64(d, rBase, off, s1)
+			b.MulI(d, s1, imm())
+		case 20:
+			b.Li(d, int64(rng.Next()))
+		case 21:
+			b.Mov(d, s1)
+		case 22:
+			b.FAdd(d, s1, s2)
+		case 23:
+			b.FSub(d, s1, s2)
+		case 24:
+			b.FMul(d, s1, s2)
+		case 25:
+			b.FDiv(d, s1, s2)
+		case 26:
+			b.FAbs(d, s1)
+		case 27:
+			b.FMax(d, s1, s2)
+		case 28:
+			b.CvtIF(d, s1)
+		case 29:
+			b.CvtFI(d, s1)
+		case 30:
+			b.Ld64(d, rBase, off64())
+		case 31:
+			b.Ld32(d, rBase, off32())
+		case 32:
+			b.St64(rBase, off64(), s1)
+		case 33:
+			b.St32(rBase, off32(), s1)
+		case 34:
+			b.LdX64(d, rBase, idx64(), 3)
+		case 35:
+			b.LdX32(d, rBase, idx32(), 2)
+		case 36:
+			b.StX64(rBase, idx64(), 3, s1)
+		case 37:
+			b.StX32(rBase, idx32(), 2, s1)
+		case 38:
+			b.AAdd64(d, rBase, off64(), s1)
+		case 39:
+			b.AAdd32(d, rBase, off32(), s1)
+		case 40:
+			b.AAddX64(d, rBase, idx64(), 3, s1)
+		case 41:
+			b.AAddX32(d, rBase, idx32(), 2, s1)
+		case 42:
+			b.AMin64(d, rBase, off64(), s1)
+		case 43:
+			b.AMin32(d, rBase, off32(), s1)
+		case 44:
+			b.AMinX64(d, rBase, idx64(), 3, s1)
+		case 45:
+			b.AMinX32(d, rBase, idx32(), 2, s1)
 		}
 	}
 	b.Halt()
@@ -77,6 +135,17 @@ func genStraightLine(rng *graph.RNG, scratch uint64, words int) *isa.Program {
 // same memory values through its overlay, while never mutating the
 // architectural image.
 func TestShadowMatchesMachine(t *testing.T) {
+	seen := map[isa.Op]bool{}
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, in := range genStraightLine(graph.NewRNG(seed), 0, 16).Code {
+			seen[in.Op] = true
+		}
+	}
+	for op := isa.Add; op < isa.Beq; op++ {
+		if !seen[op] {
+			t.Errorf("genStraightLine never emits %v", op)
+		}
+	}
 	f := func(seed uint64) bool {
 		rng := graph.NewRNG(seed)
 		const words = 16
@@ -98,10 +167,9 @@ func TestShadowMatchesMachine(t *testing.T) {
 
 		ms := New(p, memS)
 		s := forkShadow(ms, 0, false, 0)
-		dir := func(int, isa.Inst, bool) bool { return false }
 		var d DynInst
 		for !s.Dead() {
-			if !s.StepInto(dir, &d) {
+			if !s.StepInto(&d) {
 				break
 			}
 		}
@@ -120,7 +188,7 @@ func TestShadowMatchesMachine(t *testing.T) {
 		// The shadow's overlay view of scratch equals the machine's
 		// final memory.
 		for i := 0; i < words; i++ {
-			want, _ := m.load(scratch+uint64(i)*8, 8)
+			want, _ := isa.ReadWord(m.Mem, scratch+uint64(i)*8, 8)
 			got, ok := s.load(scratch+uint64(i)*8, 8)
 			if !ok || got != want {
 				t.Logf("seed %d: overlay word %d: %d vs %d", seed, i, got, want)
@@ -134,36 +202,29 @@ func TestShadowMatchesMachine(t *testing.T) {
 	}
 }
 
-// TestShadowBranchesFollowDirector: whatever the director returns is the
-// direction the shadow takes, regardless of the computed condition.
-func TestShadowBranchesFollowDirector(t *testing.T) {
-	b := program.NewBuilder("dir")
-	r := b.Reg()
-	b.Li(r, 5)
-	b.Beq(r, isa.R0, "taken") // condition false
-	b.Li(r, 111)
-	b.Halt()
-	b.Label("taken")
-	b.Li(r, 222)
-	b.Halt()
-	p := b.Build()
-
-	for _, force := range []bool{false, true} {
-		m := New(p, make([]byte, 64))
-		s := forkShadow(m, 0, false, 0)
-		dir := func(int, isa.Inst, bool) bool { return force }
+// TestShadowBranchesFollowOwnOutcome: a wrong-path branch goes where the
+// shadow's own register values send it, both ways.
+func TestShadowBranchesFollowOwnOutcome(t *testing.T) {
+	for _, v := range []int64{0, 5} {
+		b := program.NewBuilder("own")
+		r := b.Reg()
+		b.Li(r, v)
+		b.Beq(r, isa.R0, "taken")
+		b.Li(r, 111)
+		b.Halt()
+		b.Label("taken")
+		b.Li(r, 222)
+		b.Halt()
+		s := forkShadow(New(b.Build(), make([]byte, 64)), 0, false, 0)
 		var d DynInst
-		for !s.Dead() {
-			if !s.StepInto(dir, &d) {
-				break
-			}
+		for s.StepInto(&d) {
 		}
 		want := uint64(111)
-		if force {
+		if v == 0 {
 			want = 222
 		}
-		if s.regs[1] != want {
-			t.Fatalf("force=%v: r1 = %d, want %d", force, s.regs[1], want)
+		if s.regs[r] != want {
+			t.Fatalf("r = %d: shadow ended with %d, want %d", v, s.regs[r], want)
 		}
 	}
 }

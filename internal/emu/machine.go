@@ -1,9 +1,7 @@
 package emu
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/isa"
 )
@@ -64,36 +62,10 @@ func (m *Machine) set(r isa.Reg, v uint64) {
 	}
 }
 
-func (m *Machine) load(addr uint64, size int) (uint64, error) {
-	if addr+uint64(size) > uint64(len(m.Mem)) || addr+uint64(size) < addr {
-		return 0, m.fault("load of %d bytes at %#x outside memory (%d bytes)",
-			size, addr, len(m.Mem))
-	}
-	if size == 4 {
-		return uint64(binary.LittleEndian.Uint32(m.Mem[addr:])), nil
-	}
-	return binary.LittleEndian.Uint64(m.Mem[addr:]), nil
-}
-
-func (m *Machine) store(addr uint64, size int, v uint64) error {
-	if addr+uint64(size) > uint64(len(m.Mem)) || addr+uint64(size) < addr {
-		return m.fault("store of %d bytes at %#x outside memory (%d bytes)",
-			size, addr, len(m.Mem))
-	}
-	if size == 4 {
-		binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
-	} else {
-		binary.LittleEndian.PutUint64(m.Mem[addr:], v)
-	}
-	return nil
-}
-
-// effAddr computes the effective address of a memory instruction.
-func effAddr(in isa.Inst, src1, src2 uint64) uint64 {
-	if in.Op.Indexed() {
-		return src1 + (src2 << uint(in.Imm))
-	}
-	return src1 + uint64(in.Imm)
+// outside is the fault for a size-byte access at addr that does not fit
+// in memory.
+func (m *Machine) outside(kind string, addr uint64, size int) error {
+	return m.fault("%s of %d bytes at %#x outside memory (%d bytes)", kind, size, addr, len(m.Mem))
 }
 
 // Step executes one instruction and returns its dynamic record.
@@ -126,150 +98,46 @@ func (m *Machine) StepInto(d *DynInst) error {
 	d.InSlice = m.inSlice
 	d.SliceID = m.sliceID
 	d.Wrong = false
-	next := m.PC + 1
 
 	s1, s2 := m.get(in.Src1), m.get(in.Src2)
-	switch in.Op {
-	case isa.Nop:
-	case isa.Add:
-		m.set(in.Dst, s1+s2)
-	case isa.Sub:
-		m.set(in.Dst, s1-s2)
-	case isa.Mul:
-		m.set(in.Dst, s1*s2)
-	case isa.Div:
-		if s2 == 0 {
-			m.set(in.Dst, 0)
-		} else {
-			m.set(in.Dst, uint64(int64(s1)/int64(s2)))
+	switch op := in.Op; {
+	case op.Computes():
+		m.set(in.Dst, in.Eval(s1, s2))
+	case op.IsBranch():
+		d.Taken = op.Taken(s1, s2)
+	case op.IsStore():
+		d.Addr = in.EffAddr(s1, s2)
+		if !isa.WriteWord(m.Mem, d.Addr, op.MemSize(), m.get(in.Val)) {
+			return m.outside("store", d.Addr, op.MemSize())
 		}
-	case isa.Rem:
-		if s2 == 0 {
-			m.set(in.Dst, s1)
-		} else {
-			m.set(in.Dst, uint64(int64(s1)%int64(s2)))
-		}
-	case isa.And:
-		m.set(in.Dst, s1&s2)
-	case isa.Or:
-		m.set(in.Dst, s1|s2)
-	case isa.Xor:
-		m.set(in.Dst, s1^s2)
-	case isa.Shl:
-		m.set(in.Dst, s1<<(s2&63))
-	case isa.Shr:
-		m.set(in.Dst, s1>>(s2&63))
-	case isa.Sra:
-		m.set(in.Dst, uint64(int64(s1)>>(s2&63)))
-	case isa.Min:
-		m.set(in.Dst, uint64(min(int64(s1), int64(s2))))
-	case isa.Max:
-		m.set(in.Dst, uint64(max(int64(s1), int64(s2))))
-
-	case isa.AddI:
-		m.set(in.Dst, s1+uint64(in.Imm))
-	case isa.AndI:
-		m.set(in.Dst, s1&uint64(in.Imm))
-	case isa.OrI:
-		m.set(in.Dst, s1|uint64(in.Imm))
-	case isa.XorI:
-		m.set(in.Dst, s1^uint64(in.Imm))
-	case isa.ShlI:
-		m.set(in.Dst, s1<<(uint64(in.Imm)&63))
-	case isa.ShrI:
-		m.set(in.Dst, s1>>(uint64(in.Imm)&63))
-	case isa.MulI:
-		m.set(in.Dst, s1*uint64(in.Imm))
-
-	case isa.Li:
-		m.set(in.Dst, uint64(in.Imm))
-	case isa.Mov:
-		m.set(in.Dst, s1)
-
-	case isa.FAdd:
-		m.set(in.Dst, fop(s1, s2, '+'))
-	case isa.FSub:
-		m.set(in.Dst, fop(s1, s2, '-'))
-	case isa.FMul:
-		m.set(in.Dst, fop(s1, s2, '*'))
-	case isa.FDiv:
-		m.set(in.Dst, fop(s1, s2, '/'))
-	case isa.FAbs:
-		m.set(in.Dst, math.Float64bits(math.Abs(math.Float64frombits(s1))))
-	case isa.FMax:
-		m.set(in.Dst, math.Float64bits(math.Max(math.Float64frombits(s1), math.Float64frombits(s2))))
-	case isa.CvtIF:
-		m.set(in.Dst, math.Float64bits(float64(int64(s1))))
-	case isa.CvtFI:
-		m.set(in.Dst, uint64(int64(math.Float64frombits(s1))))
-
-	case isa.Ld64, isa.Ld32, isa.LdX64, isa.LdX32:
-		d.Addr = effAddr(in, s1, s2)
-		v, err := m.load(d.Addr, in.Op.MemSize())
-		if err != nil {
-			return err
-		}
-		m.set(in.Dst, v)
 		if m.CheckIndependence {
-			if err := m.checker().read(m, d.Addr, in.Op.MemSize()); err != nil {
+			m.checker().write(m, d.Addr, op.MemSize())
+		}
+	case op.IsLoad(), op.IsAtomic():
+		d.Addr = in.EffAddr(s1, s2)
+		old, ok := isa.ReadWord(m.Mem, d.Addr, op.MemSize())
+		if !ok {
+			return m.outside("load", d.Addr, op.MemSize())
+		}
+		if op.IsAtomic() {
+			// Atomics are commutative read-modify-writes; the checker
+			// treats them like reductions and exempts them.
+			isa.WriteWord(m.Mem, d.Addr, op.MemSize(), op.Atomic(old, m.get(in.Val)))
+		}
+		m.set(in.Dst, old)
+		if m.CheckIndependence && op.IsLoad() {
+			if err := m.checker().read(m, d.Addr, op.MemSize()); err != nil {
 				return err
 			}
 		}
-	case isa.St64, isa.St32, isa.StX64, isa.StX32:
-		d.Addr = effAddr(in, s1, s2)
-		if err := m.store(d.Addr, in.Op.MemSize(), m.get(in.Val)); err != nil {
-			return err
-		}
-		if m.CheckIndependence {
-			m.checker().write(m, d.Addr, in.Op.MemSize())
-		}
-	case isa.AAdd64, isa.AAdd32, isa.AAddX64, isa.AAddX32,
-		isa.AMin64, isa.AMin32, isa.AMinX64, isa.AMinX32:
-		d.Addr = effAddr(in, s1, s2)
-		size := in.Op.MemSize()
-		old, err := m.load(d.Addr, size)
-		if err != nil {
-			return err
-		}
-		nv := old + m.get(in.Val)
-		switch in.Op {
-		case isa.AMin64, isa.AMin32, isa.AMinX64, isa.AMinX32:
-			nv = min(old, m.get(in.Val))
-		}
-		if err := m.store(d.Addr, size, nv); err != nil {
-			return err
-		}
-		m.set(in.Dst, old)
-		// Atomics are commutative read-modify-writes; the checker
-		// treats them like reductions and exempts them.
-
-	case isa.Beq:
-		d.Taken = s1 == s2
-	case isa.Bne:
-		d.Taken = s1 != s2
-	case isa.Blt:
-		d.Taken = int64(s1) < int64(s2)
-	case isa.Bge:
-		d.Taken = int64(s1) >= int64(s2)
-	case isa.Bltu:
-		d.Taken = s1 < s2
-	case isa.Bgeu:
-		d.Taken = s1 >= s2
-	case isa.Bflt:
-		d.Taken = math.Float64frombits(s1) < math.Float64frombits(s2)
-	case isa.Bfge:
-		d.Taken = math.Float64frombits(s1) >= math.Float64frombits(s2)
-	case isa.Jmp:
-		next = int(in.Imm)
-
-	case isa.SliceStart:
+	case op == isa.SliceStart:
 		if m.inSlice {
 			return m.fault("dynamic nested slice_start")
 		}
 		m.inSlice = true
 		m.sliceID++
 		d.SliceID = m.sliceID
-	case isa.SliceEnd:
+	case op == isa.SliceEnd:
 		if !m.inSlice {
 			return m.fault("dynamic slice_end outside slice")
 		}
@@ -277,25 +145,21 @@ func (m *Machine) StepInto(d *DynInst) error {
 		if m.CheckIndependence {
 			m.checker().sliceEnded(m.sliceID)
 		}
-	case isa.SliceFence:
+	case op == isa.SliceFence:
 		if m.inSlice {
 			return m.fault("dynamic slice_fence inside slice")
 		}
 		if m.CheckIndependence {
 			m.checker().fence()
 		}
-	case isa.Barrier:
-		// Synchronization is coordinated by the simulator driver.
-	case isa.Halt:
+	case op == isa.Halt:
 		m.Halted = true
+	case op == isa.Nop, op == isa.Jmp, op == isa.Barrier:
+		// Barrier synchronization is coordinated by the simulator driver.
 	default:
-		return m.fault("unimplemented opcode %v", in.Op)
+		return m.fault("unimplemented opcode %v", op)
 	}
-
-	if in.Op.IsBranch() && d.Taken {
-		next = int(in.Imm)
-	}
-	d.NextPC = next
+	d.NextPC = in.Next(m.PC, d.Taken)
 
 	if m.CheckIndependence {
 		if err := m.checkRegDiscipline(in, d.InSlice); err != nil {
@@ -303,7 +167,7 @@ func (m *Machine) StepInto(d *DynInst) error {
 		}
 	}
 
-	m.PC = next
+	m.PC = d.NextPC
 	m.seq++
 	return nil
 }
@@ -322,20 +186,4 @@ func (m *Machine) Run(maxInsts uint64) (uint64, error) {
 		}
 	}
 	return m.seq - start, nil
-}
-
-func fop(a, b uint64, op byte) uint64 {
-	x, y := math.Float64frombits(a), math.Float64frombits(b)
-	var r float64
-	switch op {
-	case '+':
-		r = x + y
-	case '-':
-		r = x - y
-	case '*':
-		r = x * y
-	case '/':
-		r = x / y
-	}
-	return math.Float64bits(r)
 }

@@ -1,18 +1,6 @@
 package emu
 
-import (
-	"encoding/binary"
-	"math"
-
-	"repro/internal/isa"
-)
-
-// BranchDir decides the direction a wrong-path conditional branch takes.
-// The core passes the branch predictor's decision here, so the wrong path
-// follows exactly what the frontend would fetch. actual is the direction
-// the shadow's own (wrong-path) register values produce, which a predictor
-// model may ignore.
-type BranchDir func(pc int, in isa.Inst, actual bool) bool
+import "repro/internal/isa"
 
 // Shadow is the wrong-path engine: a fork of a Machine's architectural
 // state that executes down a mispredicted path. Stores are buffered in an
@@ -75,17 +63,9 @@ func (s *Shadow) set(r isa.Reg, v uint64) {
 }
 
 func (s *Shadow) load(addr uint64, size int) (uint64, bool) {
-	if addr+uint64(size) > uint64(len(s.mem)) || addr+uint64(size) < addr {
-		return 0, false
-	}
-	var v uint64
-	if size == 4 {
-		v = uint64(binary.LittleEndian.Uint32(s.mem[addr:]))
-	} else {
-		v = binary.LittleEndian.Uint64(s.mem[addr:])
-	}
+	v, ok := isa.ReadWord(s.mem, addr, size)
 	// Patch in overlay bytes from buffered wrong-path stores.
-	if len(s.overlay) != 0 {
+	if ok && len(s.overlay) != 0 {
 		for i := 0; i < size; i++ {
 			if b, ok := s.overlay[addr+uint64(i)]; ok {
 				shift := uint(8 * i)
@@ -93,11 +73,11 @@ func (s *Shadow) load(addr uint64, size int) (uint64, bool) {
 			}
 		}
 	}
-	return v, true
+	return v, ok
 }
 
 func (s *Shadow) store(addr uint64, size int, v uint64) bool {
-	if addr+uint64(size) > uint64(len(s.mem)) || addr+uint64(size) < addr {
+	if !isa.WordFits(s.mem, addr, size) {
 		return false
 	}
 	if s.overlay == nil {
@@ -111,10 +91,10 @@ func (s *Shadow) store(addr uint64, size int, v uint64) bool {
 
 // StepInto executes one wrong-path instruction and writes its dynamic
 // record into *d field by field. Conditional branches follow the
-// direction dir returns (the predicted direction). It returns false, with
-// *d untouched, when the shadow is dead; the caller must stop fetching
-// from it.
-func (s *Shadow) StepInto(dir BranchDir, d *DynInst) bool {
+// direction the shadow's own register values compute. It returns false,
+// with *d untouched, when the shadow is dead; the caller must stop
+// fetching from it.
+func (s *Shadow) StepInto(d *DynInst) bool {
 	if s.dead || s.pc < 0 || s.pc >= len(s.prog.Code) {
 		s.dead = true
 		return false
@@ -129,158 +109,40 @@ func (s *Shadow) StepInto(dir BranchDir, d *DynInst) bool {
 	d.InSlice = s.inSlice
 	d.SliceID = s.sliceID
 	d.Wrong = true
-	next := s.pc + 1
 	s1, s2 := s.get(in.Src1), s.get(in.Src2)
 
-	switch in.Op {
-	case isa.Nop:
-	case isa.Add:
-		s.set(in.Dst, s1+s2)
-	case isa.Sub:
-		s.set(in.Dst, s1-s2)
-	case isa.Mul:
-		s.set(in.Dst, s1*s2)
-	case isa.Div:
-		if s2 == 0 {
-			s.set(in.Dst, 0)
-		} else {
-			s.set(in.Dst, uint64(int64(s1)/int64(s2)))
-		}
-	case isa.Rem:
-		if s2 == 0 {
-			s.set(in.Dst, s1)
-		} else {
-			s.set(in.Dst, uint64(int64(s1)%int64(s2)))
-		}
-	case isa.And:
-		s.set(in.Dst, s1&s2)
-	case isa.Or:
-		s.set(in.Dst, s1|s2)
-	case isa.Xor:
-		s.set(in.Dst, s1^s2)
-	case isa.Shl:
-		s.set(in.Dst, s1<<(s2&63))
-	case isa.Shr:
-		s.set(in.Dst, s1>>(s2&63))
-	case isa.Sra:
-		s.set(in.Dst, uint64(int64(s1)>>(s2&63)))
-	case isa.Min:
-		s.set(in.Dst, uint64(min(int64(s1), int64(s2))))
-	case isa.Max:
-		s.set(in.Dst, uint64(max(int64(s1), int64(s2))))
-	case isa.AddI:
-		s.set(in.Dst, s1+uint64(in.Imm))
-	case isa.AndI:
-		s.set(in.Dst, s1&uint64(in.Imm))
-	case isa.OrI:
-		s.set(in.Dst, s1|uint64(in.Imm))
-	case isa.XorI:
-		s.set(in.Dst, s1^uint64(in.Imm))
-	case isa.ShlI:
-		s.set(in.Dst, s1<<(uint64(in.Imm)&63))
-	case isa.ShrI:
-		s.set(in.Dst, s1>>(uint64(in.Imm)&63))
-	case isa.MulI:
-		s.set(in.Dst, s1*uint64(in.Imm))
-	case isa.Li:
-		s.set(in.Dst, uint64(in.Imm))
-	case isa.Mov:
-		s.set(in.Dst, s1)
-	case isa.FAdd:
-		s.set(in.Dst, fop(s1, s2, '+'))
-	case isa.FSub:
-		s.set(in.Dst, fop(s1, s2, '-'))
-	case isa.FMul:
-		s.set(in.Dst, fop(s1, s2, '*'))
-	case isa.FDiv:
-		s.set(in.Dst, fop(s1, s2, '/'))
-	case isa.FAbs:
-		s.set(in.Dst, math.Float64bits(math.Abs(math.Float64frombits(s1))))
-	case isa.FMax:
-		s.set(in.Dst, math.Float64bits(math.Max(math.Float64frombits(s1), math.Float64frombits(s2))))
-	case isa.CvtIF:
-		s.set(in.Dst, math.Float64bits(float64(int64(s1))))
-	case isa.CvtFI:
-		s.set(in.Dst, uint64(int64(math.Float64frombits(s1))))
-
-	case isa.Ld64, isa.Ld32, isa.LdX64, isa.LdX32:
-		d.Addr = effAddr(in, s1, s2)
-		v, ok := s.load(d.Addr, in.Op.MemSize())
-		if !ok {
-			d.MemOOB = true
-			v = 0
-		}
-		s.set(in.Dst, v)
-	case isa.St64, isa.St32, isa.StX64, isa.StX32:
-		d.Addr = effAddr(in, s1, s2)
-		if !s.store(d.Addr, in.Op.MemSize(), s.get(in.Val)) {
-			d.MemOOB = true
-		}
-	case isa.AAdd64, isa.AAdd32, isa.AAddX64, isa.AAddX32,
-		isa.AMin64, isa.AMin32, isa.AMinX64, isa.AMinX32:
-		d.Addr = effAddr(in, s1, s2)
-		size := in.Op.MemSize()
-		old, ok := s.load(d.Addr, size)
-		if !ok {
-			d.MemOOB = true
-			old = 0
-		} else {
-			nv := old + s.get(in.Val)
-			switch in.Op {
-			case isa.AMin64, isa.AMin32, isa.AMinX64, isa.AMinX32:
-				nv = min(old, s.get(in.Val))
-			}
-			s.store(d.Addr, size, nv)
+	switch op := in.Op; {
+	case op.Computes():
+		s.set(in.Dst, in.Eval(s1, s2))
+	case op.IsBranch():
+		d.Taken = op.Taken(s1, s2)
+	case op.IsStore():
+		d.Addr = in.EffAddr(s1, s2)
+		d.MemOOB = !s.store(d.Addr, op.MemSize(), s.get(in.Val))
+	case op.IsLoad(), op.IsAtomic():
+		// An access outside memory reads 0 and stores nothing.
+		d.Addr = in.EffAddr(s1, s2)
+		old, ok := s.load(d.Addr, op.MemSize())
+		d.MemOOB = !ok
+		if ok && op.IsAtomic() {
+			s.store(d.Addr, op.MemSize(), op.Atomic(old, s.get(in.Val)))
 		}
 		s.set(in.Dst, old)
-
-	case isa.Beq:
-		d.Taken = s1 == s2
-	case isa.Bne:
-		d.Taken = s1 != s2
-	case isa.Blt:
-		d.Taken = int64(s1) < int64(s2)
-	case isa.Bge:
-		d.Taken = int64(s1) >= int64(s2)
-	case isa.Bltu:
-		d.Taken = s1 < s2
-	case isa.Bgeu:
-		d.Taken = s1 >= s2
-	case isa.Bflt:
-		d.Taken = math.Float64frombits(s1) < math.Float64frombits(s2)
-	case isa.Bfge:
-		d.Taken = math.Float64frombits(s1) >= math.Float64frombits(s2)
-	case isa.Jmp:
-		next = int(in.Imm)
-
-	case isa.SliceStart:
+	case op == isa.SliceStart:
 		if !s.inSlice {
 			s.inSlice = true
 			s.sliceID = ^uint64(0) // wrong-path slices have no real id
 		}
 		d.SliceID = s.sliceID
-	case isa.SliceEnd:
+	case op == isa.SliceEnd:
 		s.inSlice = false
-	case isa.SliceFence:
-		// Nothing to track on a wrong path.
-	case isa.Barrier:
+	case op == isa.Barrier, op == isa.Halt:
 		// A wrong path reaching a barrier stops: the frontend would
 		// stall here anyway.
 		s.dead = true
-	case isa.Halt:
-		s.dead = true
 	}
-
-	if in.Op.IsBranch() {
-		d.Taken = dir(s.pc, in, d.Taken)
-		if d.Taken {
-			next = int(in.Imm)
-		} else {
-			next = s.pc + 1
-		}
-	}
-	d.NextPC = next
-	s.pc = next
+	d.NextPC = in.Next(s.pc, d.Taken)
+	s.pc = d.NextPC
 	if s.pc < 0 || s.pc >= len(s.prog.Code) {
 		s.dead = true
 	}

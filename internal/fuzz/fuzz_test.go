@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -118,6 +119,24 @@ func TestCaseRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, data2) {
 		t.Fatal("encode(decode(x)) != x")
+	}
+}
+
+// TestDecodeCaseRejectsStrayOperand: a repro file naming a register an
+// instruction does not read fails to load, rather than running a program
+// whose emulator, rename stage and slice checker read that instruction
+// three different ways.
+func TestDecodeCaseRejectsStrayOperand(t *testing.T) {
+	repro := func(addi string) []byte {
+		return []byte(`{"name":"stray","cfg":{"cores":1,"smt":1},"progs":[{"name":"p","code":[` +
+			addi + `,{"op":"halt"}]}],"mem":""}`)
+	}
+	if _, err := DecodeCase(repro(`{"op":"addi","dst":1,"src1":2,"imm":4}`)); err != nil {
+		t.Fatalf("valid repro rejected: %v", err)
+	}
+	_, err := DecodeCase(repro(`{"op":"addi","dst":1,"src1":2,"src2":3}`))
+	if err == nil || !strings.Contains(err.Error(), "pc 0") {
+		t.Fatalf("addi with a stray src2: got %v, want an error naming pc 0", err)
 	}
 }
 

@@ -173,7 +173,7 @@ type Inst struct {
 	Dst   Reg
 	Src1  Reg
 	Src2  Reg
-	Val   Reg   // store data register (St*/StX* only)
+	Val   Reg   // value register of stores and atomics
 	Imm   int64 // immediate, address offset, shift scale, or branch target
 	Flags Flag
 }
@@ -364,14 +364,4 @@ type Program struct {
 	Name   string
 	Code   []Inst
 	Labels map[string]int // label -> code index, for diagnostics
-}
-
-// LabelAt returns the label defined exactly at code index pc, if any.
-func (p *Program) LabelAt(pc int) string {
-	for name, at := range p.Labels {
-		if at == pc {
-			return name
-		}
-	}
-	return ""
 }

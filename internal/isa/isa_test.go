@@ -153,13 +153,3 @@ func TestInstString(t *testing.T) {
 		t.Fatalf("reduce prefix missing: %q", got)
 	}
 }
-
-func TestLabelAt(t *testing.T) {
-	p := &Program{Name: "x", Labels: map[string]int{"loop": 3}}
-	if p.LabelAt(3) != "loop" {
-		t.Fatal("LabelAt(3)")
-	}
-	if p.LabelAt(0) != "" {
-		t.Fatal("LabelAt(0) should be empty")
-	}
-}

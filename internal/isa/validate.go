@@ -9,7 +9,11 @@ import "fmt"
 //   - slice instructions are well formed: slices never nest, every
 //     slice_start is closed by a slice_end, and slice_fence never appears
 //     inside a slice,
-//   - register indices are in range.
+//   - register indices are in range,
+//   - every operand field an instruction does not use is zero: a source
+//     register it does not read (see Inst.Reads) and a destination on an
+//     op that writes none, so no consumer can read a field the emulator
+//     ignores.
 //
 // Slice structure is checked linearly over the static code, which is the
 // form the kernels in this repository use (a slice is a contiguous static
@@ -27,6 +31,14 @@ func Validate(p *Program) error {
 		}
 		if in.Dst >= NumRegs || in.Src1 >= NumRegs || in.Src2 >= NumRegs || in.Val >= NumRegs {
 			return fmt.Errorf("%s: pc %d: register out of range in %v", p.Name, pc, in)
+		}
+		f := opReads[in.Op]
+		if f&readsSrc1 == 0 && in.Src1 != R0 || f&readsSrc2 == 0 && in.Src2 != R0 ||
+			f&readsVal == 0 && in.Val != R0 {
+			return fmt.Errorf("%s: pc %d: %v names a source register it does not read", p.Name, pc, in)
+		}
+		if !in.Op.HasDst() && in.Dst != R0 {
+			return fmt.Errorf("%s: pc %d: %v names a destination it does not write", p.Name, pc, in)
 		}
 		if in.Op.IsControl() {
 			if in.Imm < 0 || in.Imm >= int64(len(p.Code)) {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/emu"
@@ -51,28 +50,10 @@ func (r *Replay) get(reg isa.Reg) uint64 {
 	return r.regs[reg]
 }
 
-func (r *Replay) load(addr uint64, size int) (uint64, error) {
-	if addr+uint64(size) > uint64(len(r.mem)) || addr+uint64(size) < addr {
-		return 0, fmt.Errorf("trace: %s: replayed load of %d bytes at %#x outside memory (%d bytes)",
-			r.prog.Name, size, addr, len(r.mem))
-	}
-	if size == 4 {
-		return uint64(binary.LittleEndian.Uint32(r.mem[addr:])), nil
-	}
-	return binary.LittleEndian.Uint64(r.mem[addr:]), nil
-}
-
-func (r *Replay) store(addr uint64, size int, v uint64) error {
-	if addr+uint64(size) > uint64(len(r.mem)) || addr+uint64(size) < addr {
-		return fmt.Errorf("trace: %s: replayed store of %d bytes at %#x outside memory (%d bytes)",
-			r.prog.Name, size, addr, len(r.mem))
-	}
-	if size == 4 {
-		binary.LittleEndian.PutUint32(r.mem[addr:], uint32(v))
-	} else {
-		binary.LittleEndian.PutUint64(r.mem[addr:], v)
-	}
-	return nil
+// outside is the error for a recorded access that does not fit in memory.
+func (r *Replay) outside(kind string, addr uint64, size int) error {
+	return fmt.Errorf("trace: %s: replayed %s of %d bytes at %#x outside memory (%d bytes)",
+		r.prog.Name, kind, size, addr, len(r.mem))
 }
 
 // Step produces the next recorded instruction and applies its
@@ -121,23 +102,15 @@ func (r *Replay) StepInto(d *emu.DynInst) error {
 	op := in.Op
 	switch {
 	case op.IsStore():
-		if err := r.store(d.Addr, op.MemSize(), r.get(in.Val)); err != nil {
-			return err
+		if !isa.WriteWord(r.mem, d.Addr, op.MemSize(), r.get(in.Val)) {
+			return r.outside("store", d.Addr, op.MemSize())
 		}
 	case op.IsAtomic():
-		size := op.MemSize()
-		old, err := r.load(d.Addr, size)
-		if err != nil {
-			return err
+		old, ok := isa.ReadWord(r.mem, d.Addr, op.MemSize())
+		if !ok {
+			return r.outside("load", d.Addr, op.MemSize())
 		}
-		nv := old + r.get(in.Val)
-		switch op {
-		case isa.AMin64, isa.AMin32, isa.AMinX64, isa.AMinX32:
-			nv = min(old, r.get(in.Val))
-		}
-		if err := r.store(d.Addr, size, nv); err != nil {
-			return err
-		}
+		isa.WriteWord(r.mem, d.Addr, op.MemSize(), op.Atomic(old, r.get(in.Val)))
 	}
 
 	if fl&flagVal != 0 {
@@ -145,11 +118,8 @@ func (r *Replay) StepInto(d *emu.DynInst) error {
 		r.vi++
 	}
 
-	// Control flow and slice context, mirroring Machine.Step.
-	next := pc + 1
+	// Slice context and control flow, mirroring Machine.Step.
 	switch op {
-	case isa.Jmp:
-		next = int(in.Imm)
 	case isa.SliceStart:
 		r.inSlice = true
 		r.sliceID++
@@ -159,10 +129,7 @@ func (r *Replay) StepInto(d *emu.DynInst) error {
 	case isa.Halt:
 		r.halted = true
 	}
-	if op.IsBranch() && d.Taken {
-		next = int(in.Imm)
-	}
-	d.NextPC = next
+	d.NextPC = in.Next(pc, d.Taken)
 	return nil
 }
 
