@@ -36,7 +36,7 @@ func BenchmarkTable1Config(b *testing.B) {
 
 func BenchmarkMotivation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Motivation(benchDelta)
+		f, err := NewRunner(0).Motivation(benchDelta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkMotivation(b *testing.B) {
 
 func BenchmarkFig4SliceSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig4(benchDelta)
+		f, err := NewRunner(0).Fig4(benchDelta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkFig4SliceSpeedup(b *testing.B) {
 
 func BenchmarkFig5CycleStacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig5(benchDelta)
+		f, err := NewRunner(0).Fig5(benchDelta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkFig5CycleStacks(b *testing.B) {
 
 func BenchmarkFig6Dispatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig6(benchDelta)
+		f, err := NewRunner(0).Fig6(benchDelta)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkFig6Dispatched(b *testing.B) {
 
 func BenchmarkFig7Reserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig7(benchDelta, []int{1, 8, 32})
+		f, err := NewRunner(0).Fig7(benchDelta, []int{1, 8, 32})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func BenchmarkFig7Reserve(b *testing.B) {
 
 func BenchmarkFig8Blocks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig8(benchDelta, []int{1, 8, 16})
+		f, err := NewRunner(0).Fig8(benchDelta, []int{1, 8, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkFig8Blocks(b *testing.B) {
 
 func BenchmarkFig9InputSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig9(benchDelta - 1)
+		f, err := NewRunner(0).Fig9(benchDelta - 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkFig9InputSize(b *testing.B) {
 
 func BenchmarkFig10Multicore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig10(benchDelta, 4, 1)
+		f, err := NewRunner(0).Fig10(benchDelta, 4, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkFig10Multicore(b *testing.B) {
 
 func BenchmarkFig11SMT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := Fig11(benchDelta)
+		f, err := NewRunner(0).Fig11(benchDelta)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -267,20 +267,21 @@ func Run(o Options) (*Result, error) {
 // CPU back mid-simulation instead of waiting for the run to finish. The
 // returned error wraps ctx.Err().
 func RunContext(ctx context.Context, o Options) (*Result, error) {
-	n := o.normalized()
-
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("blp: %s (%v) canceled before build: %w", o.Benchmark, o.Mode, err)
 	}
+	n := o.normalized()
 	w, err := kernels.Build(buildSpec(n))
 	if err != nil {
 		return nil, err
 	}
 
-	r, err := sim.Run(simConfig(ctx, n), w)
+	cfg := simConfig(n)
+	cfg.Ctx = ctx
+	r, err := sim.Run(cfg, w)
 	if err != nil {
 		return nil, fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
 	}
@@ -301,7 +302,7 @@ func buildSpec(n Options) kernels.Spec {
 }
 
 // simConfig maps normalized options to the sim configuration.
-func simConfig(ctx context.Context, n Options) sim.Config {
+func simConfig(n Options) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Cores = n.Cores
 	cfg.Core.SMT = n.SMT
@@ -321,7 +322,6 @@ func simConfig(ctx context.Context, n Options) sim.Config {
 	}
 	cfg.WatchdogCycles = n.WatchdogCycles
 	cfg.Recorder = n.Flight
-	cfg.Ctx = ctx
 	return cfg
 }
 
@@ -334,19 +334,40 @@ func memConfig(n Options) sim.MemConfig {
 }
 
 // Validate reports, before any work is done, options no simulation can
-// run: an unknown policy, or a memory hierarchy the cache model cannot
-// size exactly. Every cache level needs a power-of-two number of sets
-// and the LLC grows with the core count, so with both memory
-// configurations Cores must be a power of two.
+// run. Each rule lives with the package that owns it, checked on exactly
+// the configurations the run would use: the workload's (an unknown
+// benchmark, inner slicing where §6.1 forbids it, a negative Scale,
+// Degree or thread count; kernels.Spec.Normalize), the policy's
+// (core.ParsePolicy), the machine's (sim.Config.Validate: at least one
+// core, a non-negative watchdog, a cache hierarchy the model can size
+// exactly — so Cores must be a power of two, as the LLC grows with it —
+// and core.Config.Validate's SMT, predictor, reserve and ROB rules), and
+// this package's own: a field that takes the Zero sentinel is not below
+// Zero.
 func (o Options) Validate() error {
-	n := o.normalized()
-	if _, err := core.ParsePolicy(n.Policy); err != nil {
+	if err := o.normalized().validate(); err != nil {
 		return fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
 	}
-	if err := memConfig(n).Validate(); err != nil {
-		return fmt.Errorf("blp: %d cores (must be a power of two): %w", n.Cores, err)
-	}
 	return nil
+}
+
+// validate checks normalized options; see Validate.
+func (n Options) validate() error {
+	if _, err := buildSpec(n).Normalize(); err != nil {
+		return err
+	}
+	if _, err := core.ParsePolicy(n.Policy); err != nil {
+		return err
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"Reserve", n.Reserve}, {"ROBBlockSize", n.ROBBlockSize}, {"FRQSize", n.FRQSize}, {"PRIters", n.PRIters}} {
+		if f.v < Zero {
+			return fmt.Errorf("%s %d is below Zero (%d, an explicit 0)", f.name, f.v, Zero)
+		}
+	}
+	return simConfig(n).Validate()
 }
 
 // makeResult converts a sim result into the public Result, deriving the

@@ -38,6 +38,64 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestBadOptionsFailBeforeBuild: every option no simulation can run is
+// answered by Validate, so Run and a Runner return its error without
+// building a workload: nothing panics, and the Runner simulates nothing.
+func TestBadOptionsFailBeforeBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"unknown predictor", Options{Predictor: "tagee"}},
+		{"negative cores", Options{Cores: -1}},
+		{"negative scale", Options{Scale: -2}},
+		{"negative degree", Options{Degree: -4}},
+		{"smt 3", Options{SMT: 3}},
+		{"zero reserve under slicing", Options{Mode: SliceOuter, Reserve: Zero}},
+		{"zero ROB block", Options{ROBBlockSize: Zero}},
+		{"reserve above the RS", Options{Reserve: 500}},
+		{"negative watchdog", Options{WatchdogCycles: -1}},
+		{"inner slicing on bfs", Options{Benchmark: "bfs", Mode: SliceInner}},
+		{"reserve below Zero", Options{Reserve: -2}},
+		{"3 cores", Options{Cores: 3}},
+	} {
+		o := tc.o
+		if o.Benchmark == "" {
+			o.Benchmark = "cc"
+		}
+		if o.Scale == 0 {
+			o.Scale = 6
+		}
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		r := NewRunner(1)
+		for _, run := range []struct {
+			name string
+			f    func() (*Result, error)
+		}{
+			{"Run", func() (*Result, error) { return Run(o) }},
+			{"Runner", func() (*Result, error) { return r.Run(o) }},
+		} {
+			if p, err := catchPanic(run.f); p != nil {
+				t.Errorf("%s: %s panicked: %v", tc.name, run.name, p)
+			} else if err == nil {
+				t.Errorf("%s: %s accepted it", tc.name, run.name)
+			}
+		}
+		if n := r.Stats().Simulated; n != 0 {
+			t.Errorf("%s: the Runner simulated %d runs", tc.name, n)
+		}
+	}
+}
+
+// catchPanic runs f, returning the value it panicked with, or its error.
+func catchPanic(f func() (*Result, error)) (p any, err error) {
+	defer func() { p = recover() }()
+	_, err = f()
+	return nil, err
+}
+
 func TestBestMode(t *testing.T) {
 	// The measured-best placements of this reproduction's Fig. 4 (the
 	// paper's own "test a few options" prescription; see experiments.go
@@ -106,7 +164,7 @@ func TestFigureHarnessTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
 	}
-	f, err := Fig7(-6, []int{8}) // tiny inputs (scales clamp at 6)
+	f, err := NewRunner(0).Fig7(-6, []int{8}) // tiny inputs (scales clamp at 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	blp "repro"
+	"repro/internal/kernels"
 )
 
 func main() {
@@ -71,16 +72,9 @@ func main() {
 		})
 	}
 
-	var m blp.SliceMode
-	switch *mode {
-	case "none":
-		m = blp.SliceNone
-	case "outer":
-		m = blp.SliceOuter
-	case "inner":
-		m = blp.SliceInner
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	m, err := kernels.ParseSliceMode(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	opts := blp.Options{

@@ -141,11 +141,6 @@ func (b *batch) get(name string) *Result {
 
 // Motivation reproduces the §3 baseline statistics: wrong-path dispatch
 // overhead and the oracle-predictor speedup for every benchmark.
-func Motivation(scaleDelta int) (*Figure, error) {
-	return NewRunner(0).Motivation(scaleDelta)
-}
-
-// Motivation is the Runner-backed form of the package-level Motivation.
 func (r *Runner) Motivation(scaleDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "motivation",
@@ -216,9 +211,6 @@ func Table1() *Figure {
 // available, plus perfect branch prediction, per benchmark, with the
 // harmonic means the paper quotes (1.29 overall, 1.35 without pr, 1.60
 // perfect).
-func Fig4(scaleDelta int) (*Figure, error) { return NewRunner(0).Fig4(scaleDelta) }
-
-// Fig4 is the Runner-backed form of the package-level Fig4.
 func (r *Runner) Fig4(scaleDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "fig4",
@@ -285,9 +277,6 @@ func (r *Runner) Fig4(scaleDelta int) (*Figure, error) {
 
 // Fig5 reproduces the cycle stacks (exec/branch/mem/other) of baseline
 // and sliced execution, normalized to the baseline cycle count.
-func Fig5(scaleDelta int) (*Figure, error) { return NewRunner(0).Fig5(scaleDelta) }
-
-// Fig5 is the Runner-backed form of the package-level Fig5.
 func (r *Runner) Fig5(scaleDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "fig5",
@@ -325,9 +314,6 @@ func (r *Runner) Fig5(scaleDelta int) (*Figure, error) {
 // Fig6 reproduces the dispatched-instruction breakdown: correct path,
 // wrong path, and slice-instruction overhead, normalized to the baseline
 // correct-path count.
-func Fig6(scaleDelta int) (*Figure, error) { return NewRunner(0).Fig6(scaleDelta) }
-
-// Fig6 is the Runner-backed form of the package-level Fig6.
 func (r *Runner) Fig6(scaleDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "fig6",
@@ -366,11 +352,6 @@ func (r *Runner) Fig6(scaleDelta int) (*Figure, error) {
 // the explicit-zero sentinel (see Options.Reserve); the core rejects it
 // under selective flush, surfacing the §4.7 forward-progress argument as
 // an error rather than a silent fallback to the default.
-func Fig7(scaleDelta int, reserves []int) (*Figure, error) {
-	return NewRunner(0).Fig7(scaleDelta, reserves)
-}
-
-// Fig7 is the Runner-backed form of the package-level Fig7.
 func (r *Runner) Fig7(scaleDelta int, reserves []int) (*Figure, error) {
 	if len(reserves) == 0 {
 		reserves = []int{1, 2, 4, 8, 16, 32}
@@ -415,11 +396,6 @@ func (r *Runner) Fig7(scaleDelta int, reserves []int) (*Figure, error) {
 }
 
 // Fig8 sweeps the blocked linked-list ROB block size.
-func Fig8(scaleDelta int, blocks []int) (*Figure, error) {
-	return NewRunner(0).Fig8(scaleDelta, blocks)
-}
-
-// Fig8 is the Runner-backed form of the package-level Fig8.
 func (r *Runner) Fig8(scaleDelta int, blocks []int) (*Figure, error) {
 	if len(blocks) == 0 {
 		blocks = []int{1, 2, 4, 8, 16}
@@ -469,9 +445,6 @@ func (r *Runner) Fig8(scaleDelta int, blocks []int) (*Figure, error) {
 }
 
 // Fig9 sweeps input size (1×, 2×, 4×, 8× vertices).
-func Fig9(scaleDelta int) (*Figure, error) { return NewRunner(0).Fig9(scaleDelta) }
-
-// Fig9 is the Runner-backed form of the package-level Fig9.
 func (r *Runner) Fig9(scaleDelta int) (*Figure, error) {
 	factors := []int{0, 1, 2, 3} // scale deltas = log2 of the size factor
 	f := &Figure{
@@ -516,11 +489,6 @@ func (r *Runner) Fig9(scaleDelta int) (*Figure, error) {
 // Fig10 compares multicore speedups against single-core speedups (the
 // paper runs 28 cores with 16× inputs; pass cores and sizeDelta to scale
 // the experiment to budget).
-func Fig10(scaleDelta, cores, sizeDelta int) (*Figure, error) {
-	return NewRunner(0).Fig10(scaleDelta, cores, sizeDelta)
-}
-
-// Fig10 is the Runner-backed form of the package-level Fig10.
 func (r *Runner) Fig10(scaleDelta, cores, sizeDelta int) (*Figure, error) {
 	if cores <= 0 {
 		cores = 4
@@ -559,9 +527,6 @@ func (r *Runner) Fig10(scaleDelta, cores, sizeDelta int) (*Figure, error) {
 	return f, nil
 }
 
-// Fig11 combines SMT (2 and 4 threads) with slicing on a single core.
-func Fig11(scaleDelta int) (*Figure, error) { return NewRunner(0).Fig11(scaleDelta) }
-
 // fig11Configs are the per-benchmark run variants of Fig. 11, in column
 // order. Modes marked best are resolved per benchmark.
 var fig11Configs = []struct {
@@ -578,7 +543,7 @@ var fig11Configs = []struct {
 	{"perfect", 1, false, "oracle"},
 }
 
-// Fig11 is the Runner-backed form of the package-level Fig11.
+// Fig11 combines SMT (2 and 4 threads) with slicing on a single core.
 func (r *Runner) Fig11(scaleDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "fig11",
@@ -616,18 +581,6 @@ func (r *Runner) Fig11(scaleDelta int) (*Figure, error) {
 	return f, nil
 }
 
-// PolicyMatrix compares the recovery-policy matrix (§4.2 and the
-// conventional-recovery alternatives it displaces) on every benchmark:
-// baseline IPC under conventional full-squash recovery, then speedups for
-// the paper's selective flush (at BestMode), a partial flush that releases
-// the 16 victims nearest the branch at resolution and drains the rest, and
-// a conventional squash with fetch throttled below TAGE confidence 2. This is not a paper
-// figure — it is the repo's own ablation of what the selective mechanism
-// buys over cheaper recovery tweaks.
-func PolicyMatrix(scaleDelta int) (*Figure, error) {
-	return NewRunner(0).PolicyMatrix(scaleDelta)
-}
-
 // policyMatrixConfigs are the per-benchmark variants of the policy
 // figure, in column order. Selective resolves BestMode per benchmark.
 var policyMatrixConfigs = []struct {
@@ -640,7 +593,14 @@ var policyMatrixConfigs = []struct {
 	{"throttle2", "throttle:2", false},
 }
 
-// PolicyMatrix is the Runner-backed form of the package-level PolicyMatrix.
+// PolicyMatrix compares the recovery-policy matrix (§4.2 and the
+// conventional-recovery alternatives it displaces) on every benchmark:
+// baseline IPC under conventional full-squash recovery, then speedups for
+// the paper's selective flush (at BestMode), a partial flush that releases
+// the 16 victims nearest the branch at resolution and drains the rest, and
+// a conventional squash with fetch throttled below TAGE confidence 2. This
+// is not a paper figure — it is the repo's own ablation of what the
+// selective mechanism buys over cheaper recovery tweaks.
 func (r *Runner) PolicyMatrix(scaleDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "policy",

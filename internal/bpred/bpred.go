@@ -12,6 +12,11 @@
 // table indices computed from prediction-time history; Resolve consumes it.
 package bpred
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Predictor is the common direction-predictor interface.
 type Predictor interface {
 	// Predict returns the predicted direction for the conditional
@@ -29,8 +34,6 @@ type Predictor interface {
 	// selective flush keeps younger fetched branches in flight, so the
 	// core passes repairHist=false and the history keeps evolving.
 	Resolve(p Pred, pc uint64, actual bool, repairHist bool)
-	// Name identifies the predictor in reports.
-	Name() string
 }
 
 // Pred is the per-prediction token: the predicted direction, the history
@@ -56,23 +59,45 @@ type Pred struct {
 	baseIdx  uint32
 }
 
+// predictors is the one table of predictor names: New builds from it
+// and Validate checks against it, listing the names in this order.
+var predictors = []struct {
+	name  string
+	build func() Predictor
+}{
+	{"tage", func() Predictor { return NewTAGE() }},
+	{"gshare", func() Predictor { return NewGshare(14, 12) }},
+	{"bimodal", func() Predictor { return NewBimodal(14) }},
+	{"static", func() Predictor { return Static{} }},
+	{"oracle", func() Predictor { return &Oracle{} }},
+}
+
+// Validate reports a name New does not know, listing the ones it does.
+func Validate(name string) error {
+	_, err := lookup(name)
+	return err
+}
+
+func lookup(name string) (func() Predictor, error) {
+	names := make([]string, len(predictors))
+	for i, p := range predictors {
+		if p.name == name {
+			return p.build, nil
+		}
+		names[i] = p.name
+	}
+	return nil, fmt.Errorf("bpred: unknown predictor %q (%s)", name, strings.Join(names, ", "))
+}
+
 // New constructs a predictor by name: "tage", "gshare", "bimodal",
 // "static", or "oracle". Unknown names panic: predictor choice is a
-// configuration-time decision.
+// configuration-time decision, checked beforehand by Validate.
 func New(name string) Predictor {
-	switch name {
-	case "tage":
-		return NewTAGE()
-	case "gshare":
-		return NewGshare(14, 12)
-	case "bimodal":
-		return NewBimodal(14)
-	case "static":
-		return Static{}
-	case "oracle":
-		return &Oracle{}
+	build, err := lookup(name)
+	if err != nil {
+		panic(err)
 	}
-	panic("bpred: unknown predictor " + name)
+	return build()
 }
 
 // ctrUpdate saturates a small signed counter in [-(1<<(bits-1)), (1<<(bits-1))-1].
@@ -106,9 +131,6 @@ func (Static) OnFetch(bool) {}
 // Resolve implements Predictor.
 func (Static) Resolve(Pred, uint64, bool, bool) {}
 
-// Name implements Predictor.
-func (Static) Name() string { return "static" }
-
 // Oracle always predicts correctly: the perfect-branch-prediction
 // configuration of Figs. 4 and 11.
 type Oracle struct{}
@@ -123,9 +145,6 @@ func (*Oracle) OnFetch(bool) {}
 
 // Resolve implements Predictor.
 func (*Oracle) Resolve(Pred, uint64, bool, bool) {}
-
-// Name implements Predictor.
-func (*Oracle) Name() string { return "oracle" }
 
 // Bimodal is a table of 2-bit saturating counters indexed by PC.
 type Bimodal struct {
@@ -153,9 +172,6 @@ func (b *Bimodal) Resolve(_ Pred, pc uint64, actual bool, _ bool) {
 	i := pc & b.mask
 	b.ctr[i] = ctrUpdate(b.ctr[i], actual, 2)
 }
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
 
 // Gshare XORs the global history with the PC to index a counter table.
 type Gshare struct {
@@ -196,9 +212,6 @@ func (g *Gshare) Resolve(p Pred, pc uint64, actual bool, repairHist bool) {
 		g.hist = p.Hist<<1 | b2u(actual)
 	}
 }
-
-// Name implements Predictor.
-func (g *Gshare) Name() string { return "gshare" }
 
 func b2u(b bool) uint64 {
 	if b {

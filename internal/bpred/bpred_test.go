@@ -1,6 +1,8 @@
 package bpred
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -164,17 +166,22 @@ func TestBTB(t *testing.T) {
 	if hits > 2 {
 		t.Fatal("eviction did not happen in a 2-way set")
 	}
-	h, m := b.Stats()
-	if h == 0 || m == 0 {
-		t.Fatal("stats not counted")
-	}
 }
 
 func TestNewByName(t *testing.T) {
-	for _, name := range []string{"tage", "gshare", "bimodal", "static", "oracle"} {
-		if p := New(name); p.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, p.Name())
+	for name, want := range map[string]Predictor{
+		"tage": &TAGE{}, "gshare": &Gshare{}, "bimodal": &Bimodal{},
+		"static": Static{}, "oracle": &Oracle{},
+	} {
+		if err := Validate(name); err != nil {
+			t.Errorf("Validate(%q): %v", name, err)
 		}
+		if got := New(name); reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("New(%q) is a %T, want %T", name, got, want)
+		}
+	}
+	if err := Validate("tagee"); err == nil || !strings.Contains(err.Error(), "tage, gshare, bimodal, static, oracle") {
+		t.Errorf("Validate(tagee) = %v, want an error listing the predictors", err)
 	}
 	defer func() {
 		if recover() == nil {

@@ -8,8 +8,6 @@ type BTB struct {
 	sets    int
 	ways    int
 	entries [][]btbEntry
-	hits    uint64
-	misses  uint64
 	clock   uint64
 }
 
@@ -36,11 +34,9 @@ func (b *BTB) Lookup(pc uint64) (int, bool) {
 		if set[i].valid && set[i].tag == pc {
 			b.clock++
 			set[i].lru = b.clock
-			b.hits++
 			return set[i].target, true
 		}
 	}
-	b.misses++
 	return 0, false
 }
 
@@ -60,6 +56,3 @@ func (b *BTB) Insert(pc uint64, target int) {
 	b.clock++
 	set[victim] = btbEntry{valid: true, tag: pc, target: target, lru: b.clock}
 }
-
-// Stats returns hit and miss counts.
-func (b *BTB) Stats() (hits, misses uint64) { return b.hits, b.misses }

@@ -52,20 +52,6 @@ func TestBTBFullTagNoFalseHits(t *testing.T) {
 	}
 }
 
-// TestBTBStatsExact: hits and misses are counted per Lookup, and Insert
-// counts neither.
-func TestBTBStatsExact(t *testing.T) {
-	b := NewBTB(8, 2)
-	b.Lookup(3) // miss
-	b.Insert(3, 30)
-	b.Lookup(3)  // hit
-	b.Lookup(3)  // hit
-	b.Lookup(11) // miss (same set)
-	if h, m := b.Stats(); h != 2 || m != 2 {
-		t.Fatalf("stats = %d hits, %d misses; want 2, 2", h, m)
-	}
-}
-
 // TestBTBGeometries: insert-then-lookup works across set/way shapes, and
 // capacity-plus-one inserts into one set evict exactly one entry.
 func TestBTBGeometries(t *testing.T) {

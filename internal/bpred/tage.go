@@ -52,9 +52,6 @@ func NewTAGE() *TAGE {
 	return t
 }
 
-// Name implements Predictor.
-func (t *TAGE) Name() string { return "tage" }
-
 // fold compresses the low n bits of h into chunks of width bits, XORed.
 func fold(h uint64, n, width uint) uint64 {
 	h &= 1<<n - 1

@@ -19,8 +19,6 @@ type Level interface {
 	// fills (accounted separately, and not propagated recursively as
 	// demand). It returns the cycle at which the line is available.
 	Access(addr uint64, now int64, write, prefetch bool) int64
-	// Name identifies the level in stats output.
-	Name() string
 }
 
 // Config describes one cache level.
@@ -149,9 +147,6 @@ func New(cfg Config, next Level) *Cache {
 	}
 	return c
 }
-
-// Name implements Level.
-func (c *Cache) Name() string { return c.cfg.Name }
 
 // Stats returns a copy of the level's counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -357,8 +352,4 @@ func (c *Cache) AccessPC(addr uint64, pc uint64, now int64, write bool) int64 {
 // Contains reports whether addr's line is present (test helper).
 func (c *Cache) Contains(addr uint64) bool {
 	return c.lookup(c.sets[c.setIndex(addr)], c.tagOf(addr)) >= 0
-}
-
-func (c *Cache) String() string {
-	return fmt.Sprintf("%s{%dKB %d-way}", c.cfg.Name, c.cfg.SizeBytes/1024, c.cfg.Ways)
 }

@@ -26,9 +26,6 @@ func NewMemory(latency int, bytesPerCycle float64, lineBytes int) *Memory {
 	}
 }
 
-// Name implements Level.
-func (m *Memory) Name() string { return "mem" }
-
 // Accesses returns the number of line transfers served.
 func (m *Memory) Accesses() uint64 { return m.accesses }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bpred"
 	"repro/internal/flight"
 )
 
@@ -31,8 +32,9 @@ type Config struct {
 	// the refill part of the branch misprediction penalty.
 	FrontendDepth int
 
-	// Predictor selects the direction predictor: "tage" (Table 1),
-	// "gshare", "bimodal", "static", or "oracle" (perfect prediction).
+	// Predictor selects the direction predictor by its bpred name:
+	// "tage" (Table 1), "gshare", "bimodal", "static", or "oracle"
+	// (perfect prediction).
 	Predictor string
 	BTBSets   int
 	BTBWays   int
@@ -156,6 +158,9 @@ func (c Config) Validate() error {
 	}
 	if c.ROBBlockSize < 1 {
 		return fmt.Errorf("core: ROBBlockSize must be >= 1")
+	}
+	if err := bpred.Validate(c.Predictor); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -329,10 +329,6 @@ func (c *Core) SkipTo(target int64) {
 	c.stats.Cycles = target
 }
 
-// LastCycleActive reports whether the most recent Cycle changed pipeline
-// state (used by equivalence tests to validate NextWake's idle claims).
-func (c *Core) LastCycleActive() bool { return c.activity }
-
 // classPorts caps per-class issue bandwidth (a simplified Skylake port
 // map: 4 ALU ports, 2 load, 1 store-address, 2 branch-capable, one
 // divider). ClassSlice has none: dispatch discards slice markers.

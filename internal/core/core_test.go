@@ -20,6 +20,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ROBBlockSize = 0 },
 		func(c *Config) { c.Recovery = PolicySpec{Kind: PolicySelective}; c.Reserve = 0 },
 		func(c *Config) { c.Recovery = PolicySpec{} },
+		func(c *Config) { c.Predictor = "tagee" },
+		func(c *Config) { c.Predictor = "" },
 	}
 	zeroReserveBaseline := DefaultConfig()
 	zeroReserveBaseline.Reserve = 0

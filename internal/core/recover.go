@@ -31,17 +31,10 @@ func (c *Core) resolveBranch(u *uop) {
 		if u.resolveOf != nil && u.resolveOf.stall == u {
 			u.resolveOf.stall = nil
 		}
-		t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
+		t.fetchStallUntil = max(t.fetchStallUntil, c.now+1)
 	default:
 		c.resolveFull(t, u)
 	}
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // resolveSelective performs the §4.2 recovery: flush only the wrong-path
@@ -143,7 +136,7 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	// Fetch turns to the oldest queued miss (this one, unless an even
 	// older hole is still resolving) after a one-cycle redirect bubble.
 	t.startNextResolve()
-	t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
+	t.fetchStallUntil = max(t.fetchStallUntil, c.now+1)
 }
 
 // resolveFull is the full-squash walk, the recovery of every mispredict
@@ -278,7 +271,7 @@ func (c *Core) resetFetchAfterFlush(t *thread) {
 		c.space.ReleaseAllGaps()
 	}
 	t.redirectUntil = c.now + 1 + int64(c.cfg.FrontendDepth)
-	t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
+	t.fetchStallUntil = max(t.fetchStallUntil, c.now+1)
 	t.lastILine = -1
 }
 

@@ -101,9 +101,6 @@ func newThread(id int, c *Core, m *emu.Machine) *thread {
 // instructions.
 func (t *thread) finishedFetching() bool { return t.haltSeen || t.done }
 
-// active reports whether the thread still has work in flight or to fetch.
-func (t *thread) active() bool { return !t.done }
-
 // nextFetchPC peeks the PC the current source would fetch next, or -1 if
 // the source cannot produce an instruction right now.
 func (t *thread) nextFetchPC() int {

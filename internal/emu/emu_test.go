@@ -432,7 +432,10 @@ func TestRunAllBarrierPhases(t *testing.T) {
 	rB, rV := ba.Reg(), ba.Reg()
 	ba.Li(rB, int64(buf))
 	ba.Li(rV, 77)
+	ba.SliceStart(true)
 	ba.St64(rB, 0, rV)
+	ba.Nop()
+	ba.SliceEnd(true)
 	ba.Barrier()
 	ba.Halt()
 
@@ -445,11 +448,26 @@ func TestRunAllBarrierPhases(t *testing.T) {
 	bb.Halt()
 
 	mem := l.Image()
-	ms := []*Machine{New(bb.Build(), mem), New(ba.Build(), mem)}
-	if _, err := RunAll(ms, 0); err != nil {
+	progs := []*isa.Program{bb.Build(), ba.Build()}
+	ms := []*Machine{New(progs[0], mem), New(progs[1], mem)}
+	commits, err := RunAll(ms, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := program.ReadU64(mem, buf+8); got != 77 {
 		t.Fatalf("reader saw %d, want 77", got)
+	}
+	// Both programs are straight-line, so every instruction runs once;
+	// the count leaves out the slice markers and the nop.
+	var want uint64
+	for _, p := range progs {
+		for _, in := range p.Code {
+			if !in.Op.IsSlice() && in.Op != isa.Nop {
+				want++
+			}
+		}
+	}
+	if commits != want || want == 0 {
+		t.Fatalf("RunAll counted %d instructions, want %d", commits, want)
 	}
 }

@@ -10,9 +10,13 @@ import (
 // functionally, honoring barriers: each machine runs until its next
 // Barrier or Halt; when all have arrived, the barrier opens and the next
 // phase starts. It is the fast validation path for multi-threaded
-// workloads (no timing). Returns the total instruction count.
+// workloads (no timing), and the reference the pipeline's commit count is
+// checked against. It returns the number of instructions a pipeline
+// commits for this run: every executed instruction except slice markers
+// and nops, which the core discards at dispatch. maxInsts (0 = no limit)
+// bounds every executed instruction.
 func RunAll(machines []*Machine, maxInsts uint64) (uint64, error) {
-	var total uint64
+	var commits, total uint64
 	for {
 		alive := false
 		for _, m := range machines {
@@ -23,19 +27,22 @@ func RunAll(machines []*Machine, maxInsts uint64) (uint64, error) {
 			for !m.Halted {
 				d, err := m.Step()
 				if err != nil {
-					return total, err
+					return commits, err
 				}
-				total++
-				if maxInsts > 0 && total > maxInsts {
-					return total, fmt.Errorf("emu: RunAll budget %d exhausted", maxInsts)
+				if total++; maxInsts > 0 && total > maxInsts {
+					return commits, fmt.Errorf("emu: RunAll budget %d exhausted", maxInsts)
 				}
-				if d.Inst.Op == isa.Barrier {
+				op := d.Inst.Op
+				if !op.IsSlice() && op != isa.Nop {
+					commits++
+				}
+				if op == isa.Barrier {
 					break
 				}
 			}
 		}
 		if !alive {
-			return total, nil
+			return commits, nil
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/sim"
 )
 
@@ -32,46 +31,19 @@ func violationf(kind, format string, args ...any) *Violation {
 
 // runRef executes the case on the architectural emulator (with the §4.1
 // discipline checker on) and returns the final memory image and the number
-// of instructions the pipeline is expected to commit: every dynamic
-// instruction except slice markers and nops, which the core discards at
-// dispatch.
+// of instructions the pipeline is expected to commit (emu.RunAll's count).
 func runRef(c *Case) ([]byte, uint64, error) {
 	mem := append([]byte(nil), c.Mem...)
 	ms := make([]*emu.Machine, len(c.Progs))
 	for i, p := range c.Progs {
-		m := emu.New(p, mem)
-		m.CheckIndependence = true
-		ms[i] = m
+		ms[i] = emu.New(p, mem)
+		ms[i].CheckIndependence = true
 	}
-	var commits, total uint64
-	for {
-		alive := false
-		for _, m := range ms {
-			if m.Halted {
-				continue
-			}
-			alive = true
-			for !m.Halted {
-				d, err := m.Step()
-				if err != nil {
-					return nil, 0, err
-				}
-				if total++; total > refBudget {
-					return nil, 0, fmt.Errorf("%s: reference budget %d exhausted", c.Name, refBudget)
-				}
-				op := d.Inst.Op
-				if !op.IsSlice() && op != isa.Nop {
-					commits++
-				}
-				if op == isa.Barrier {
-					break
-				}
-			}
-		}
-		if !alive {
-			return mem, commits, nil
-		}
+	commits, err := emu.RunAll(ms, refBudget)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", c.Name, err)
 	}
+	return mem, commits, nil
 }
 
 // runSim runs one timing leg on a fresh copy of the case's memory,

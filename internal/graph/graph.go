@@ -23,9 +23,6 @@ func (g *CSR) Degree(v int) int {
 	return int(g.Offsets[v+1] - g.Offsets[v])
 }
 
-// NumEdges returns the number of directed edges stored.
-func (g *CSR) NumEdges() int { return len(g.Neigh) }
-
 // Validate checks CSR structural invariants (test helper).
 func (g *CSR) Validate() error {
 	if len(g.Offsets) != g.N+1 {
@@ -159,53 +156,4 @@ func RMAT(scale, degree int, seed uint64, weighted bool) *CSR {
 		}
 	}
 	return g
-}
-
-// Uniform generates an Erdős–Rényi-style random graph with the same
-// interface as RMAT (used in tests and examples for contrast).
-func Uniform(scale, degree int, seed uint64, weighted bool) *CSR {
-	n := 1 << scale
-	rng := NewRNG(seed)
-	type edge struct{ u, v uint32 }
-	edges := make([]edge, 0, 2*n*degree)
-	for i := 0; i < n*degree; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			continue
-		}
-		edges = append(edges, edge{uint32(u), uint32(v)}, edge{uint32(v), uint32(u)})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	g := &CSR{N: n, Offsets: make([]uint32, n+1)}
-	var last edge
-	havePrev := false
-	for _, e := range edges {
-		if havePrev && e == last {
-			continue
-		}
-		g.Neigh = append(g.Neigh, e.v)
-		g.Offsets[e.u+1]++
-		last, havePrev = e, true
-	}
-	for v := 0; v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	if weighted {
-		g.Weights = make([]uint32, len(g.Neigh))
-		for i := range g.Weights {
-			g.Weights[i] = uint32(NewRNG(seed^uint64(i)).Next()%255) + 1
-		}
-	}
-	return g
-}
-
-// FootprintBytes estimates the memory image size of the CSR arrays plus
-// per-vertex property arrays of propBytes bytes each.
-func (g *CSR) FootprintBytes(propArrays, propBytes int) int {
-	return 4*(g.N+1) + 4*len(g.Neigh) + propArrays*propBytes*g.N
 }

@@ -102,13 +102,6 @@ func TestWeightsSymmetric(t *testing.T) {
 	}
 }
 
-func TestUniformValid(t *testing.T) {
-	g := Uniform(8, 8, 1, true)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRNGQuick: splitmix64 streams from distinct seeds differ, and the
 // same seed reproduces.
 func TestRNGQuick(t *testing.T) {
@@ -130,13 +123,5 @@ func TestRNGQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFootprint(t *testing.T) {
-	g := RMAT(8, 8, 1, false)
-	fp := g.FootprintBytes(2, 4)
-	if fp < 4*(g.N+1)+4*len(g.Neigh) {
-		t.Fatal("footprint too small")
 	}
 }

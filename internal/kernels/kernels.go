@@ -13,6 +13,7 @@ package kernels
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/graph"
@@ -40,6 +41,20 @@ func (m SliceMode) String() string {
 		return "inner"
 	}
 	return fmt.Sprintf("SliceMode(%d)", int(m))
+}
+
+// ParseSliceMode is the inverse of String: "none" (or ""), "outer" or
+// "inner".
+func ParseSliceMode(s string) (SliceMode, error) {
+	if s == "" {
+		return SliceNone, nil
+	}
+	for m := SliceNone; m <= SliceInner; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return SliceNone, fmt.Errorf("unknown mode %q (none, outer, or inner)", s)
 }
 
 // Names lists the benchmarks in the paper's reporting order.
@@ -92,8 +107,18 @@ func DefaultScale(kernel string) int {
 	}
 }
 
-// Normalize fills zero fields with defaults and validates the spec.
+// Normalize fills zero fields with defaults and validates the spec: a
+// known kernel, inner slicing only where §6.1 allows it, and no negative
+// Scale, Degree or Threads.
 func (s Spec) Normalize() (Spec, error) {
+	switch {
+	case s.Scale < 0:
+		return s, fmt.Errorf("kernels: scale %d is negative", s.Scale)
+	case s.Degree < 0:
+		return s, fmt.Errorf("kernels: degree %d is negative", s.Degree)
+	case s.Threads < 0:
+		return s, fmt.Errorf("kernels: %d hardware threads (cores × SMT) is negative", s.Threads)
+	}
 	if s.Scale == 0 {
 		s.Scale = DefaultScale(s.Kernel)
 	}
@@ -117,7 +142,7 @@ func (s Spec) Normalize() (Spec, error) {
 	switch s.Kernel {
 	case "bc", "bfs", "cc", "pr", "sssp", "tc", "ms":
 	default:
-		return s, fmt.Errorf("kernels: unknown kernel %q", s.Kernel)
+		return s, fmt.Errorf("kernels: unknown kernel %q (one of %s)", s.Kernel, strings.Join(Names, ", "))
 	}
 	return s, nil
 }

@@ -117,3 +117,31 @@ func TestInnerSliceRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeRejectsNegative: a negative scale, degree or thread count
+// used to reach the builders and panic on a negative shift or length.
+func TestNormalizeRejectsNegative(t *testing.T) {
+	for _, s := range []Spec{
+		{Kernel: "cc", Scale: -2},
+		{Kernel: "cc", Degree: -4},
+		{Kernel: "cc", Threads: -1},
+	} {
+		if _, err := s.Normalize(); err == nil {
+			t.Errorf("%+v accepted", s)
+		}
+	}
+}
+
+func TestParseSliceMode(t *testing.T) {
+	for _, m := range []SliceMode{SliceNone, SliceOuter, SliceInner} {
+		if got, err := ParseSliceMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseSliceMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseSliceMode(""); err != nil || got != SliceNone {
+		t.Errorf(`ParseSliceMode("") = %v, %v; want none`, got, err)
+	}
+	if _, err := ParseSliceMode("sideways"); err == nil {
+		t.Error("unknown mode accepted")
+	}
+}

@@ -40,39 +40,8 @@ func (t *Table[P]) SetProducer(r isa.Reg, p P) {
 	}
 }
 
-// Clear removes p as producer wherever it appears (the instruction
-// completed or was flushed while still the newest mapping).
-func (t *Table[P]) Clear(p P) {
-	for i := range t.m {
-		if t.m[i] == p {
-			t.m[i] = t.zero
-		}
-	}
-}
-
 // Checkpoint captures the table (taken at every branch and slice_fence).
 func (t *Table[P]) Checkpoint() Snapshot[P] { return Snapshot[P]{m: t.m} }
 
 // Restore rolls the table back to a checkpoint.
 func (t *Table[P]) Restore(s Snapshot[P]) { t.m = s.m }
-
-// Sanitize replaces any producer for which dead returns true with the
-// zero P. It is used when restoring a checkpoint that may reference
-// instructions flushed since the checkpoint was taken.
-func (t *Table[P]) Sanitize(dead func(P) bool) {
-	for i := range t.m {
-		if t.m[i] != t.zero && dead(t.m[i]) {
-			t.m[i] = t.zero
-		}
-	}
-}
-
-// SanitizeSnapshot applies Sanitize to a stored checkpoint.
-func SanitizeSnapshot[P comparable](s *Snapshot[P], dead func(P) bool) {
-	var zero P
-	for i := range s.m {
-		if s.m[i] != zero && dead(s.m[i]) {
-			s.m[i] = zero
-		}
-	}
-}

@@ -20,10 +20,6 @@ func TestProducerLifecycle(t *testing.T) {
 	if tbl.Producer(5) != 43 {
 		t.Fatal("newest producer must win")
 	}
-	tbl.Clear(43)
-	if tbl.Producer(5) != 0 {
-		t.Fatal("Clear did not remove the producer")
-	}
 }
 
 func TestR0NeverRenamed(t *testing.T) {
@@ -44,23 +40,6 @@ func TestCheckpointRestore(t *testing.T) {
 	tbl.Restore(ck)
 	if tbl.Producer(1) != 10 || tbl.Producer(2) != 20 || tbl.Producer(3) != 0 {
 		t.Fatal("restore did not reproduce the checkpoint")
-	}
-}
-
-func TestSanitize(t *testing.T) {
-	var tbl Table[int]
-	tbl.SetProducer(1, 10)
-	tbl.SetProducer(2, 20)
-	tbl.Sanitize(func(p int) bool { return p == 10 })
-	if tbl.Producer(1) != 0 || tbl.Producer(2) != 20 {
-		t.Fatal("sanitize removed the wrong entries")
-	}
-
-	ck := tbl.Checkpoint()
-	SanitizeSnapshot(&ck, func(p int) bool { return p == 20 })
-	tbl.Restore(ck)
-	if tbl.Producer(2) != 0 {
-		t.Fatal("snapshot sanitize ineffective")
 	}
 }
 

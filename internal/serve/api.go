@@ -5,6 +5,7 @@ import (
 
 	blp "repro"
 	"repro/internal/core"
+	"repro/internal/kernels"
 )
 
 // SchemaVersion identifies the JSON layout of the serve API's own
@@ -56,10 +57,6 @@ import (
 // counted.
 const SchemaVersion = 9
 
-// Zero is the wire spelling of blp.Zero: integer options whose zero
-// value means "default" accept -1 to request an explicit 0.
-const Zero = blp.Zero
-
 // RunRequest is the wire form of blp.Options. Omitted fields select the
 // paper's defaults exactly as the zero-valued Options fields do; the
 // output-only fields (TraceEvents, Flight) are intentionally absent —
@@ -88,70 +85,30 @@ type RunRequest struct {
 	WatchdogCycles     int64 `json:"watchdog_cycles,omitempty"`
 }
 
-// Options validates the request and maps it to blp.Options. Validation
-// is deliberately static — anything that can be rejected without
-// spending simulation time is, so malformed requests cost a 400 and
-// nothing else. Deeper structural errors (e.g. a zero reserve under
-// selective flush) surface from the run itself.
+// Options maps the request to blp.Options and validates it, so a bad
+// request costs a 400 and nothing else. Only the wire's own rules live
+// here: the mode's spelling, and the bounds an outside caller may not
+// exceed though the library allows them (scale at most 30, at most 256
+// cores, and only the tage or oracle predictor). Every other rule is
+// blp.Options.Validate's. Integer options whose zero value means
+// "default" accept -1 to request an explicit 0.
 func (rq RunRequest) Options() (blp.Options, error) {
-	var o blp.Options
-	if rq.Benchmark == "" {
-		return o, fmt.Errorf("benchmark is required (one of %v)", blp.Benchmarks)
-	}
-	known := false
-	for _, b := range blp.Benchmarks {
-		if rq.Benchmark == b {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return o, fmt.Errorf("unknown benchmark %q (one of %v)", rq.Benchmark, blp.Benchmarks)
-	}
-	mode, err := parseMode(rq.Mode)
+	mode, err := kernels.ParseSliceMode(rq.Mode)
 	if err != nil {
-		return o, err
+		return blp.Options{}, err
 	}
-	if mode == blp.SliceInner && !blp.InnerSliceable(rq.Benchmark) {
-		return o, fmt.Errorf("benchmark %q does not support inner slicing", rq.Benchmark)
+	if rq.Scale > 30 {
+		return blp.Options{}, fmt.Errorf("scale %d out of range (at most 30)", rq.Scale)
 	}
-	if rq.Scale < 0 || rq.Scale > 30 {
-		return o, fmt.Errorf("scale %d out of range [0, 30]", rq.Scale)
-	}
-	if rq.Degree < 0 {
-		return o, fmt.Errorf("degree %d must be non-negative", rq.Degree)
-	}
-	if rq.Cores < 0 || rq.Cores > 256 {
-		return o, fmt.Errorf("cores %d out of range [0, 256]", rq.Cores)
-	}
-	switch rq.SMT {
-	case 0, 1, 2, 4:
-	default:
-		return o, fmt.Errorf("smt %d must be 1, 2, or 4", rq.SMT)
+	if rq.Cores > 256 {
+		return blp.Options{}, fmt.Errorf("cores %d out of range (at most 256)", rq.Cores)
 	}
 	switch rq.Predictor {
 	case "", "tage", "oracle":
 	default:
-		return o, fmt.Errorf("unknown predictor %q (tage or oracle)", rq.Predictor)
+		return blp.Options{}, fmt.Errorf("unknown predictor %q (tage or oracle)", rq.Predictor)
 	}
-	// "" and "auto" follow the slice mode (see blp.Options.Policy).
-	if rq.Policy != "" && rq.Policy != "auto" {
-		if _, err := core.ParsePolicy(rq.Policy); err != nil {
-			return o, err
-		}
-	}
-	for name, v := range map[string]int{
-		"reserve": rq.Reserve, "rob_block_size": rq.ROBBlockSize,
-		"frq_size": rq.FRQSize, "pr_iters": rq.PRIters,
-	} {
-		if v < blp.Zero {
-			return o, fmt.Errorf("%s %d must be >= -1 (-1 means an explicit 0)", name, v)
-		}
-	}
-	if rq.WatchdogCycles < 0 {
-		return o, fmt.Errorf("watchdog_cycles %d must be non-negative", rq.WatchdogCycles)
-	}
-	o = blp.Options{
+	o := blp.Options{
 		Benchmark:          rq.Benchmark,
 		Mode:               mode,
 		Scale:              rq.Scale,
@@ -174,18 +131,6 @@ func (rq RunRequest) Options() (blp.Options, error) {
 		return blp.Options{}, err
 	}
 	return o, nil
-}
-
-func parseMode(s string) (blp.SliceMode, error) {
-	switch s {
-	case "", "none":
-		return blp.SliceNone, nil
-	case "outer":
-		return blp.SliceOuter, nil
-	case "inner":
-		return blp.SliceInner, nil
-	}
-	return blp.SliceNone, fmt.Errorf("unknown mode %q (none, outer, or inner)", s)
 }
 
 // ResultJSON is the wire form of blp.Result. Float summaries use

@@ -227,8 +227,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		*dst = n
 	}
 	if id == "10" {
-		// Fig. 10's multicore runs must be able to size their LLC.
-		if err := (blp.Options{Cores: p.Cores}).Validate(); err != nil {
+		// Fig. 10's multicore runs must be able to size their LLC. Any
+		// benchmark will do: Validate needs one, and the LLC rule does not
+		// depend on which.
+		if err := (blp.Options{Benchmark: blp.Benchmarks[0], Cores: p.Cores}).Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}

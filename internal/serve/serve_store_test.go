@@ -17,7 +17,7 @@ func TestSweepItemErrorCounted(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/sweep", `{"runs":[
 		{"benchmark":"cc","scale":6},
-		{"benchmark":"cc","scale":6,"mode":"outer","reserve":-1}
+		{"benchmark":"cc","scale":6,"watchdog_cycles":1}
 	]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -37,7 +37,7 @@ func TestSweepItemErrorCounted(t *testing.T) {
 		t.Errorf("metrics errors = %d, want 1 (sweep item failure must be counted)", snap.Errors)
 	}
 	if snap.Timeouts != 0 {
-		t.Errorf("metrics timeouts = %d, want 0 (a validation failure is not a timeout)", snap.Timeouts)
+		t.Errorf("metrics timeouts = %d, want 0 (a watchdog abort is not a timeout)", snap.Timeouts)
 	}
 }
 

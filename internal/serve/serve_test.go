@@ -182,6 +182,9 @@ func TestRunValidation(t *testing.T) {
 		{"negative watchdog", `{"benchmark":"cc","watchdog_cycles":-1}`},
 		{"3 cores", `{"benchmark":"cc","cores":3}`},
 		{"28 cores", `{"benchmark":"cc","cores":28}`},
+		{"zero reserve under slicing", `{"benchmark":"cc","mode":"outer","reserve":-1}`},
+		{"zero rob block", `{"benchmark":"cc","rob_block_size":-1}`},
+		{"reserve above the RS", `{"benchmark":"cc","reserve":500}`},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/run", tc.body)
@@ -196,8 +199,9 @@ func TestRunValidation(t *testing.T) {
 		}
 	}
 	// None of those may have reached a simulator.
-	if snap := getMetrics(t, ts.URL); snap.Sims.Simulated != 0 {
-		t.Fatalf("validation failures simulated %d runs", snap.Sims.Simulated)
+	if snap := getMetrics(t, ts.URL); snap.Sims.Simulated != 0 || snap.Errors != 0 {
+		t.Fatalf("validation failures simulated %d runs and counted %d errors",
+			snap.Sims.Simulated, snap.Errors)
 	}
 
 	// Wrong method on a valid route.
@@ -314,14 +318,14 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-// A run that fails structural validation deep in the core (zero reserve
-// under selective flush) reports its error on its own NDJSON line; the
+// A valid run that fails while it simulates (a one-cycle watchdog fires
+// before the first commit) reports its error on its own NDJSON line; the
 // sweep itself still succeeds.
 func TestSweepItemError(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"runs":[
 		{"benchmark":"cc","scale":6},
-		{"benchmark":"cc","scale":6,"mode":"outer","reserve":-1}
+		{"benchmark":"cc","scale":6,"watchdog_cycles":1}
 	]}`
 	resp := postJSON(t, ts.URL+"/v1/sweep", body)
 	if resp.StatusCode != http.StatusOK {
@@ -390,6 +394,8 @@ func TestFigureEndpoints(t *testing.T) {
 		"/v1/figures/table1?cores=zero": http.StatusBadRequest,
 		"/v1/figures/10?cores=3":        http.StatusBadRequest,
 		"/v1/figures/10?cores=28":       http.StatusBadRequest,
+		// The Fig. 10 pre-check accepts a power-of-two core count.
+		"/v1/figures/10?delta=-10&cores=2&sizedelta=0": http.StatusOK,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -7,7 +7,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -108,11 +107,6 @@ func (m MemConfig) Validate() error {
 // Config.WatchdogCycles is zero.
 const DefaultWatchdogCycles = 1_000_000
 
-// paranoidFF, set via SFSIM_PARANOID=1, steps supposedly idle windows
-// cycle-by-cycle and panics if a core does anything — a debugging aid for
-// NextWake's completeness, too slow for regular use.
-var paranoidFF = os.Getenv("SFSIM_PARANOID") == "1"
-
 // Config is a whole-system configuration.
 type Config struct {
 	Core  core.Config
@@ -139,6 +133,23 @@ type Config struct {
 	// Ctx.Err(). Polling changes no simulated state, so results stay
 	// byte-identical whether or not a context is attached.
 	Ctx context.Context
+}
+
+// Validate reports a configuration Run cannot simulate: fewer than one
+// core, a negative watchdog threshold, a memory hierarchy the cache model
+// cannot size exactly (MemConfig.Validate), or a core configuration
+// core.Config.Validate rejects.
+func (c Config) Validate() error {
+	if c.Cores < 1 {
+		return fmt.Errorf("sim: Cores must be at least 1, got %d", c.Cores)
+	}
+	if c.WatchdogCycles < 0 {
+		return fmt.Errorf("sim: WatchdogCycles must not be negative, got %d", c.WatchdogCycles)
+	}
+	if err := c.Mem.Validate(); err != nil {
+		return fmt.Errorf("sim: memory hierarchy for %d cores: %w", c.Cores, err)
+	}
+	return c.Core.Validate()
 }
 
 // DefaultConfig is a single-core scaled configuration.
@@ -202,21 +213,17 @@ const ctxCheckIters = 1024
 
 // Run simulates the workload to completion and returns statistics.
 func Run(cfg Config, w *Workload) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	threadsTotal := cfg.Cores * cfg.Core.SMT
 	if len(w.Progs) != threadsTotal {
 		return nil, fmt.Errorf("sim: workload %s has %d programs for %d hardware threads",
 			w.Name, len(w.Progs), threadsTotal)
 	}
-
 	watchdog := cfg.WatchdogCycles
 	if watchdog == 0 {
 		watchdog = DefaultWatchdogCycles
-	} else if watchdog < 0 {
-		return nil, fmt.Errorf("sim: WatchdogCycles must be positive, got %d", cfg.WatchdogCycles)
-	}
-
-	if err := cfg.Mem.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: workload %s: %w", w.Name, err)
 	}
 	llc, dram := uncore.Build(cfg.Mem.Uncore)
 	hc := cfg.Mem.hierConfig()
@@ -326,18 +333,6 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 				// Every core finished during this iteration; the next
 				// loop pass will observe it and break. Jumping here
 				// would inflate the final cycle count.
-				continue
-			}
-			if paranoidFF && wake > now+1 {
-				for _, c := range cores {
-					if !c.Done() {
-						c.Cycle(now + 1)
-						if c.LastCycleActive() {
-							panic(fmt.Sprintf("paranoid: core active at %d though wake=%d\n%s", now+1, wake, c.DumpState()))
-						}
-					}
-				}
-				now++
 				continue
 			}
 			target := wake - 1

@@ -187,6 +187,26 @@ func TestRunRejectsNonPowerOfTwoLLC(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: Config.Validate requires at least one core and
+// passes the core's rules through (TestWatchdogConfig and
+// TestRunRejectsNonPowerOfTwoLLC cover the watchdog and the hierarchy).
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
+	}
+	for name, mut := range map[string]func(*Config){
+		"no cores":          func(c *Config) { c.Cores = 0 },
+		"negative cores":    func(c *Config) { c.Cores = -1 },
+		"unknown predictor": func(c *Config) { c.Core.Predictor = "tagee" },
+	} {
+		c := DefaultConfig()
+		mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestCancelDuringIdleFastForward is the regression test for the
 // cancellation-latency bug: with a long memory latency, nearly all
 // simulated time is covered by idle fast-forward jumps, and a short run

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -31,21 +30,6 @@ func HarmonicMeanSpeedup(speedups []float64) float64 {
 		inv += 1 / s
 	}
 	return float64(len(speedups)) / inv
-}
-
-// GeoMean returns the geometric mean.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Table accumulates rows and renders them with aligned columns, suitable
@@ -115,28 +99,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Series is a named sequence of (label, value) points — one bar group of a
-// paper figure.
-type Series struct {
-	Name   string
-	Labels []string
-	Values []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(label string, v float64) {
-	s.Labels = append(s.Labels, label)
-	s.Values = append(s.Values, v)
-}
-
-// SortedKeys returns map keys in sorted order (deterministic reports).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

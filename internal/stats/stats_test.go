@@ -43,26 +43,22 @@ func TestHarmonicMeanPropagatesNaN(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if gm := GeoMean([]float64{2, 8}); math.Abs(gm-4) > 1e-12 {
-		t.Fatalf("gm = %f", gm)
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{-1}) != 0 {
-		t.Fatal("degenerate inputs")
-	}
-}
-
-// Harmonic mean never exceeds geometric mean (AM-GM-HM chain).
+// The harmonic mean lies between the smallest speedup and the arithmetic
+// mean (the HM-AM inequality).
 func TestMeanOrderingQuick(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		xs := make([]float64, len(raw))
+		lo, sum := math.Inf(1), 0.0
 		for i, r := range raw {
 			xs[i] = 0.1 + float64(r)/1000
+			lo = math.Min(lo, xs[i])
+			sum += xs[i]
 		}
-		return HarmonicMeanSpeedup(xs) <= GeoMean(xs)+1e-9
+		hm := HarmonicMeanSpeedup(xs)
+		return lo-1e-9 <= hm && hm <= sum/float64(len(xs))+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -88,22 +84,5 @@ func TestTable(t *testing.T) {
 		if len(ln) < col2 {
 			t.Fatalf("misaligned row %q", ln)
 		}
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add("a", 1)
-	s.Add("b", 2)
-	if len(s.Labels) != 2 || s.Values[1] != 2 {
-		t.Fatal("series add")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
 	}
 }

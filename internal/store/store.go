@@ -148,9 +148,6 @@ func Open(dir, version string, budgetBytes int64) (*Store, error) {
 // survives restarts as the LRU clock.
 func accessTime(info fs.FileInfo) time.Time { return info.ModTime() }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Version returns the behavior stamp the store was opened with.
 func (s *Store) Version() string { return s.version }
 
