@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -28,11 +27,10 @@ import (
 )
 
 // FlightRecorder is the opt-in observability recorder of internal/flight:
-// attach one via Options.Flight to collect an interval occupancy timeline
-// (flight.Recorder.Samples) and per-uop pipeline events (flight.
-// Recorder.Events) during a run. See flight's package doc for the
-// single-writer contract; a Recorder must not be shared across concurrent
-// runs.
+// pass one to RunRecorded to collect an interval occupancy timeline
+// (flight.Recorder.Samples) and pipeline events (flight.Recorder.Events)
+// during a run. See flight's package doc for the single-writer contract;
+// a Recorder must not be shared across concurrent runs.
 type FlightRecorder = flight.Recorder
 
 // SliceMode selects the slice-instruction placement (§6.1 of the paper).
@@ -123,23 +121,12 @@ type Options struct {
 	WrongPathMemAccess bool
 	// CheckIndependence enables the §4.1 slice-contract checker.
 	CheckIndependence bool
-	// TraceEvents, when positive, prints that many pipeline events
-	// (fetch-miss/dispatch/commit/recovery) to stderr.
-	TraceEvents int64
 	// PRIters is the number of PageRank sweeps (0 = default 3; Zero for
 	// an explicit 0, leaving every score at its 1/n initial value).
 	PRIters int
 	// WatchdogCycles is the no-commit deadlock watchdog threshold
 	// (0 = sim.DefaultWatchdogCycles; must not be negative).
 	WatchdogCycles int64
-	// Flight, when non-nil, records the run's timeline and pipeline
-	// events (see FlightRecorder). Output-only: it does not affect the
-	// simulation and is excluded from Key. Because the Runner memoizes
-	// by Key, a Runner.Run request whose key duplicates an in-flight or
-	// completed run is served from cache and records nothing — the
-	// recorder comes back empty (the Runner reports a notice on its
-	// progress writer). Use blp.Run when the recording must happen.
-	Flight *FlightRecorder
 }
 
 // normalized returns o with every defaulted field resolved to its
@@ -210,14 +197,10 @@ func zv(v int) int {
 }
 
 // Key returns the canonical identity of the simulation Run would perform
-// for o: all defaults resolved, output-only fields (TraceEvents, Flight)
-// ignored. Two Options with equal Keys produce identical Results; the
-// Runner uses it as its memoization key.
+// for o, with all defaults resolved. Two Options with equal Keys produce
+// identical Results; the Runner uses it as its memoization key.
 func (o Options) Key() string {
-	n := o.normalized()
-	n.TraceEvents = 0
-	n.Flight = nil
-	return fmt.Sprintf("%+v", n)
+	return fmt.Sprintf("%+v", o.normalized())
 }
 
 // Result is the outcome of one run.
@@ -267,6 +250,15 @@ func Run(o Options) (*Result, error) {
 // CPU back mid-simulation instead of waiting for the run to finish. The
 // returned error wraps ctx.Err().
 func RunContext(ctx context.Context, o Options) (*Result, error) {
+	return RunRecorded(ctx, o, nil)
+}
+
+// RunRecorded is RunContext with the flight recorder rec watching the run
+// (nil watches nothing). Recording is observation only: the Result is the
+// one RunContext returns for o. A Runner never takes a recorder, because
+// a memoized request may simulate nothing; call RunRecorded whenever the
+// recording must happen.
+func RunRecorded(ctx context.Context, o Options, rec *FlightRecorder) (*Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,6 +273,7 @@ func RunContext(ctx context.Context, o Options) (*Result, error) {
 
 	cfg := simConfig(n)
 	cfg.Ctx = ctx
+	cfg.Core.Recorder = rec
 	r, err := sim.Run(cfg, w)
 	if err != nil {
 		return nil, fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
@@ -316,12 +309,7 @@ func simConfig(n Options) sim.Config {
 	cfg.Core.ROBBlockSize = zv(n.ROBBlockSize)
 	cfg.Core.FRQSize = zv(n.FRQSize)
 	cfg.Mem = memConfig(n)
-	if n.TraceEvents > 0 {
-		cfg.Core.Trace = os.Stderr
-		cfg.Core.TraceLimit = n.TraceEvents
-	}
 	cfg.WatchdogCycles = n.WatchdogCycles
-	cfg.Recorder = n.Flight
 	return cfg
 }
 

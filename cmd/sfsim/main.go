@@ -8,9 +8,11 @@
 //	sfsim -bench ms -cores 4 -compare
 //	sfsim -bench bfs -mode outer -trace trace.json   # Chrome trace export
 //	sfsim -bench bfs -timeline tl.csv -interval 500  # occupancy timeline
+//	sfsim -bench bfs -mode outer -traceevents 20     # last 20 events to stderr
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +21,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 
 	blp "repro"
 	"repro/internal/kernels"
@@ -43,7 +46,7 @@ func main() {
 	paperMem := flag.Bool("papermem", false, "use the full Table 1 memory hierarchy")
 	check := flag.Bool("checkslices", false, "enable the slice independence checker")
 	compare := flag.Bool("compare", false, "also run the baseline and report the speedup")
-	events := flag.Int64("traceevents", 0, "print the first N pipeline events to stderr")
+	events := flag.Int("traceevents", 0, "print the last N recorded pipeline events (uop lifetimes and selective-flush events, each naming its core and thread) to stderr")
 	tracePath := flag.String("trace", "", "write a per-uop pipeline trace (Chrome trace_event JSON) to this file")
 	timelinePath := flag.String("timeline", "", "write the interval occupancy/IPC/MPKI timeline (CSV) to this file")
 	interval := flag.Int64("interval", 1000, "timeline sampling interval in cycles")
@@ -82,18 +85,20 @@ func main() {
 		Seed: *seed, Cores: *cores, SMT: *smt, Predictor: *predictor,
 		Reserve: *reserve, ROBBlockSize: *block, FRQSize: *frq,
 		PRIters: *priters, PaperScaleMem: *paperMem,
-		CheckIndependence: *check, TraceEvents: *events,
-		WatchdogCycles: *watchdog,
+		CheckIndependence: *check, WatchdogCycles: *watchdog,
 	}
 
 	// Attach a flight recorder when any export was requested.
 	var rec *blp.FlightRecorder
-	if *tracePath != "" || *timelinePath != "" {
-		rec = &blp.FlightRecorder{TraceUops: *tracePath != ""}
+	if *tracePath != "" || *timelinePath != "" || *events > 0 {
+		rec = &blp.FlightRecorder{TraceUops: *tracePath != "" || *events > 0}
 		if *timelinePath != "" {
 			rec.Interval = *interval
 		}
-		opts.Flight = rec
+		if *tracePath == "" {
+			// Without a trace file the ring need hold only what is printed.
+			rec.MaxEvents = *events
+		}
 	}
 	if *timelinePath == "" {
 		flag.Visit(func(f *flag.Flag) {
@@ -103,38 +108,47 @@ func main() {
 		})
 	}
 
+	// -compare runs the baseline concurrently and unrecorded, so only the
+	// measured run's events are printed and exported.
+	var wg sync.WaitGroup
+	var base *blp.Result
+	var baseErr error
 	if *compare && m != blp.SliceNone {
-		// Run the measured configuration and its baseline concurrently.
-		// Only the measured run records: the recorder is single-writer,
-		// and the exported trace/timeline should not interleave baseline
-		// events with the configuration under measurement.
 		b := opts
 		b.Mode = blp.SliceNone
-		b.Flight = nil
-		results, err := blp.NewRunner(2).RunAll([]blp.Options{opts, b})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, base := results[0], results[1]
-		printResult(opts, res)
-		fmt.Printf("\nbaseline cycles: %d\nspeedup:         %.3f\n",
-			base.Cycles, blp.Speedup(base, res))
-		writeRecordings(rec, *tracePath, *timelinePath)
-		return
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			base, baseErr = blp.Run(b)
+		}()
 	}
-
-	res, err := blp.Run(opts)
+	res, err := blp.RunRecorded(context.Background(), opts, rec)
+	wg.Wait()
 	if err != nil {
 		log.Fatal(err)
 	}
+	if baseErr != nil {
+		log.Fatal(baseErr)
+	}
 	printResult(opts, res)
-	writeRecordings(rec, *tracePath, *timelinePath)
+	if base != nil {
+		fmt.Printf("\nbaseline cycles: %d\nspeedup:         %.3f\n",
+			base.Cycles, blp.Speedup(base, res))
+	}
+	writeRecordings(rec, *events, *tracePath, *timelinePath)
 }
 
-// writeRecordings exports the recorder's contents to the requested files.
-func writeRecordings(rec *blp.FlightRecorder, tracePath, timelinePath string) {
+// writeRecordings prints the last n recorded events to stderr and exports
+// the recorder's contents to the requested files.
+func writeRecordings(rec *blp.FlightRecorder, n int, tracePath, timelinePath string) {
 	if rec == nil {
 		return
+	}
+	if n > 0 {
+		evs := rec.Events()
+		for _, e := range evs[max(0, len(evs)-n):] {
+			fmt.Fprintln(os.Stderr, e)
+		}
 	}
 	if tracePath != "" {
 		writeFile(tracePath, rec.WriteChromeTrace)

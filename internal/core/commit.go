@@ -124,9 +124,6 @@ func (c *Core) release(t *thread, u *uop) {
 	if c.rec != nil {
 		c.recordUop(u, false)
 	}
-	if c.traceOn {
-		c.trace("COMMIT      t%d %s", t.id, traceUop(u))
-	}
 }
 
 // removeStore drops a retired or flushed store from the forwarding list.

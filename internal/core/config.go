@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/bpred"
 	"repro/internal/flight"
@@ -86,18 +85,13 @@ type Config struct {
 	// debugging scheduling discrepancies.
 	ForceCycleAccurate bool
 
-	// Trace, when non-nil, receives one line per pipeline event (fetch,
-	// dispatch, issue, commit, flush, recovery) — the debugging view of
-	// the selective-flush mechanism. Expensive; use with small inputs.
-	Trace io.Writer
-	// TraceLimit stops tracing after this many events (0 = unlimited).
-	TraceLimit int64
-
 	// Recorder, when non-nil, receives structured pipeline events
 	// (selective-flush unlink/splice/recovery, and per-uop lifetimes if
-	// its TraceUops is set) and serves occupancy snapshots — the flight
-	// recorder of internal/flight. Nil (the default) records nothing
-	// and adds no cost beyond one pointer check per hook site.
+	// its TraceUops is set) — the flight recorder of internal/flight and
+	// the run's one recorder setting: sim.Run also adds its timeline
+	// samples there and reads its tail for the deadlock dump. Nil (the
+	// default) records nothing and adds no cost beyond one pointer check
+	// per hook site.
 	Recorder *flight.Recorder
 }
 

@@ -75,10 +75,6 @@ type Core struct {
 	now                int64
 	stats              Stats
 	committedThisCycle int
-	traced             int64
-	// traceOn caches cfg.Trace != nil so hot paths can skip building
-	// trace arguments entirely.
-	traceOn bool
 	// activity records whether this cycle changed any pipeline state
 	// (completion, commit, issue, dispatch, fetch delivery); the idle
 	// fast-forward in NextWake consults it.
@@ -106,7 +102,6 @@ func NewCore(id int, cfg Config, hier *cache.Hierarchy, machines []*emu.Machine)
 		squashDepth: cfg.Recovery.Depth,
 		gateConf:    uint8(cfg.Recovery.Conf),
 		space:       rob.NewSpace(cfg.ROBSize, cfg.ROBBlockSize),
-		traceOn:     cfg.Trace != nil,
 		forceCyc:    cfg.ForceCycleAccurate,
 	}
 	for i, m := range machines {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/flight"
 )
 
 func resolvingIdx(mi *missInfo) int {
@@ -44,12 +46,15 @@ var debugChecks = false
 func EnableDebugChecks(on bool) { debugChecks = on }
 
 // DumpState renders the core's stall-relevant state for debugging
-// deadlocks (used by tests and the sim driver's watchdog).
+// deadlocks (used by tests and the sim driver's watchdog). Its first line
+// is the core's occupancy snapshot (flight.Sample) plus the number of
+// pending completion events.
 func (c *Core) DumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "core %d @%d: rob used=%d gaps=%d free=%d rs=%d lq=%d sq=%d inSlice=%d events=%d\n",
-		c.id, c.now, c.space.Used(), c.space.Gaps(), c.space.Free(),
-		c.rsUsed, c.lqUsed, c.sqUsed, c.inSliceCount, len(c.events))
+	var s flight.Sample
+	c.Sample(&s)
+	s.Cycle = c.now
+	fmt.Fprintf(&b, "%s, events=%d\n", s, len(c.events))
 	for _, t := range c.threads {
 		fmt.Fprintf(&b, " t%d: mode=%d done=%v haltSeen=%v fence=%v barrier=%v wpStuck=%v pend=%d frq=%d fe=%d inflight=%d stall@%d redirect@%d resolving=%v resolveIdx=%d resolveStall=%v\n",
 			t.id, t.mode, t.done, t.haltSeen, t.fenceStall, t.barrierWait, t.wpStuck,

@@ -239,9 +239,6 @@ func (c *Core) tryDispatch(t *thread, u *uop) bool {
 	} else {
 		c.registerWakeups(u)
 	}
-	if c.traceOn {
-		c.trace("DISPATCH    t%d %s", t.id, traceUop(u))
-	}
 	t.inflight++
 	if op.IsStore() && !u.d.Wrong {
 		t.stores = append(t.stores, u)

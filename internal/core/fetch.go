@@ -208,9 +208,6 @@ func (c *Core) fetchNormal(t *thread) bool {
 	if !mispred {
 		return stop
 	}
-	if c.traceOn {
-		c.trace("FETCH-MISS  t%d %s predicted=%v", t.id, traceUop(u), u.predTaken)
-	}
 
 	// Misprediction detected (it will be acted on when the branch
 	// executes). Decide the recovery style now, as the frontend's fetch

@@ -21,6 +21,7 @@ func (c *Core) recordUop(u *uop, flushed bool) {
 		Fetch: u.fetchCycle, Dispatch: u.dispCycle,
 		Issue: u.issueCycle, Done: u.doneAt, Commit: c.now,
 		Wrong: u.d.Wrong, Resolve: u.resolvePath, Flushed: flushed,
+		Mispred: u.mispred,
 	})
 }
 

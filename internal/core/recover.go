@@ -57,9 +57,6 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	if c.rec != nil {
 		c.recordMechanism(flight.EvRecoverSel, t, u, int64(mi.seg.len()))
 	}
-	if c.traceOn {
-		c.trace("RECOVER-SEL t%d %s seg=%d", t.id, traceUop(u), mi.seg.len())
-	}
 	if mi.seg.len() > 0 {
 		// The branch entry is the initial splice cursor: the first
 		// resolved-path instruction is inserted right after it.
@@ -172,13 +169,6 @@ func (c *Core) resolveFull(t *thread, u *uop) {
 	released := len(victims)
 	if c.squashDepth > 0 && c.squashDepth < released {
 		released = c.squashDepth
-	}
-	if c.traceOn {
-		if released < len(victims) {
-			c.trace("RECOVER-PART t%d %s depth=%d", t.id, traceUop(u), released)
-		} else {
-			c.trace("RECOVER-ALL t%d %s", t.id, traceUop(u))
-		}
 	}
 	if c.rec != nil {
 		c.recordMechanism(flight.EvRecoverFull, t, u, int64(len(victims)))

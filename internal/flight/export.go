@@ -127,7 +127,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				"seq": e.Seq, "pc": e.PC,
 				"fetch": e.Fetch, "dispatch": e.Dispatch,
 				"issue": e.Issue, "done": e.Done, "commit": e.Commit,
-				"flushed": e.Flushed,
+				"flushed": e.Flushed, "mispred": e.Mispred,
 			}
 		} else {
 			ce.Cat = "mechanism"
@@ -142,13 +142,31 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 }
 
 // String renders one timeline sample as a human-readable line (the
-// deadlock dump's occupancy header).
+// first line of the core's deadlock dump).
 func (s Sample) String() string {
 	return fmt.Sprintf(
 		"core %d @%d: rob %d used/%d gaps/%d free, rs=%d lq=%d sq=%d (reserve %d), inSlice=%d frq=%d holes=%d outstanding=%d, fetch=%s, committed=%d",
 		s.Core, s.Cycle, s.ROBUsed, s.ROBGaps, s.ROBFree,
 		s.RSUsed, s.LQUsed, s.SQUsed, s.Reserve,
 		s.InSlice, s.FRQ, s.Holes, s.Outstanding, s.FetchStall, s.Committed)
+}
+
+// String renders the event as one text line naming its cycle, core and
+// thread, the subject instruction and its path. A uop lifetime adds its
+// stage timestamps and, for a mispredicted branch, "mispred"; a mechanism
+// event adds its payload N.
+func (e Event) String() string {
+	s := fmt.Sprintf("@%-8d core %d thread %d %-17s #%-8d @%-5d %-8s %s",
+		e.TS, e.Core, e.Thread, e.Name, e.Seq, e.PC, e.Op, cat(e))
+	if e.Name != EvUop {
+		return s + fmt.Sprintf(" n=%d", e.N)
+	}
+	s += fmt.Sprintf(" fetch=%d dispatch=%d issue=%d done=%d commit=%d",
+		e.Fetch, e.Dispatch, e.Issue, e.Done, e.Commit)
+	if e.Mispred {
+		s += " mispred"
+	}
+	return s
 }
 
 // TailByThread formats the last k retained events of every (core, thread)
@@ -185,8 +203,7 @@ func (r *Recorder) TailByThread(k int) string {
 	for _, kk := range keys {
 		fmt.Fprintf(&b, " last %d events, core %d thread %d:\n", len(last[kk]), kk.core, kk.thread)
 		for _, e := range last[kk] {
-			fmt.Fprintf(&b, "  @%-8d %-17s #%-8d @%-5d %-8s %s n=%d\n",
-				e.TS, e.Name, e.Seq, e.PC, e.Op, cat(e), e.N)
+			b.WriteString("  " + e.String() + "\n")
 		}
 	}
 	if d := r.Dropped(); d > 0 {

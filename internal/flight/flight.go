@@ -60,10 +60,12 @@ type Event struct {
 	Commit   int64 // commit cycle, or the flush cycle when Flushed
 
 	// Wrong marks wrong-path uops; Resolve marks resolve-path uops;
-	// Flushed marks uops that left the pipeline by a flush, not commit.
+	// Flushed marks uops that left the pipeline by a flush, not commit;
+	// Mispred marks a branch uop the predictor got wrong (EvUop only).
 	Wrong   bool
 	Resolve bool
 	Flushed bool
+	Mispred bool
 
 	// N is the event payload: segment length for EvRecoverSel, flushed-
 	// uop count for EvRecoverFull, and the mispredicted branch's Seq for

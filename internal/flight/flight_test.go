@@ -94,7 +94,7 @@ func TestChromeTraceShape(t *testing.T) {
 	r := &Recorder{}
 	r.Record(Event{
 		Name: EvUop, Core: 0, Thread: 0, Seq: 7, PC: 12, Op: "ld",
-		Fetch: 10, Dispatch: 22, Issue: 24, Done: 40, Commit: 41,
+		Fetch: 10, Dispatch: 22, Issue: 24, Done: 40, Commit: 41, Mispred: true,
 	})
 	r.Record(Event{Name: EvUnlink, TS: 50, Seq: 8, Op: "add", Wrong: true, N: 7})
 	r.Record(Event{Name: EvSplice, TS: 52, Seq: 9, Op: "add", Resolve: true, N: 7})
@@ -114,6 +114,9 @@ func TestChromeTraceShape(t *testing.T) {
 	uop := doc.TraceEvents[0]
 	if uop["ph"] != "X" || uop["name"] != "ld" || uop["ts"] != float64(10) || uop["dur"] != float64(31) {
 		t.Fatalf("bad uop complete event: %v", uop)
+	}
+	if args, ok := uop["args"].(map[string]any); !ok || args["mispred"] != true {
+		t.Fatalf("uop event must carry its mispredict bit: %v", uop)
 	}
 	unlink := doc.TraceEvents[1]
 	if unlink["ph"] != "i" || unlink["name"] != EvUnlink {
@@ -141,6 +144,34 @@ func TestTailByThread(t *testing.T) {
 	// Thread 0 saw events 0,2,4; the 2-deep tail keeps 2 and 4.
 	if strings.Contains(tail, "#0 ") {
 		t.Fatalf("tail retained an event older than the last 2:\n%s", tail)
+	}
+}
+
+// One line per event, naming its core and thread: uop lifetimes carry
+// their stage timestamps and mispredict mark, mechanism events their N.
+func TestEventString(t *testing.T) {
+	uop := Event{Name: EvUop, TS: 10, Core: 1, Thread: 1, Seq: 7, PC: 12, Op: "blt",
+		Fetch: 10, Dispatch: 22, Issue: 24, Done: 40, Commit: 41, Mispred: true}
+	s := uop.String()
+	for _, want := range []string{"core 1 thread 1 ", "#7 ", "blt", "correct",
+		"fetch=10 dispatch=22 issue=24 done=40 commit=41", " mispred"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("uop line %q lacks %q", s, want)
+		}
+	}
+	uop.Mispred = false
+	if strings.Contains(uop.String(), "mispred") {
+		t.Fatalf("correctly predicted uop marked: %q", uop.String())
+	}
+	mech := Event{Name: EvUnlink, TS: 50, Core: 0, Thread: 1, Seq: 8, Op: "add", Wrong: true, N: 7}
+	s = mech.String()
+	for _, want := range []string{"@50 ", "core 0 thread 1 ", EvUnlink, "wrong-path", "n=7"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("mechanism line %q lacks %q", s, want)
+		}
+	}
+	if strings.ContainsAny(s+uop.String(), "\n") {
+		t.Fatal("an event line spans lines")
 	}
 }
 

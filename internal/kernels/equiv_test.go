@@ -62,7 +62,7 @@ func TestEventDrivenEquivalence(t *testing.T) {
 					cfg.Core.SMT = shape.smt
 					cfg.Mem = sim.ScaledMemConfig(shape.cores)
 					cfg.Core.ForceCycleAccurate = force
-					cfg.Recorder = rec
+					cfg.Core.Recorder = rec
 					res, err := sim.Run(cfg, w)
 					if err != nil {
 						t.Fatalf("run(force=%v): %v", force, err)

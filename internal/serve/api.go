@@ -58,9 +58,7 @@ import (
 const SchemaVersion = 9
 
 // RunRequest is the wire form of blp.Options. Omitted fields select the
-// paper's defaults exactly as the zero-valued Options fields do; the
-// output-only fields (TraceEvents, Flight) are intentionally absent —
-// they make no sense across an HTTP boundary.
+// paper's defaults exactly as the zero-valued Options fields do.
 type RunRequest struct {
 	Benchmark string `json:"benchmark"`
 	Mode      string `json:"mode,omitempty"` // "", "none", "outer", "inner"
@@ -85,20 +83,21 @@ type RunRequest struct {
 	WatchdogCycles     int64 `json:"watchdog_cycles,omitempty"`
 }
 
+// maxInputLog2 bounds a requested input: 2^scale·degree at most
+// 2^maxInputLog2 (see RunRequest.Options).
+const maxInputLog2 = 26
+
 // Options maps the request to blp.Options and validates it, so a bad
 // request costs a 400 and nothing else. Only the wire's own rules live
 // here: the mode's spelling, and the bounds an outside caller may not
-// exceed though the library allows them (scale at most 30, at most 256
-// cores, and only the tage or oracle predictor). Every other rule is
-// blp.Options.Validate's. Integer options whose zero value means
+// exceed though the library allows them (an input that fits in memory,
+// at most 256 cores, and only the tage or oracle predictor). Every other
+// rule is blp.Options.Validate's. Integer options whose zero value means
 // "default" accept -1 to request an explicit 0.
 func (rq RunRequest) Options() (blp.Options, error) {
 	mode, err := kernels.ParseSliceMode(rq.Mode)
 	if err != nil {
 		return blp.Options{}, err
-	}
-	if rq.Scale > 30 {
-		return blp.Options{}, fmt.Errorf("scale %d out of range (at most 30)", rq.Scale)
 	}
 	if rq.Cores > 256 {
 		return blp.Options{}, fmt.Errorf("cores %d out of range (at most 256)", rq.Cores)
@@ -129,6 +128,18 @@ func (rq RunRequest) Options() (blp.Options, error) {
 	}
 	if err := o.Validate(); err != nil {
 		return blp.Options{}, err
+	}
+	// graph.RMAT allocates 2·2^scale·degree 8-byte edges up front and ms
+	// two 2^scale-word arrays; an allocation that large would end the
+	// server with a fatal out-of-memory error. Scale at most 26 and
+	// degree at most 2^(26−scale), both after defaulting, bound
+	// 2^scale·degree by 2^26 with no multiply to overflow, and admit
+	// RMAT-22 at degree 16, the paper's largest input. ms ignores degree
+	// but is held to the same bound, so it peaks at scale 22.
+	sp, _ := kernels.Spec{Kernel: o.Benchmark, Scale: o.Scale, Degree: o.Degree}.Normalize() // Validate passed
+	if sp.Scale > maxInputLog2 || sp.Degree > 1<<(maxInputLog2-sp.Scale) {
+		return blp.Options{}, fmt.Errorf("scale %d at degree %d out of range (scale at most %d, degree at most 2^(%d-scale))",
+			sp.Scale, sp.Degree, maxInputLog2, maxInputLog2)
 	}
 	return o, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -185,16 +186,41 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // figureParamRange bounds each figure query parameter. Parsing alone is
 // not validation: a syntactically fine integer like cores=-1 or
 // sizedelta=-10 used to sail through to the figure functions and
-// surface as a 500 (or worse, a silently clamped nonsense sweep). The
-// ranges are generous — delta reaches far below the smallest useful
-// scale (scaled() clamps at its per-benchmark minimum), cores covers
-// any plausible Fig. 10 sweep, sizedelta stays within what keeps the
-// scaled working set at least one — but anything outside them is the
-// client's mistake and is answered 400 before a simulation starts.
+// surface as a 500 (or worse, a silently clamped nonsense sweep). Below,
+// the ranges are generous: delta reaches far below the smallest useful
+// scale (scaled() clamps at its per-benchmark minimum) and sizedelta
+// stays within what keeps the scaled working set at least one. Above,
+// they hold every run a figure asks for inside RunRequest's input bound:
+// Figs. 9 and 10 add up to 3 to the scale, so at delta 7 and sizedelta 3
+// ms (default scale 12) peaks at scale 22, the largest ms input that
+// bound admits. cores covers any plausible Fig. 10 sweep. Anything
+// outside them is the client's mistake and is answered 400 before a
+// simulation starts.
 var figureParamRange = map[string][2]int{
-	"delta":     {-24, 8},
+	"delta":     {-24, 7},
 	"cores":     {1, 256},
-	"sizedelta": {-5, 8},
+	"sizedelta": {-5, 3},
+}
+
+// figureParams parses a figure request's query parameters over
+// blp.DefaultFigureParams and checks each against figureParamRange.
+func figureParams(q url.Values) (blp.FigureParams, error) {
+	p := blp.DefaultFigureParams()
+	for name, dst := range map[string]*int{"delta": &p.Delta, "cores": &p.Cores, "sizedelta": &p.SizeDelta} {
+		v := q.Get(name)
+		if v == "" {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return p, fmt.Errorf("bad %s %q", name, v)
+		}
+		if rng := figureParamRange[name]; n < rng[0] || n > rng[1] {
+			return p, fmt.Errorf("%s %d out of range [%d, %d]", name, n, rng[0], rng[1])
+		}
+		*dst = n
+	}
+	return p, nil
 }
 
 // handleFigure answers GET /v1/figures/{id}?delta=…&format=json|csv.
@@ -208,23 +234,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			r.PathValue("id"), strings.Join(blp.FigureIDs(), ", ")))
 		return
 	}
-	p := blp.DefaultFigureParams()
-	for name, dst := range map[string]*int{"delta": &p.Delta, "cores": &p.Cores, "sizedelta": &p.SizeDelta} {
-		v := r.URL.Query().Get(name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s %q", name, v))
-			return
-		}
-		if rng := figureParamRange[name]; n < rng[0] || n > rng[1] {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("%s %d out of range [%d, %d]", name, n, rng[0], rng[1]))
-			return
-		}
-		*dst = n
+	p, err := figureParams(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	if id == "10" {
 		// Fig. 10's multicore runs must be able to size their LLC. Any

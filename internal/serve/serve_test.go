@@ -10,7 +10,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +214,61 @@ func TestRunValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/run status %d, want 405", resp.StatusCode)
+	}
+}
+
+// The wire bounds the input a request may build, since graph.RMAT
+// allocates its whole edge list up front: 2^scale·degree at most 2^26,
+// degree taken after defaulting. RMAT-22 at degree 16, the paper's
+// largest input, is admitted and one step past it is not. Only
+// RunRequest.Options runs here; nothing is built.
+func TestRunRequestInputBound(t *testing.T) {
+	for _, tc := range []struct {
+		rq RunRequest
+		ok bool
+	}{
+		{RunRequest{Benchmark: "bfs", Scale: 30}, false},
+		{RunRequest{Benchmark: "bfs", Scale: 10, Degree: 1 << 40}, false},
+		{RunRequest{Benchmark: "ms", Scale: 30}, false},
+		{RunRequest{Benchmark: "bfs", Scale: 22}, true},
+		{RunRequest{Benchmark: "bfs", Scale: 22, Degree: 17}, false},
+		{RunRequest{Benchmark: "ms", Scale: 22}, true},
+		{RunRequest{Benchmark: "ms", Scale: 23}, false},
+		{RunRequest{Benchmark: "cc", Scale: 26, Degree: 1}, true},
+		{RunRequest{Benchmark: "cc", Scale: 27, Degree: 1}, false},
+		{RunRequest{Benchmark: "cc", Degree: 1 << 16}, true}, // default scale 10
+		{RunRequest{Benchmark: "cc", Degree: 1<<16 + 1}, false},
+	} {
+		_, err := tc.rq.Options()
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: err = %v, want accepted = %v", tc.rq, err, tc.ok)
+		}
+	}
+}
+
+// The top of figureParamRange keeps every run a figure requests inside
+// RunRequest's input bound, and one step past the top is rejected. Only
+// the parameter check and RunRequest.Options run here; nothing is built.
+func TestFigureParamsWithinInputBound(t *testing.T) {
+	p, err := figureParams(url.Values{
+		"delta":     {strconv.Itoa(figureParamRange["delta"][1])},
+		"sizedelta": {strconv.Itoa(figureParamRange["sizedelta"][1])},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := max(3, p.SizeDelta) // Fig. 9 grows each input by up to 2^3
+	for _, b := range blp.Benchmarks {
+		rq := RunRequest{Benchmark: b, Scale: blp.DefaultScale(b) + p.Delta + grow}
+		if _, err := rq.Options(); err != nil {
+			t.Errorf("a figure at %+v would request %s at scale %d: %v", p, b, rq.Scale, err)
+		}
+	}
+	for _, q := range []string{"delta=8", "sizedelta=4", "delta=8&sizedelta=8", "delta=-25", "cores=0"} {
+		v, _ := url.ParseQuery(q)
+		if _, err := figureParams(v); err == nil {
+			t.Errorf("figure parameters %s accepted", q)
+		}
 	}
 }
 

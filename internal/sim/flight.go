@@ -82,24 +82,18 @@ func mpki(misses, committed uint64) float64 {
 	return 1000 * float64(misses) / float64(committed)
 }
 
-// deadlockDump renders the no-commit watchdog's report from the same
-// machinery the flight recorder uses: each stuck core's occupancy
-// snapshot (reserved-entry context included) and detailed pipeline state,
-// plus — when a recorder is attached to the run — the last events of
-// every hardware thread, so a §4.7 forward-progress failure is
-// diagnosable from the artifact without rerunning.
-func deadlockDump(now int64, cores []*core.Core, rec *flight.Recorder) string {
+// deadlockDump renders the no-commit watchdog's report: each stuck core's
+// pipeline state (core.DumpState, which opens with the occupancy snapshot
+// the timeline samples, reserved-entry context included), plus — when a
+// recorder is attached to the run — the last events of every hardware
+// thread, so a §4.7 forward-progress failure is diagnosable from the
+// artifact without rerunning.
+func deadlockDump(cores []*core.Core, rec *flight.Recorder) string {
 	var b strings.Builder
 	for _, c := range cores {
-		if c.Done() {
-			continue
+		if !c.Done() {
+			b.WriteString(c.DumpState())
 		}
-		var s flight.Sample
-		c.Sample(&s)
-		s.Cycle = now
-		b.WriteString(s.String())
-		b.WriteByte('\n')
-		b.WriteString(c.DumpState())
 	}
 	if rec != nil {
 		if tail := rec.TailByThread(8); tail != "" {

@@ -86,13 +86,23 @@ func TestWatchdogConfig(t *testing.T) {
 	cfg.WatchdogCycles = 10
 	rec := &flight.Recorder{}
 	rec.Record(flight.Event{TS: 1, Name: flight.EvRecoverSel})
-	cfg.Recorder = rec
+	cfg.Core.Recorder = rec
 	_, err := Run(cfg, buildOddEven(64, false, 2))
 	if err == nil || !strings.Contains(err.Error(), "deadlocked at cycle") {
 		t.Fatalf("tiny watchdog did not fire: %v", err)
 	}
-	if !strings.Contains(err.Error(), "core 0 @") {
-		t.Fatalf("dump missing occupancy snapshot:\n%v", err)
+	// The stuck core's occupancy is one line, not two formats of it.
+	var snapshots int
+	for _, line := range strings.Split(err.Error(), "\n") {
+		if strings.HasPrefix(line, "core 0 @") {
+			snapshots++
+			if !strings.Contains(line, "reserve") || !strings.Contains(line, "events=") {
+				t.Fatalf("occupancy line lacks the reserve or the event count: %s", line)
+			}
+		}
+	}
+	if snapshots != 1 {
+		t.Fatalf("dump has %d occupancy lines for core 0, want 1:\n%v", snapshots, err)
 	}
 	if !strings.Contains(err.Error(), "flight-recorder tail:") {
 		t.Fatalf("dump missing flight-recorder tail:\n%v", err)
@@ -106,7 +116,7 @@ func TestTimelineSamplingAndNeutrality(t *testing.T) {
 	base := runOddEven(t, true, nil)
 
 	rec := &flight.Recorder{Interval: 100, TraceUops: true}
-	res := runOddEven(t, true, func(cfg *Config) { cfg.Recorder = rec })
+	res := runOddEven(t, true, func(cfg *Config) { cfg.Core.Recorder = rec })
 
 	if res.Cycles != base.Cycles {
 		t.Fatalf("recorder changed timing: %d vs %d cycles", res.Cycles, base.Cycles)

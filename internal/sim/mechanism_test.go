@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/flight"
+)
 
 // Mechanism-level behavior tests on the canonical sliced loop.
 
@@ -138,27 +143,23 @@ func TestPaperScaleMemoryRuns(t *testing.T) {
 	}
 }
 
+// The flight recorder is the core's one event path: a recorder set on
+// core.Config alone receives the run's events, its ring holds at most
+// MaxEvents, and each event renders as one line naming core and thread.
 func TestTraceEmitsEvents(t *testing.T) {
-	var buf traceBuf
-	res := runOddEven(t, true, func(c *Config) {
-		c.Core.Trace = &buf
-		c.Core.TraceLimit = 50
-	})
+	rec := &flight.Recorder{TraceUops: true, MaxEvents: 50}
+	res := runOddEven(t, true, func(c *Config) { c.Core.Recorder = rec })
 	if res.Total.Committed == 0 {
 		t.Fatal("no commits")
 	}
-	if buf.lines == 0 || buf.lines > 50 {
-		t.Fatalf("trace lines = %d, want 1..50", buf.lines)
+	evs := rec.Events()
+	if len(evs) != 50 || rec.TotalEvents() < res.Total.Committed {
+		t.Fatalf("retained %d of %d events, want 50 of at least one per commit (%d)",
+			len(evs), rec.TotalEvents(), res.Total.Committed)
 	}
-}
-
-type traceBuf struct{ lines int }
-
-func (b *traceBuf) Write(p []byte) (int, error) {
-	for _, c := range p {
-		if c == '\n' {
-			b.lines++
+	for _, e := range evs {
+		if line := e.String(); !strings.Contains(line, " core 0 thread 0 ") || strings.Contains(line, "\n") {
+			t.Fatalf("event line %q does not name core 0 thread 0 on one line", line)
 		}
 	}
-	return len(p), nil
 }

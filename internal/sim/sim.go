@@ -11,7 +11,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/flight"
 	"repro/internal/isa"
 	"repro/internal/uncore"
 )
@@ -121,11 +120,6 @@ type Config struct {
 	// CheckIndependence turns on the emulator's slice-discipline
 	// checker (slower; for tests).
 	CheckIndependence bool
-	// Recorder, when non-nil, receives timeline samples (every
-	// Recorder.Interval cycles) and the cores' pipeline events — the
-	// opt-in flight recorder of internal/flight. Nil costs one pointer
-	// check per cycle and changes no results.
-	Recorder *flight.Recorder
 	// Ctx, when non-nil, lets the caller cancel a run in progress: the
 	// driver loop polls Ctx.Done() every ctxCheckIters iterations
 	// (alongside its other per-iteration obligations — watchdog,
@@ -167,11 +161,10 @@ func DefaultConfig() Config {
 // (cores × SMT), sharing one memory image.
 type Workload struct {
 	Name string
-	// Progs has one program per hardware thread. With a single entry
-	// and multiple threads, the entry is shared (every thread runs the
-	// same code — only correct if the program partitions work by
-	// thread itself, which our kernels do via distinct programs
-	// instead; see internal/kernels).
+	// Progs has exactly one program per hardware thread, in core-major
+	// order (core 0's threads first); Run rejects any other count. The
+	// kernels partition work by giving each thread its own program (see
+	// internal/kernels).
 	Progs []*isa.Program
 	Mem   []byte
 	// Check validates the final memory image against a host-computed
@@ -229,7 +222,6 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 	hc := cfg.Mem.hierConfig()
 
 	// All machines share the workload's memory image.
-	cfg.Core.Recorder = cfg.Recorder
 	cores := make([]*core.Core, cfg.Cores)
 	hiers := make([]*cache.Hierarchy, cfg.Cores)
 	ti := 0
@@ -253,7 +245,7 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		maxCycles = 2_000_000_000
 	}
 
-	rec := cfg.Recorder
+	rec := cfg.Core.Recorder
 	var tl *timeline
 	if rec != nil && rec.Interval > 0 {
 		tl = newTimeline(rec, cfg.Cores)
@@ -289,7 +281,7 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 			lastCommit, lastCommitCycle = committed, now
 		} else if now-lastCommitCycle > watchdog {
 			return nil, fmt.Errorf("sim: workload %s deadlocked at cycle %d:\n%s",
-				w.Name, now, deadlockDump(now, cores, rec))
+				w.Name, now, deadlockDump(cores, rec))
 		}
 		if tl != nil && now%rec.Interval == 0 {
 			tl.sample(now, cores, hiers, llc)

@@ -2,11 +2,14 @@ package blp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/stats"
 )
 
@@ -78,55 +81,93 @@ func TestMetricMarshalEdgeCases(t *testing.T) {
 	}
 }
 
-// A run with the flight recorder attached must produce the same Result as
-// one without (the recorder is observation only — its Options field is
-// excluded from the memoization key for the same reason), and the Chrome
-// trace it exports must contain the selective-flush mechanism events.
+// Recording is observation only, and complete beyond one core: on one
+// core, two cores and SMT2, a run watched by a timeline and uop-tracing
+// recorder returns exactly RunContext's Result; its events cover every
+// (core, thread) pair, the selective-flush mechanism and the
+// mispredicted branches; and the Chrome trace and timeline CSV export
+// them.
 func TestFlightRecorderNeutralAndTraces(t *testing.T) {
-	o := Options{Benchmark: "bfs", Scale: 6, Mode: SliceOuter}
-	base, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, shape := range []struct {
+		name       string
+		cores, smt int
+	}{{"1core", 1, 1}, {"2cores", 2, 1}, {"smt2", 1, 2}} {
+		t.Run(shape.name, func(t *testing.T) {
+			o := Options{Benchmark: "bfs", Scale: 6, Mode: SliceOuter, Cores: shape.cores, SMT: shape.smt}
+			want, err := RunContext(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &FlightRecorder{Interval: 100, TraceUops: true}
+			got, err := RunRecorded(context.Background(), o, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("recorder changed the result:\nrecorded:   %+v\nunrecorded: %+v", got, want)
+			}
+			if rec.Dropped() != 0 {
+				t.Fatalf("ring dropped %d events; completeness cannot be checked", rec.Dropped())
+			}
 
-	rec := &FlightRecorder{Interval: 100, TraceUops: true}
-	or := o
-	or.Flight = rec
-	res, err := Run(or)
-	if err != nil {
-		t.Fatal(err)
-	}
+			type hwThread struct{ core, thread int }
+			threads, uopThreads := map[hwThread]bool{}, map[hwThread]bool{}
+			names := map[string]bool{}
+			mispred := false
+			evs := rec.Events()
+			for _, e := range evs {
+				threads[hwThread{e.Core, e.Thread}] = true
+				names[e.Name] = true
+				if e.Name == flight.EvUop {
+					uopThreads[hwThread{e.Core, e.Thread}] = true
+					mispred = mispred || e.Mispred
+				}
+			}
+			for c := 0; c < shape.cores; c++ {
+				for th := 0; th < shape.smt; th++ {
+					if !uopThreads[hwThread{c, th}] {
+						t.Errorf("no uop event from core %d thread %d", c, th)
+					}
+				}
+			}
+			if len(threads) != shape.cores*shape.smt {
+				t.Errorf("events name %d (core, thread) pairs, want %d", len(threads), shape.cores*shape.smt)
+			}
+			for _, name := range []string{flight.EvRecoverSel, flight.EvSplice, flight.EvUnlink} {
+				if !names[name] {
+					t.Errorf("no %s event recorded", name)
+				}
+			}
+			if !mispred {
+				t.Error("no uop event carries the mispredict bit")
+			}
 
-	if res.Cycles != base.Cycles {
-		t.Fatalf("recorder changed timing: %d vs %d cycles", res.Cycles, base.Cycles)
-	}
-	if res.Stats != base.Stats {
-		t.Fatalf("recorder changed stats:\n%+v\n%+v", res.Stats, base.Stats)
-	}
-	if o.Key() != or.Key() {
-		t.Fatal("Flight must be excluded from the canonical key")
-	}
+			var trace bytes.Buffer
+			if err := rec.WriteChromeTrace(&trace); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct{ Name string } `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
+				t.Fatalf("trace is not valid JSON: %v", err)
+			}
+			if len(doc.TraceEvents) != len(evs) {
+				t.Errorf("trace holds %d events, the recorder %d", len(doc.TraceEvents), len(evs))
+			}
 
-	var trace bytes.Buffer
-	if err := rec.WriteChromeTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	s := trace.String()
-	for _, want := range []string{`"sf-unlink"`, `"sf-splice"`, `"recover-selective"`, `"traceEvents"`} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("trace missing %s", want)
-		}
-	}
-	var parsed map[string]any
-	if err := json.Unmarshal(trace.Bytes(), &parsed); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-
-	var csv bytes.Buffer
-	if err := rec.WriteTimelineCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(csv.String(), "\n"); lines < 2 {
-		t.Fatalf("timeline CSV has %d lines, want header plus samples", lines)
+			var csv bytes.Buffer
+			if err := rec.WriteTimelineCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			rows := strings.Split(strings.TrimSpace(csv.String()), "\n")[1:]
+			cores := map[string]bool{}
+			for _, row := range rows {
+				cores[strings.Split(row, ",")[1]] = true
+			}
+			if len(rows) == 0 || len(cores) != shape.cores {
+				t.Errorf("timeline has %d rows over %d cores, want rows for %d cores", len(rows), len(cores), shape.cores)
+			}
+		})
 	}
 }

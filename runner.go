@@ -144,10 +144,6 @@ func (r *Runner) CacheStats() CacheStats { return r.cache.Stats() }
 // canonical Options key simulates (waiting for a worker slot); duplicates
 // block until that simulation finishes and share its result. Safe for
 // concurrent use.
-//
-// Options.Flight is excluded from the memoization key: a request served
-// by a duplicate performs no simulation, so its recorder stays empty (a
-// notice is written to the progress writer, if set).
 func (r *Runner) Run(o Options) (*Result, error) {
 	return r.RunContext(context.Background(), o)
 }
@@ -185,12 +181,7 @@ func (r *Runner) RunCached(ctx context.Context, o Options) (res *Result, shared 
 	if shared && err == nil {
 		r.mu.Lock()
 		r.cached++
-		w := r.progress
 		r.mu.Unlock()
-		if w != nil && o.Flight != nil {
-			fmt.Fprintf(w, "run %-32s served from cache; its flight recorder stays empty\n",
-				describeRun(o))
-		}
 	}
 	return res, shared, err
 }

@@ -26,11 +26,6 @@ func TestOptionsKeyCanonicalization(t *testing.T) {
 	if zero.Key() == implicit.Key() {
 		t.Fatal("explicit zero reserve should not share the default's key")
 	}
-	traced := implicit
-	traced.TraceEvents = 100
-	if traced.Key() != implicit.Key() {
-		t.Fatal("TraceEvents is output-only and must not change the key")
-	}
 }
 
 // Concurrent requests for one canonical key must simulate exactly once
