@@ -9,6 +9,8 @@ package blp
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/kernels"
 )
 
 // benchDelta shrinks inputs for the benchmark harness; the full-scale
@@ -165,16 +167,31 @@ func BenchmarkAblationWrongPathMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSimThroughput measures raw simulator speed (simulated cycles
-// per wall second drives every experiment's cost).
+// BenchmarkSimThroughput measures raw simulator speed, which sets every
+// experiment's cost, on pr two scales below its default, unsliced and in
+// its best slice mode. ns/kinst is host nanoseconds per 1,000 committed
+// instructions; the workload is built before the timer starts.
 func BenchmarkSimThroughput(b *testing.B) {
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		r, err := Run(Options{Benchmark: "pr", Scale: scaled("pr", benchDelta)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += r.Cycles
+	const k = "pr"
+	for _, mode := range []SliceMode{SliceNone, BestMode(k)} {
+		b.Run(mode.String(), func(b *testing.B) {
+			o := Options{Benchmark: k, Scale: scaled(k, benchDelta), Mode: mode}
+			if _, err := kernels.Build(buildSpec(o.normalized())); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var cycles int64
+			var committed uint64
+			for i := 0; i < b.N; i++ {
+				r, err := Run(o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += r.Cycles
+				committed += r.Stats.Committed
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(committed)/1000), "ns/kinst")
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
+		})
 	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }

@@ -5,7 +5,7 @@
 //
 //	sfsim -bench bfs -mode outer
 //	sfsim -bench cc -mode inner -scale 11 -predictor oracle
-//	sfsim -bench ms -cores 4 -compare
+//	sfsim -bench ms -mode outer -cores 4 -compare
 //	sfsim -bench bfs -mode outer -trace trace.json   # Chrome trace export
 //	sfsim -bench bfs -timeline tl.csv -interval 500  # occupancy timeline
 //	sfsim -bench bfs -mode outer -traceevents 20     # last 20 events to stderr
@@ -106,6 +106,9 @@ func main() {
 				log.Print("warning: -interval has no effect without -timeline")
 			}
 		})
+	}
+	if *compare && m == blp.SliceNone {
+		log.Print("warning: -compare has no effect without a sliced -mode (outer or inner)")
 	}
 
 	// -compare runs the baseline concurrently and unrecorded, so only the

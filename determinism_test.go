@@ -9,7 +9,7 @@ import (
 // reserve sweep on a fresh Runner three times over, and every Result must
 // equal the unmemoized blp.Run of the same options. Concurrent runs share
 // nothing but the Runner, and every wrong path re-seeds its thread's one
-// shadow with an empty store overlay, so nothing one run leaves behind
+// shadow with an empty store log, so nothing one run leaves behind
 // can change what another computes.
 func TestRunnerDeterministic(t *testing.T) {
 	if testing.Short() {

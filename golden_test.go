@@ -1,6 +1,8 @@
 package blp
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -63,11 +65,15 @@ func TestGoldenFig4SmallScale(t *testing.T) {
 // TestGoldenPolicyMinScale pins the recovery-policy timing at the minimum
 // input scale: one line per benchmark × core.ConformanceMatrix row on the
 // default 224-entry ROB, giving the counters each recovery mechanism
-// moves. Fig. 4 runs only selective and conventional, and the -fig policy
-// table rounds partial flush's cycle-neutral drain away, so this is the
-// test that fails when partial or throttle timing changes. Selective runs
-// at BestMode; every other policy runs the unsliced binary, as in -fig
-// policy.
+// moves, plus selective cc on two cores and selective bfs under SMT2.
+// Fig. 4 runs only selective and conventional, and the -fig policy table
+// rounds partial flush's cycle-neutral drain away, so this is the test
+// that fails when partial or throttle timing changes. Selective runs at
+// BestMode; every other policy runs the unsliced binary, as in -fig
+// policy. Each line ends with the sha256 of the Result's JSON, so every
+// counter is pinned, not only the printed ones: a change meant to leave
+// results alone is checked here on sums such as OutstandingSum and
+// ROBOccupancySum, which no figure golden prints.
 func TestGoldenPolicyMinScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every benchmark under every conformance policy")
@@ -85,6 +91,9 @@ func TestGoldenPolicyMinScale(t *testing.T) {
 			opts = append(opts, Options{Benchmark: b, Scale: minScale, Mode: mode, Policy: sp.String()})
 		}
 	}
+	opts = append(opts,
+		Options{Benchmark: "cc", Scale: minScale, Mode: BestMode("cc"), Policy: "selective", Cores: 2},
+		Options{Benchmark: "bfs", Scale: minScale, Mode: BestMode("bfs"), Policy: "selective", SMT: 2})
 	results, err := NewRunner(0).RunAll(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +101,13 @@ func TestGoldenPolicyMinScale(t *testing.T) {
 	var sb strings.Builder
 	for i, o := range opts {
 		s := results[i].Stats
-		fmt.Fprintf(&sb, "%-4s %-12s %-5s cycles=%d conv=%d flushedFull=%d drain=%d throttled=%d\n",
-			o.Benchmark, o.Policy, o.Mode, s.Cycles, s.ConvRecoveries, s.FlushedFull,
-			s.DrainCycles, s.ThrottledCycles)
+		js, err := json.Marshal(results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%-4s %-12s %-5s cores=%d smt=%d cycles=%d conv=%d flushedFull=%d drain=%d throttled=%d sha256=%x\n",
+			o.Benchmark, o.Policy, o.Mode, max(o.Cores, 1), max(o.SMT, 1), s.Cycles, s.ConvRecoveries,
+			s.FlushedFull, s.DrainCycles, s.ThrottledCycles, sha256.Sum256(js))
 		sp, _ := core.ParsePolicy(o.Policy)
 		// The scale is chosen so every staged and gated row engages its
 		// mechanism; a row that stops engaging pins nothing.

@@ -190,3 +190,32 @@ func TestNewByName(t *testing.T) {
 	}()
 	New("nope")
 }
+
+// TestFoldMatchesEveryChunk checks that fold, which stops once the
+// remaining history is zero, equals XORing every width-bit chunk of the
+// low n bits, for every history length and index or tag width TAGE uses.
+func TestFoldMatchesEveryChunk(t *testing.T) {
+	every := func(h uint64, n, width uint) uint64 {
+		h &= 1<<n - 1
+		var f uint64
+		for ; n > 0; n -= min(n, width) {
+			f ^= h & (1<<width - 1)
+			h >>= width
+		}
+		return f
+	}
+	f := func(h uint64, shift uint8) bool {
+		h >>= shift % 64 // short histories leave high chunks zero
+		for _, n := range tageHistLen {
+			for _, w := range []uint{tageIdxBits, tageTagBits, tageTagBits - 1} {
+				if fold(h, n, w) != every(h, n, w) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -53,17 +53,13 @@ func NewTAGE() *TAGE {
 }
 
 // fold compresses the low n bits of h into chunks of width bits, XORed.
+// It stops once the remaining history is zero, since a zero chunk
+// changes nothing.
 func fold(h uint64, n, width uint) uint64 {
 	h &= 1<<n - 1
 	var f uint64
-	for n > 0 {
+	for ; h != 0; h >>= width {
 		f ^= h & (1<<width - 1)
-		h >>= width
-		if n >= width {
-			n -= width
-		} else {
-			n = 0
-		}
 	}
 	return f
 }

@@ -82,15 +82,21 @@ type Cache struct {
 	// the whole slice on every miss.
 	mshr minHeap
 
-	// Stride prefetcher state.
-	stride map[uint64]*strideEntry
+	// Stride prefetcher state: one entry per code index (the pc
+	// AccessPC is given), grown on demand, and strideLen entries in use.
+	stride    []strideEntry
+	strideLen int
 }
 
 type strideEntry struct {
 	lastAddr uint64
 	stride   int64
 	conf     int8
+	valid    bool
 }
+
+// strideCap is how many PCs the stride table tracks before it is cleared.
+const strideCap = 1024
 
 // withDefaults fills in the defaulted geometry and prefetch fields.
 func (cfg Config) withDefaults() Config {
@@ -141,9 +147,6 @@ func New(cfg Config, next Level) *Cache {
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
-	}
-	if cfg.StridePrefetch {
-		c.stride = make(map[uint64]*strideEntry)
 	}
 	return c
 }
@@ -251,11 +254,6 @@ func (c *Cache) Access(addr uint64, now int64, write, prefetch bool) int64 {
 		if ln.readyAt > start {
 			start = ln.readyAt // fill still in flight
 		}
-		if !prefetch && c.cfg.StridePrefetch {
-			// Training happens at the caller via AccessPC; plain
-			// Access does not train.
-			_ = start
-		}
 		return start + int64(c.cfg.HitLatency)
 	}
 
@@ -314,18 +312,25 @@ func (c *Cache) install(addr uint64, readyAt int64, dirty bool) {
 }
 
 // AccessPC is Access plus stride-prefetcher training keyed by the load's
-// PC. Cores use this entry point for demand data accesses.
+// PC, its code index. Cores use this entry point for demand data
+// accesses. The stride table is cleared when a new PC arrives while it
+// tracks more than strideCap.
 func (c *Cache) AccessPC(addr uint64, pc uint64, now int64, write bool) int64 {
 	done := c.Access(addr, now, write, false)
-	if c.stride == nil {
+	if !c.cfg.StridePrefetch {
 		return done
 	}
-	e := c.stride[pc]
-	if e == nil {
-		if len(c.stride) > 1024 {
+	if pc >= uint64(len(c.stride)) {
+		c.stride = append(c.stride, make([]strideEntry, pc+1-uint64(len(c.stride)))...)
+	}
+	e := &c.stride[pc]
+	if !e.valid {
+		if c.strideLen > strideCap {
 			clear(c.stride)
+			c.strideLen = 0
 		}
-		c.stride[pc] = &strideEntry{lastAddr: addr}
+		*e = strideEntry{lastAddr: addr, valid: true}
+		c.strideLen++
 		return done
 	}
 	d := int64(addr) - int64(e.lastAddr)

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -281,6 +283,121 @@ func TestValidateSets(t *testing.T) {
 		want := fmt.Sprintf("cache %s: %d sets is not a power of two", tc.cfg.Name, tc.sets)
 		if err := tc.cfg.Validate(); err == nil || err.Error() != want {
 			t.Errorf("%+v: error %v, want %q", tc.cfg, err, want)
+		}
+	}
+}
+
+// levelAccess is one access a recordLevel saw.
+type levelAccess struct {
+	addr            uint64
+	now             int64
+	write, prefetch bool
+}
+
+// recordLevel is a fixed-latency next level that logs every access.
+type recordLevel struct{ log []levelAccess }
+
+func (r *recordLevel) Access(addr uint64, now int64, write, prefetch bool) int64 {
+	r.log = append(r.log, levelAccess{addr, now, write, prefetch})
+	return now + 50
+}
+
+// mapStride is the stride prefetcher keyed by a PC map, as AccessPC kept
+// it before the table: the reference the table is checked against. It
+// trains over a cache built without a stride prefetcher of its own.
+type mapStride struct {
+	c      *Cache
+	stride map[uint64]*mapStrideEntry
+}
+
+type mapStrideEntry struct {
+	lastAddr uint64
+	stride   int64
+	conf     int8
+}
+
+func (m *mapStride) AccessPC(addr uint64, pc uint64, now int64, write bool) int64 {
+	done := m.c.Access(addr, now, write, false)
+	e := m.stride[pc]
+	if e == nil {
+		if len(m.stride) > 1024 {
+			clear(m.stride)
+		}
+		m.stride[pc] = &mapStrideEntry{lastAddr: addr}
+		return done
+	}
+	d := int64(addr) - int64(e.lastAddr)
+	if d == e.stride && d != 0 {
+		if e.conf < 3 {
+			e.conf++
+		}
+	} else {
+		e.stride = d
+		if e.conf > 0 {
+			e.conf--
+		}
+	}
+	e.lastAddr = addr
+	if e.conf >= 2 && e.stride != 0 {
+		for k := 1; k <= m.c.cfg.StrideDegree; k++ {
+			pa := uint64(int64(addr) + e.stride*int64(k+1))
+			m.c.Access(pa, now, false, true)
+		}
+	}
+	return done
+}
+
+// TestStrideTableMatchesMap runs random (pc, addr) streams through the
+// stride table and through the map it replaced, each over a small cache,
+// and requires the same completion times, the same accesses reaching the
+// next level (prefetches included) and the same Stats. A few hot PCs walk
+// fixed strides so the prefetcher trains; cold PCs drawn from a wide range
+// push the table past strideCap, so it is cleared more than once.
+func TestStrideTableMatchesMap(t *testing.T) {
+	cfg := Config{Name: "t", SizeBytes: 1 << 10, Ways: 2, HitLatency: 2, MSHRs: 4,
+		StrideDegree: 2}
+	strides := []int64{0, 8, 64, 128, -64, 192}
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tableNext, mapNext := &recordLevel{}, &recordLevel{}
+		tcfg := cfg
+		tcfg.StridePrefetch = true
+		table := New(tcfg, tableNext)
+		ref := &mapStride{c: New(cfg, mapNext), stride: map[uint64]*mapStrideEntry{}}
+		last := map[uint64]uint64{}
+		distinct := 0
+		for i := 0; i < 20000; i++ {
+			pc := uint64(rng.Intn(8))
+			if rng.Intn(4) == 0 {
+				pc = uint64(rng.Intn(3000))
+			}
+			addr, seen := last[pc]
+			switch {
+			case !seen:
+				distinct++
+				addr = uint64(rng.Intn(1 << 20))
+			case rng.Intn(10) == 0:
+				addr = uint64(rng.Intn(1 << 20))
+			default:
+				addr = uint64(int64(addr) + strides[pc%uint64(len(strides))])
+			}
+			last[pc] = addr
+			now, write := int64(i)*3, rng.Intn(5) == 0
+			if got, want := table.AccessPC(addr, pc, now, write), ref.AccessPC(addr, pc, now, write); got != want {
+				t.Fatalf("seed %d access %d (pc %d): done at %d, map version %d", seed, i, pc, got, want)
+			}
+		}
+		if distinct <= 2*strideCap {
+			t.Fatalf("seed %d: only %d distinct PCs, the table was not cleared twice", seed, distinct)
+		}
+		if !slices.Equal(tableNext.log, mapNext.log) {
+			t.Fatalf("seed %d: next level saw different accesses (%d vs %d)", seed, len(tableNext.log), len(mapNext.log))
+		}
+		if table.Stats() != ref.c.Stats() {
+			t.Fatalf("seed %d: stats %+v, map version %+v", seed, table.Stats(), ref.c.Stats())
+		}
+		if table.Stats().Prefetches == 0 {
+			t.Fatalf("seed %d: the prefetcher never ran", seed)
 		}
 	}
 }

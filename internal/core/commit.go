@@ -13,7 +13,7 @@ func (c *Core) commit() {
 	slots := c.cfg.CommitWidth
 	stuck := 0
 	for slots > 0 && stuck < len(c.threads) {
-		t := c.threads[c.commitRR%len(c.threads)]
+		t := c.threads[c.commitRR&(len(c.threads)-1)]
 		c.commitRR++
 		n := c.commitThread(t, slots)
 		if n == 0 {

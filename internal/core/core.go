@@ -46,12 +46,14 @@ type Core struct {
 
 	rs []*uop // legacy scan path only: dispatched, waiting to issue (dispatch order)
 	// readyQ holds uops whose operands are all available, awaiting an
-	// issue port; specials holds operand-ready uops whose issue is gated
-	// on a polled condition (reduce-at-head, barrier release).
+	// issue port, in dispatch order; specials holds operand-ready uops
+	// whose issue is gated on a polled condition (reduce-at-head,
+	// barrier release).
 	readyQ     []readyRef
 	specials   []readyRef
 	ready_     []*uop  // per-cycle scratch for age-sorted ready instructions
 	longUntil  []int64 // completion times of in-flight long-latency loads
+	longNext   int64   // earliest time in longUntil (farFuture when empty)
 	events     eventHeap
 	pool       []*uop
 	ckPool     []*renameSnapshot // free conventional-miss checkpoints (uop.ck)
@@ -80,6 +82,8 @@ type Core struct {
 	// fast-forward in NextWake consults it.
 	activity bool
 
+	// Round-robin thread positions. The thread count is 1, 2 or 4
+	// (Config.Validate), so rr&(len(c.threads)-1) picks thread rr mod n.
 	fetchRR    int
 	dispatchRR int
 	commitRR   int
@@ -102,6 +106,7 @@ func NewCore(id int, cfg Config, hier *cache.Hierarchy, machines []*emu.Machine)
 		squashDepth: cfg.Recovery.Depth,
 		gateConf:    uint8(cfg.Recovery.Conf),
 		space:       rob.NewSpace(cfg.ROBSize, cfg.ROBBlockSize),
+		longNext:    farFuture,
 		forceCyc:    cfg.ForceCycleAccurate,
 	}
 	for i, m := range machines {
@@ -172,14 +177,18 @@ func (c *Core) Cycle(now int64) {
 	c.accountCycle()
 	c.stats.Cycles = now
 	c.stats.ROBOccupancySum += uint64(c.space.Used())
-	live := c.longUntil[:0]
-	for _, at := range c.longUntil {
-		if at > now {
-			live = append(live, at)
+	if c.longNext <= now {
+		live := c.longUntil[:0]
+		c.longNext = farFuture
+		for _, at := range c.longUntil {
+			if at > now {
+				live = append(live, at)
+				c.longNext = min(c.longNext, at)
+			}
 		}
+		c.longUntil = live
 	}
-	c.longUntil = live
-	c.stats.OutstandingSum += uint64(len(live))
+	c.stats.OutstandingSum += uint64(len(c.longUntil))
 }
 
 // complete retires execution events due at or before now and performs

@@ -23,7 +23,7 @@ func (c *Core) dispatch() {
 	for slots > 0 {
 		progressed := false
 		for i := 0; i < len(c.threads) && slots > 0; i++ {
-			t := c.threads[(c.dispatchRR+i)%len(c.threads)]
+			t := c.threads[(c.dispatchRR+i)&(len(c.threads)-1)]
 			if c.dispatchResolve(t) {
 				slots--
 				progressed = true

@@ -20,7 +20,7 @@ func (c *Core) fetch() {
 func (c *Core) pickFetchThread() *thread {
 	var best *thread
 	for i := range c.threads {
-		t := c.threads[(c.fetchRR+i)%len(c.threads)]
+		t := c.threads[(c.fetchRR+i)&(len(c.threads)-1)]
 		if t.done || t.finishedFetching() && t.resolving == nil {
 			continue
 		}

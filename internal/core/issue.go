@@ -25,15 +25,26 @@ import (
 // To keep results byte-identical to the full-RS scan (whose age sort is
 // unstable, so its tie order among equal-age uops — SMT threads share the
 // age space, and a miss's wrong-path uops all carry the branch's age — is
-// an artifact of the candidates' RS order), the candidate set is first
-// restored to dispatch order, which is exactly the order the RS scan
-// produces, before the same age sort runs. Config.ForceCycleAccurate
-// selects the legacy scan (issueScan) for equivalence testing.
+// an artifact of the candidates' RS order), the candidates reach the same
+// age sort in dispatch order, which is exactly the order the RS scan
+// produces: the ready queue is kept in dispatch order as entries are
+// enqueued, and ready specials are merged into it by dispSeq.
+// Config.ForceCycleAccurate selects the legacy scan (issueScan) for
+// equivalence testing.
 func (c *Core) issue() {
 	if c.forceCyc {
 		c.issueScan()
 		return
 	}
+	ready := c.candidates()
+	c.issueFrom(ready)
+	c.ready_ = ready[:0]
+}
+
+// candidates drops stale entries from the ready queue and the specials
+// list and returns the issuable uops in dispatch order: the queue's live
+// entries, with the ready specials merged in by dispSeq.
+func (c *Core) candidates() []*uop {
 	ready := c.ready_[:0]
 	rq := c.readyQ[:0]
 	for _, e := range c.readyQ {
@@ -51,21 +62,15 @@ func (c *Core) issue() {
 		}
 		sp = append(sp, e)
 		if c.specialReady(e.u) {
-			ready = append(ready, e.u)
+			i := len(ready)
+			for i > 0 && ready[i-1].dispSeq > e.u.dispSeq {
+				i--
+			}
+			ready = slices.Insert(ready, i, e.u)
 		}
 	}
 	c.specials = sp
-
-	// Restore dispatch order so the unstable age sort below sees the
-	// same input permutation as the legacy RS scan.
-	slices.SortFunc(ready, func(a, b *uop) int {
-		if a.dispSeq < b.dispSeq {
-			return -1
-		}
-		return 1
-	})
-	c.issueFrom(ready)
-	c.ready_ = ready[:0]
+	return ready
 }
 
 // issueScan is the legacy selection loop: scan the whole RS, test every
@@ -90,22 +95,9 @@ func (c *Core) issueScan() {
 }
 
 // issueFrom sorts the dispatch-ordered candidate set by age and issues up
-// to IssueWidth instructions within per-class port capacity. The sort is
-// intentionally unstable and must keep matching what sort.Slice did in the
-// original scan implementation: slices.SortFunc instantiates the same
-// pdqsort template, so equal-age candidates permute identically given the
-// same input order — without sort.Slice's per-call boxing allocations.
+// to IssueWidth instructions within per-class port capacity.
 func (c *Core) issueFrom(ready []*uop) {
-	slices.SortFunc(ready, func(a, b *uop) int {
-		if a.age < b.age {
-			return -1
-		}
-		if a.age > b.age {
-			return 1
-		}
-		return 0
-	})
-
+	sortByAge(ready)
 	budget := c.cfg.IssueWidth
 	var ports [isa.NumClasses]int
 	for _, u := range ready {
@@ -120,6 +112,33 @@ func (c *Core) issueFrom(ready []*uop) {
 		budget--
 		c.issueOne(u)
 	}
+}
+
+// sortByAge orders candidates oldest first. The sort is intentionally
+// unstable and must keep matching what sort.Slice did in the original
+// scan implementation: slices.SortFunc instantiates the same pdqsort
+// template, so equal-age candidates permute identically given the same
+// input order — without sort.Slice's per-call boxing allocations.
+// pdqsort returns a slice already in non-decreasing order unchanged, so
+// the sort runs only when some candidate is older than its predecessor.
+func sortByAge(ready []*uop) {
+	for i := 1; i < len(ready); i++ {
+		if ready[i].age < ready[i-1].age {
+			slices.SortFunc(ready, byAge)
+			return
+		}
+	}
+}
+
+// byAge is the age sort's comparator.
+func byAge(a, b *uop) int {
+	if a.age < b.age {
+		return -1
+	}
+	if a.age > b.age {
+		return 1
+	}
+	return 0
 }
 
 // ready reports whether all of u's operands are available and any
@@ -172,14 +191,22 @@ func (c *Core) registerWakeups(u *uop) {
 
 // enqueueReady moves a uop whose operands are all available into the
 // selection pool: the ready queue, or the polled specials list when its
-// readiness has a non-operand component.
+// readiness has a non-operand component. The ready queue stays in
+// dispatch order: a uop ready at dispatch goes last, and a woken one
+// slots in behind the entries dispatched before it.
 func (c *Core) enqueueReady(u *uop) {
-	e := readyRef{u: u, id: u.id}
+	e := readyRef{u: u, id: u.id, seq: u.dispSeq}
 	if u.reduce || u.d.Inst.Op == isa.Barrier {
 		c.specials = append(c.specials, e)
-	} else {
-		c.readyQ = append(c.readyQ, e)
+		return
 	}
+	q := append(c.readyQ, e)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > e.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	c.readyQ = q
 }
 
 // wakeWaiters notifies the dependents of a uop that just produced its
@@ -219,6 +246,7 @@ func (c *Core) issueOne(u *uop) {
 		if done-c.now > 100 {
 			c.stats.LongLoads++
 			c.longUntil = append(c.longUntil, done)
+			c.longNext = min(c.longNext, done)
 		}
 	case op.IsAtomic():
 		done = c.loadDone(u) + int64(c.cfg.AtomicExtra)

@@ -127,10 +127,13 @@ type waiter struct {
 }
 
 // readyRef is one entry of the ready queue or specials list, id-checked
-// the same way.
+// the same way. seq is the uop's dispSeq when it was enqueued, the ready
+// queue's order key: a stale entry keeps its place even after its uop is
+// recycled under a new dispSeq.
 type readyRef struct {
-	u  *uop
-	id uint64
+	u   *uop
+	id  uint64
+	seq uint64
 }
 
 // renameRef is the rename-table entry type.

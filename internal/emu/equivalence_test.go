@@ -132,7 +132,7 @@ func genStraightLine(rng *graph.RNG, scratch uint64, words int) *isa.Program {
 
 // TestShadowMatchesMachine: for straight-line code, the shadow wrong-path
 // engine computes exactly the machine's register results and observes the
-// same memory values through its overlay, while never mutating the
+// same memory values through its store log, while never mutating the
 // architectural image.
 func TestShadowMatchesMachine(t *testing.T) {
 	seen := map[isa.Op]bool{}
@@ -185,13 +185,13 @@ func TestShadowMatchesMachine(t *testing.T) {
 			t.Logf("seed %d: registers diverge", seed)
 			return false
 		}
-		// The shadow's overlay view of scratch equals the machine's
+		// The shadow's store-log view of scratch equals the machine's
 		// final memory.
 		for i := 0; i < words; i++ {
 			want, _ := isa.ReadWord(m.Mem, scratch+uint64(i)*8, 8)
 			got, ok := s.load(scratch+uint64(i)*8, 8)
 			if !ok || got != want {
-				t.Logf("seed %d: overlay word %d: %d vs %d", seed, i, got, want)
+				t.Logf("seed %d: store-log word %d: %d vs %d", seed, i, got, want)
 				return false
 			}
 		}

@@ -3,38 +3,45 @@ package emu
 import "repro/internal/isa"
 
 // Shadow is the wrong-path engine: a fork of a Machine's architectural
-// state that executes down a mispredicted path. Stores are buffered in an
-// overlay and never reach real memory; loads read through the overlay.
+// state that executes down a mispredicted path. Stores are buffered in a
+// log and never reach real memory; loads read memory patched by the log.
 // Out-of-range accesses are tolerated (flagged MemOOB) because wrong-path
 // address computations can be arbitrary garbage.
 //
 // A core thread owns one Shadow and re-seeds it on every mispredict
-// (Reseed), so the engine and its overlay map are allocated once per
+// (Reseed), so the engine and its store log are allocated once per
 // thread rather than once per mispredict. The zero value is ready for
 // Reseed.
 type Shadow struct {
-	prog    *isa.Program
-	mem     []byte // read-only view of the machine's memory
-	regs    [isa.NumRegs]uint64
-	pc      int
-	overlay map[uint64]byte // allocated lazily on the first buffered store
-	dead    bool            // ran off the code, halted, or otherwise cannot continue
+	prog   *isa.Program
+	mem    []byte // read-only view of the machine's memory
+	regs   [isa.NumRegs]uint64
+	pc     int
+	stores []shadowStore // buffered in-memory stores, oldest first
+	dead   bool          // ran off the code, halted, or otherwise cannot continue
 
 	inSlice bool
 	sliceID uint64
 }
 
+// shadowStore is one buffered wrong-path store of size bytes at addr.
+type shadowStore struct {
+	addr uint64
+	size int
+	val  uint64
+}
+
 // Reseed forks a wrong-path engine from m's current architectural state
 // (program, memory view, register file), discarding whatever wrong path
-// s was running: it starts fetching at startPC with an empty store
-// overlay, and inSlice/sliceID seed the slice context the wrong path
-// starts in (the context of the mispredicted branch).
+// s was running: it starts fetching at startPC with an empty store log,
+// and inSlice/sliceID seed the slice context the wrong path starts in
+// (the context of the mispredicted branch).
 func (s *Shadow) Reseed(m *Machine, startPC int, inSlice bool, sliceID uint64) {
 	s.prog = m.Prog
 	s.mem = m.Mem
 	s.regs = m.Regs
 	s.pc = startPC
-	clear(s.overlay)
+	s.stores = s.stores[:0]
 	s.dead = false
 	s.inSlice = inSlice
 	s.sliceID = sliceID
@@ -64,13 +71,21 @@ func (s *Shadow) set(r isa.Reg, v uint64) {
 
 func (s *Shadow) load(addr uint64, size int) (uint64, bool) {
 	v, ok := isa.ReadWord(s.mem, addr, size)
-	// Patch in overlay bytes from buffered wrong-path stores.
-	if ok && len(s.overlay) != 0 {
-		for i := 0; i < size; i++ {
-			if b, ok := s.overlay[addr+uint64(i)]; ok {
-				shift := uint(8 * i)
-				v = v&^(0xff<<shift) | uint64(b)<<shift
-			}
+	if !ok {
+		return v, ok
+	}
+	// Patch in the bytes of buffered wrong-path stores, oldest first, so
+	// the last write to a byte wins. Both ranges lie inside memory, so
+	// none of the sums below wraps.
+	end := addr + uint64(size)
+	for _, st := range s.stores {
+		if st.addr >= end || st.addr+uint64(st.size) <= addr {
+			continue
+		}
+		for a := max(addr, st.addr); a < min(end, st.addr+uint64(st.size)); a++ {
+			shift := 8 * (a - addr)
+			b := st.val >> (8 * (a - st.addr)) & 0xff
+			v = v&^(0xff<<shift) | b<<shift
 		}
 	}
 	return v, ok
@@ -80,12 +95,7 @@ func (s *Shadow) store(addr uint64, size int, v uint64) bool {
 	if !isa.WordFits(s.mem, addr, size) {
 		return false
 	}
-	if s.overlay == nil {
-		s.overlay = make(map[uint64]byte)
-	}
-	for i := 0; i < size; i++ {
-		s.overlay[addr+uint64(i)] = byte(v >> uint(8*i))
-	}
+	s.stores = append(s.stores, shadowStore{addr: addr, size: size, val: v})
 	return true
 }
 
