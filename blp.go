@@ -217,7 +217,7 @@ type Result struct {
 	LLCMissRate float64
 	DRAMBusy    float64
 	// Energy is the event-energy proxy of the run (arbitrary units; see
-	// sim.DefaultEnergyModel), supporting the paper's efficiency claim.
+	// sim.EstimateEnergy), supporting the paper's efficiency claim.
 	Energy sim.Energy
 	// EnergyUseful is the committed share of dispatched instructions —
 	// the fraction of dynamic pipeline energy that was not wasted on
@@ -327,11 +327,9 @@ func memConfig(n Options) sim.MemConfig {
 // benchmark, inner slicing where §6.1 forbids it, a negative Scale,
 // Degree or thread count; kernels.Spec.Normalize), the policy's
 // (core.ParsePolicy), the machine's (sim.Config.Validate: at least one
-// core, a non-negative watchdog, a cache hierarchy the model can size
-// exactly — so Cores must be a power of two, as the LLC grows with it —
-// and core.Config.Validate's SMT, predictor, reserve and ROB rules), and
-// this package's own: a field that takes the Zero sentinel is not below
-// Zero.
+// core, a non-negative watchdog, and core.Config.Validate's SMT,
+// predictor, reserve and ROB rules), and this package's own: a field that
+// takes the Zero sentinel is not below Zero.
 func (o Options) Validate() error {
 	if err := o.normalized().validate(); err != nil {
 		return fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
@@ -361,8 +359,10 @@ func (n Options) validate() error {
 // makeResult converts a sim result into the public Result, deriving the
 // energy proxy.
 func makeResult(r *sim.Result) *Result {
-	e := sim.EstimateEnergy(sim.DefaultEnergyModel(), r)
-	dispatched := r.Total.DispCorrect + r.Total.DispWrong + r.Total.DispOverhead
+	var useful float64
+	if dispatched := r.Total.DispCorrect + r.Total.DispWrong + r.Total.DispOverhead; dispatched > 0 {
+		useful = float64(r.Total.Committed) / float64(dispatched)
+	}
 	return &Result{
 		Cycles:       r.Cycles,
 		IPC:          r.Total.IPC(),
@@ -370,8 +370,8 @@ func makeResult(r *sim.Result) *Result {
 		PerCore:      r.PerCore,
 		LLCMissRate:  r.LLCMissRate,
 		DRAMBusy:     r.DRAMBusy,
-		Energy:       e,
-		EnergyUseful: e.UsefulFraction(r.Total.Committed, dispatched),
+		Energy:       sim.EstimateEnergy(r),
+		EnergyUseful: useful,
 	}
 }
 

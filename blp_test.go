@@ -57,7 +57,6 @@ func TestBadOptionsFailBeforeBuild(t *testing.T) {
 		{"negative watchdog", Options{WatchdogCycles: -1}},
 		{"inner slicing on bfs", Options{Benchmark: "bfs", Mode: SliceInner}},
 		{"reserve below Zero", Options{Reserve: -2}},
-		{"3 cores", Options{Cores: 3}},
 	} {
 		o := tc.o
 		if o.Benchmark == "" {
@@ -85,6 +84,28 @@ func TestBadOptionsFailBeforeBuild(t *testing.T) {
 		}
 		if n := r.Stats().Simulated; n != 0 {
 			t.Errorf("%s: the Runner simulated %d runs", tc.name, n)
+		}
+	}
+}
+
+// TestAnyCoreCountRuns: the LLC is LLCPerCore × Cores and the cache model
+// builds exactly the sets a size asks for, so core counts that are not
+// powers of two run, on the scaled hierarchy and on Table 1's (with 3 and
+// 28 cores, the LLC has 96 and 896 sets scaled, 6,144 and 57,344 at
+// Table 1 sizes).
+func TestAnyCoreCountRuns(t *testing.T) {
+	for _, cores := range []int{3, 28} {
+		for _, paper := range []bool{false, true} {
+			o := Options{Benchmark: "bfs", Scale: 6, Cores: cores, PaperScaleMem: paper}
+			res, err := Run(o)
+			if err != nil {
+				t.Errorf("%d cores (PaperScaleMem %v): %v", cores, paper, err)
+				continue
+			}
+			if len(res.PerCore) != cores || res.Stats.Committed == 0 {
+				t.Errorf("%d cores (PaperScaleMem %v): %d per-core stats, %d committed",
+					cores, paper, len(res.PerCore), res.Stats.Committed)
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@
 //	experiments                 # everything, default scales, NumCPU workers
 //	experiments -fig 4          # one figure
 //	experiments -fig 7 -delta -1  # quicker, one scale step smaller
-//	experiments -fig 10 -cores 32 # nearest power of two above the paper's 28 cores
+//	experiments -fig 10 -cores 8  # fewer cores than the paper's 28
 //	experiments -jobs 1 -quiet  # serial, no progress
 package main
 
@@ -37,7 +37,7 @@ func main() {
 	def := blp.DefaultFigureParams()
 	fig := flag.String("fig", "all", "which experiment: table1, motivation, 4..11, policy, or all")
 	delta := flag.Int("delta", def.Delta, "input-scale delta (negative = smaller/faster)")
-	cores := flag.Int("cores", def.Cores, "core count for fig10 (a power of two)")
+	cores := flag.Int("cores", def.Cores, "core count for fig10")
 	sizeDelta := flag.Int("sizedelta", def.SizeDelta, "extra input-scale steps for fig10's multicore runs")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations (shared across figures)")
 	quiet := flag.Bool("quiet", false, "suppress the per-run progress line on stderr")
@@ -80,8 +80,13 @@ func main() {
 	}
 
 	want := map[string]bool{}
-	for _, name := range strings.Split(*fig, ",") {
-		if id, ok := blp.FigureID(strings.TrimSpace(name)); ok {
+	if *fig != "all" {
+		for _, name := range strings.Split(*fig, ",") {
+			id, ok := blp.FigureID(strings.TrimSpace(name))
+			if !ok {
+				log.Fatalf("unknown figure %q in -fig %q (%s, or all alone)",
+					strings.TrimSpace(name), *fig, strings.Join(blp.FigureIDs(), ", "))
+			}
 			want[id] = true
 		}
 	}
@@ -90,9 +95,6 @@ func main() {
 		if *fig == "all" || want[id] {
 			sel = append(sel, id)
 		}
-	}
-	if len(sel) == 0 {
-		log.Fatalf("no experiment matches -fig %q", *fig)
 	}
 	params := blp.FigureParams{Delta: *delta, Cores: *cores, SizeDelta: *sizeDelta}
 

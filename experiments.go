@@ -488,10 +488,10 @@ func (r *Runner) Fig9(scaleDelta int) (*Figure, error) {
 
 // Fig10 compares multicore speedups against single-core speedups (the
 // paper runs 28 cores with 16× inputs; pass cores and sizeDelta to scale
-// the experiment to budget).
+// the experiment to budget). cores must be at least 1.
 func (r *Runner) Fig10(scaleDelta, cores, sizeDelta int) (*Figure, error) {
-	if cores <= 0 {
-		cores = 4
+	if cores < 1 {
+		return nil, fmt.Errorf("blp: fig10 needs at least 1 core, got %d", cores)
 	}
 	f := &Figure{
 		ID:    "fig10",
@@ -655,9 +655,9 @@ type FigureParams struct {
 }
 
 // DefaultFigureParams are the defaults both front ends start from:
-// full scale, and Fig. 10 at 16 cores with three extra input-scale
-// steps for its multicore runs.
-func DefaultFigureParams() FigureParams { return FigureParams{Cores: 16, SizeDelta: 3} }
+// full scale, and Fig. 10 at the paper's 28 cores with three extra
+// input-scale steps for its multicore runs.
+func DefaultFigureParams() FigureParams { return FigureParams{Cores: 28, SizeDelta: 3} }
 
 // figureSpec is one row of the figure table: the id, a second accepted
 // name, and how to regenerate the figure.

@@ -65,7 +65,9 @@ func TestGoldenFig4SmallScale(t *testing.T) {
 // TestGoldenPolicyMinScale pins the recovery-policy timing at the minimum
 // input scale: one line per benchmark × core.ConformanceMatrix row on the
 // default 224-entry ROB, giving the counters each recovery mechanism
-// moves, plus selective cc on two cores and selective bfs under SMT2.
+// moves, plus selective cc on two cores, selective bfs under SMT2, and
+// two core counts that are not powers of two (selective cc on 3 cores,
+// selective bfs on 28), whose LLCs have 96 and 896 sets.
 // Fig. 4 runs only selective and conventional, and the -fig policy table
 // rounds partial flush's cycle-neutral drain away, so this is the test
 // that fails when partial or throttle timing changes. Selective runs at
@@ -93,7 +95,9 @@ func TestGoldenPolicyMinScale(t *testing.T) {
 	}
 	opts = append(opts,
 		Options{Benchmark: "cc", Scale: minScale, Mode: BestMode("cc"), Policy: "selective", Cores: 2},
-		Options{Benchmark: "bfs", Scale: minScale, Mode: BestMode("bfs"), Policy: "selective", SMT: 2})
+		Options{Benchmark: "bfs", Scale: minScale, Mode: BestMode("bfs"), Policy: "selective", SMT: 2},
+		Options{Benchmark: "cc", Scale: minScale, Mode: BestMode("cc"), Policy: "selective", Cores: 3},
+		Options{Benchmark: "bfs", Scale: minScale, Mode: BestMode("bfs"), Policy: "selective", Cores: 28})
 	results, err := NewRunner(0).RunAll(opts)
 	if err != nil {
 		t.Fatal(err)

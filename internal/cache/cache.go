@@ -10,8 +10,6 @@
 // the standard approach for Sniper-class simulators.
 package cache
 
-import "fmt"
-
 // Level is anything an upper cache can fetch lines from.
 type Level interface {
 	// Access requests the line containing addr at time now. write marks
@@ -21,12 +19,12 @@ type Level interface {
 	Access(addr uint64, now int64, write, prefetch bool) int64
 }
 
-// Config describes one cache level.
+// Config describes one cache level. Lines are lineBytes long at every
+// level.
 type Config struct {
 	Name       string
 	SizeBytes  int
 	Ways       int
-	LineBytes  int
 	HitLatency int // cycles from access to data for a hit
 	MSHRs      int // max outstanding misses; 0 = unlimited
 	// ExtraLatency is added to every access that reaches this level
@@ -35,12 +33,17 @@ type Config struct {
 	// NextLinePrefetch fetches line+1 on every demand miss.
 	NextLinePrefetch bool
 	// StridePrefetch enables a PC-indexed stride prefetcher trained on
-	// demand accesses to this level.
+	// demand accesses to this level; it runs strideDegree strides ahead.
 	StridePrefetch bool
-	// StrideDegree is how many strides ahead the stride prefetcher
-	// runs (default 2).
-	StrideDegree int
 }
+
+const (
+	// lineShift is log2 of lineBytes, the line size of every level.
+	lineShift = 6
+	lineBytes = 1 << lineShift
+	// strideDegree is how many strides ahead the stride prefetcher runs.
+	strideDegree = 2
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -71,7 +74,6 @@ type Cache struct {
 	cfg     Config
 	sets    []([]line)
 	numSets uint64
-	shift   uint
 	next    Level
 	clock   uint64
 	stats   Stats
@@ -98,51 +100,14 @@ type strideEntry struct {
 // strideCap is how many PCs the stride table tracks before it is cleared.
 const strideCap = 1024
 
-// withDefaults fills in the defaulted geometry and prefetch fields.
-func (cfg Config) withDefaults() Config {
-	if cfg.LineBytes == 0 {
-		cfg.LineBytes = 64
-	}
-	if cfg.Ways <= 0 {
-		cfg.Ways = 8
-	}
-	if cfg.StrideDegree == 0 {
-		cfg.StrideDegree = 2
-	}
-	return cfg
-}
-
-// Validate reports a geometry New cannot model exactly: a set count
-// (size / (line × ways)) that is not a power of two, which New rounds
-// down to a smaller cache than configured.
-func (cfg Config) Validate() error {
-	cfg = cfg.withDefaults()
-	if n := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways); n < 1 || n&(n-1) != 0 {
-		return fmt.Errorf("cache %s: %d sets is not a power of two", cfg.Name, n)
-	}
-	return nil
-}
-
-// New returns a cache level backed by next.
+// New returns a cache level backed by next, with exactly
+// SizeBytes / (lineBytes × Ways) sets (at least one).
 func New(cfg Config, next Level) *Cache {
-	cfg = cfg.withDefaults()
-	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	if numSets < 1 {
-		numSets = 1
-	}
-	// Force power-of-two sets for cheap indexing.
-	for numSets&(numSets-1) != 0 {
-		numSets--
-	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
-	}
+	numSets := max(cfg.SizeBytes/(lineBytes*cfg.Ways), 1)
 	c := &Cache{
 		cfg:     cfg,
 		sets:    make([][]line, numSets),
 		numSets: uint64(numSets),
-		shift:   shift,
 		next:    next,
 	}
 	for i := range c.sets {
@@ -157,8 +122,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.shift) % c.numSets }
-func (c *Cache) tagOf(addr uint64) uint64    { return addr >> c.shift }
+func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> lineShift) % c.numSets }
+func (c *Cache) tagOf(addr uint64) uint64    { return addr >> lineShift }
 
 // lookup returns the way holding addr's line, or -1.
 func (c *Cache) lookup(set []line, tag uint64) int {
@@ -272,7 +237,7 @@ func (c *Cache) Access(addr uint64, now int64, write, prefetch bool) int64 {
 	c.trackMiss(fillDone)
 
 	if c.cfg.NextLinePrefetch && !prefetch {
-		c.Access(addr+uint64(c.cfg.LineBytes), now, false, true)
+		c.Access(addr+lineBytes, now, false, true)
 	}
 	return fillDone
 }
@@ -304,7 +269,7 @@ func (c *Cache) install(addr uint64, readyAt int64, dirty bool) {
 		if c.next != nil {
 			// Writebacks consume downstream bandwidth but are off
 			// the load's critical path.
-			c.next.Access(set[victim].tag<<c.shift, readyAt, true, true)
+			c.next.Access(set[victim].tag<<lineShift, readyAt, true, true)
 		}
 	}
 	c.clock++
@@ -346,7 +311,7 @@ func (c *Cache) AccessPC(addr uint64, pc uint64, now int64, write bool) int64 {
 	}
 	e.lastAddr = addr
 	if e.conf >= 2 && e.stride != 0 {
-		for k := 1; k <= c.cfg.StrideDegree; k++ {
+		for k := 1; k <= strideDegree; k++ {
 			pa := uint64(int64(addr) + e.stride*int64(k+1))
 			c.Access(pa, now, false, true)
 		}

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,13 +9,12 @@ import (
 
 func newTestCache(sizeKB, ways int, next Level) *Cache {
 	return New(Config{
-		Name: "t", SizeBytes: sizeKB << 10, Ways: ways, LineBytes: 64,
-		HitLatency: 4,
+		Name: "t", SizeBytes: sizeKB << 10, Ways: ways, HitLatency: 4,
 	}, next)
 }
 
 func TestHitMiss(t *testing.T) {
-	mem := NewMemory(100, 64, 64)
+	mem := NewMemory(100, 64)
 	c := newTestCache(4, 4, mem)
 
 	// Cold miss goes to memory.
@@ -39,7 +37,7 @@ func TestHitMiss(t *testing.T) {
 }
 
 func TestInFlightFill(t *testing.T) {
-	mem := NewMemory(100, 64, 64)
+	mem := NewMemory(100, 64)
 	c := newTestCache(4, 4, mem)
 	done := c.Access(0x2000, 0, false, false)
 	// A second access during the fill waits for it, not a fresh miss.
@@ -53,7 +51,7 @@ func TestInFlightFill(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	mem := NewMemory(10, 64, 64)
+	mem := NewMemory(10, 64)
 	// 2 sets x 2 ways of 64B lines = 256 B.
 	c := New(Config{Name: "t", SizeBytes: 256, Ways: 2, HitLatency: 1}, mem)
 	// Three lines mapping to set 0 (stride = 2 lines).
@@ -71,7 +69,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestWritebackDirty(t *testing.T) {
-	mem := NewMemory(10, 64, 64)
+	mem := NewMemory(10, 64)
 	c := New(Config{Name: "t", SizeBytes: 128, Ways: 1, HitLatency: 1}, mem)
 	c.Access(0, 0, true, false)      // dirty line in set 0
 	c.Access(128, 100, false, false) // evicts it -> writeback
@@ -81,7 +79,7 @@ func TestWritebackDirty(t *testing.T) {
 }
 
 func TestMSHRLimit(t *testing.T) {
-	mem := NewMemory(100, 6400, 64)
+	mem := NewMemory(100, 6400)
 	c := New(Config{Name: "t", SizeBytes: 4 << 10, Ways: 4, HitLatency: 1, MSHRs: 2}, mem)
 	// Three concurrent misses with only 2 MSHRs: the third must wait for
 	// the first fill.
@@ -97,7 +95,7 @@ func TestMSHRLimit(t *testing.T) {
 }
 
 func TestNextLinePrefetch(t *testing.T) {
-	mem := NewMemory(50, 64, 64)
+	mem := NewMemory(50, 64)
 	c := New(Config{Name: "t", SizeBytes: 4 << 10, Ways: 4, HitLatency: 1,
 		NextLinePrefetch: true}, mem)
 	c.Access(0x100, 0, false, false)
@@ -110,9 +108,9 @@ func TestNextLinePrefetch(t *testing.T) {
 }
 
 func TestStridePrefetch(t *testing.T) {
-	mem := NewMemory(50, 64, 64)
+	mem := NewMemory(50, 64)
 	c := New(Config{Name: "t", SizeBytes: 8 << 10, Ways: 4, HitLatency: 1,
-		StridePrefetch: true, StrideDegree: 2}, mem)
+		StridePrefetch: true}, mem)
 	// Train a 128-byte stride at one PC.
 	pc := uint64(42)
 	for i := 0; i < 4; i++ {
@@ -126,7 +124,7 @@ func TestStridePrefetch(t *testing.T) {
 
 func TestMemoryBandwidth(t *testing.T) {
 	// 64-byte lines at 4 bytes/cycle: 16 cycles per transfer.
-	mem := NewMemory(100, 4, 64)
+	mem := NewMemory(100, 4)
 	d1 := mem.Access(0, 0, false, false)
 	d2 := mem.Access(64, 0, false, false)
 	if d1 != 100 {
@@ -144,7 +142,7 @@ func TestMemoryBandwidth(t *testing.T) {
 // regardless of the access pattern.
 func TestMonotonicCompletion(t *testing.T) {
 	f := func(addrs []uint16, writes []bool) bool {
-		mem := NewMemory(100, 8, 64)
+		mem := NewMemory(100, 8)
 		l2 := New(Config{Name: "l2", SizeBytes: 2 << 10, Ways: 4, HitLatency: 10}, mem)
 		l1 := New(Config{Name: "l1", SizeBytes: 512, Ways: 2, HitLatency: 2, MSHRs: 4}, l2)
 		now := int64(0)
@@ -164,7 +162,7 @@ func TestMonotonicCompletion(t *testing.T) {
 }
 
 func TestHierarchy(t *testing.T) {
-	mem := NewMemory(100, 64, 64)
+	mem := NewMemory(100, 64)
 	llc := New(Config{Name: "llc", SizeBytes: 16 << 10, Ways: 8, HitLatency: 30}, mem)
 	h := NewHierarchy(HierConfig{
 		L1I: Config{Name: "l1i", SizeBytes: 4 << 10, Ways: 4, HitLatency: 1},
@@ -237,7 +235,7 @@ func TestMSHRHeapMatchesScan(t *testing.T) {
 // are permanently saturated (tiny cache, huge stride, fills slower than the
 // request rate), the path where occupancy tracking cost is hottest.
 func BenchmarkMSHRFull(b *testing.B) {
-	mem := NewMemory(400, 64, 64)
+	mem := NewMemory(400, 64)
 	c := New(Config{Name: "b", SizeBytes: 4 << 10, Ways: 4, HitLatency: 4, MSHRs: 32}, mem)
 	b.ReportAllocs()
 	now := int64(0)
@@ -251,7 +249,7 @@ func BenchmarkMSHRFull(b *testing.B) {
 
 // BenchmarkCacheHit measures the hit path for contrast.
 func BenchmarkCacheHit(b *testing.B) {
-	mem := NewMemory(100, 64, 64)
+	mem := NewMemory(100, 64)
 	c := newTestCache(4, 4, mem)
 	c.Access(0x1000, 0, false, false)
 	b.ReportAllocs()
@@ -260,30 +258,21 @@ func BenchmarkCacheHit(b *testing.B) {
 	}
 }
 
-// TestValidateSets: New rounds a set count down to a power of two, so
-// Validate must refuse any other count, naming the level and its sets.
-func TestValidateSets(t *testing.T) {
-	for _, cfg := range []Config{
-		{Name: "l1d", SizeBytes: 4 << 10},
-		{Name: "l2", SizeBytes: 1 << 20, Ways: 16},
-		{Name: "llc", SizeBytes: 1408 << 10, Ways: 11},
-	} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%+v: %v", cfg, err)
+// TestExactSetCount: New builds exactly SizeBytes / (line × ways) sets,
+// power of two or not. A 48 KiB, 8-way cache has 96 sets, so it holds 768
+// distinct lines: after one pass over them, a second pass misses nothing.
+func TestExactSetCount(t *testing.T) {
+	c := New(Config{Name: "llc", SizeBytes: 48 << 10, Ways: 8, HitLatency: 1}, NewMemory(10, 64))
+	const lines = 768
+	now := int64(0)
+	for pass := 0; pass < 2; pass++ {
+		for i := uint64(0); i < lines; i++ {
+			now = c.Access(i*lineBytes, now, false, false)
 		}
 	}
-	for _, tc := range []struct {
-		cfg  Config
-		sets int
-	}{
-		{Config{Name: "llc", SizeBytes: 48 << 10}, 96},
-		{Config{Name: "llc", SizeBytes: 1408 * 28 << 10, Ways: 11}, 57344},
-		{Config{Name: "tiny", SizeBytes: 64, Ways: 2}, 0},
-	} {
-		want := fmt.Sprintf("cache %s: %d sets is not a power of two", tc.cfg.Name, tc.sets)
-		if err := tc.cfg.Validate(); err == nil || err.Error() != want {
-			t.Errorf("%+v: error %v, want %q", tc.cfg, err, want)
-		}
+	if s := c.Stats(); s.Accesses != 2*lines || s.Misses != lines {
+		t.Fatalf("%d accesses, %d misses; want %d and %d (the second pass all hits)",
+			s.Accesses, s.Misses, 2*lines, lines)
 	}
 }
 
@@ -339,7 +328,7 @@ func (m *mapStride) AccessPC(addr uint64, pc uint64, now int64, write bool) int6
 	}
 	e.lastAddr = addr
 	if e.conf >= 2 && e.stride != 0 {
-		for k := 1; k <= m.c.cfg.StrideDegree; k++ {
+		for k := 1; k <= strideDegree; k++ {
 			pa := uint64(int64(addr) + e.stride*int64(k+1))
 			m.c.Access(pa, now, false, true)
 		}
@@ -354,8 +343,7 @@ func (m *mapStride) AccessPC(addr uint64, pc uint64, now int64, write bool) int6
 // fixed strides so the prefetcher trains; cold PCs drawn from a wide range
 // push the table past strideCap, so it is cleared more than once.
 func TestStrideTableMatchesMap(t *testing.T) {
-	cfg := Config{Name: "t", SizeBytes: 1 << 10, Ways: 2, HitLatency: 2, MSHRs: 4,
-		StrideDegree: 2}
+	cfg := Config{Name: "t", SizeBytes: 1 << 10, Ways: 2, HitLatency: 2, MSHRs: 4}
 	strides := []int64{0, 8, 64, 128, -64, 192}
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

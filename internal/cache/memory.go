@@ -15,14 +15,14 @@ type Memory struct {
 }
 
 // NewMemory returns a DRAM model. bytesPerCycle is the sustained
-// bandwidth; lineBytes is the transfer granule.
-func NewMemory(latency int, bytesPerCycle float64, lineBytes int) *Memory {
+// bandwidth; the transfer granule is one cache line.
+func NewMemory(latency int, bytesPerCycle float64) *Memory {
 	if bytesPerCycle <= 0 {
 		bytesPerCycle = 64
 	}
 	return &Memory{
 		Latency:       latency,
-		CyclesPerLine: float64(lineBytes) / bytesPerCycle,
+		CyclesPerLine: lineBytes / bytesPerCycle,
 	}
 }
 

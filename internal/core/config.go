@@ -35,8 +35,6 @@ type Config struct {
 	// "tage" (Table 1), "gshare", "bimodal", "static", or "oracle"
 	// (perfect prediction).
 	Predictor string
-	BTBSets   int
-	BTBWays   int
 
 	// Recovery selects the misprediction-recovery policy (see policy.go):
 	// PolicySelective is the paper's mechanism, PolicyConventional (the
@@ -65,13 +63,6 @@ type Config struct {
 	// reconverged future; real speculative hardware loses the values of
 	// in-flight producers. See DESIGN.md for the calibration discussion.
 	WrongPathMemAccess bool
-
-	// StoreFwdLat is the store-to-load forwarding latency.
-	StoreFwdLat int
-	// AtomicExtra is added to atomic read-modify-write execution.
-	AtomicExtra int
-	// BarrierLat is the release overhead of a synchronization barrier.
-	BarrierLat int
 
 	// FrontendQueue bounds the number of in-flight fetched-but-not-
 	// dispatched instructions per thread.
@@ -108,17 +99,12 @@ func DefaultConfig() Config {
 		SQ:                 56,
 		FrontendDepth:      12,
 		Predictor:          "tage",
-		BTBSets:            512,
-		BTBWays:            4,
 		Recovery:           PolicySpec{Kind: PolicyConventional},
 		Reserve:            8,
 		ROBBlockSize:       1,
 		FRQSize:            8,
 		SMT:                1,
 		WrongPathMemAccess: false,
-		StoreFwdLat:        5,
-		AtomicExtra:        5,
-		BarrierLat:         20,
 		FrontendQueue:      64,
 	}
 }

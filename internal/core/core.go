@@ -333,6 +333,15 @@ func (c *Core) SkipTo(target int64) {
 	c.stats.Cycles = target
 }
 
+// Fixed structures and latencies of the Table 1 core.
+const (
+	btbSets     = 512 // branch target buffer sets
+	btbWays     = 4   // and ways
+	storeFwdLat = 5   // store-to-load forwarding latency
+	atomicExtra = 5   // added to an atomic read-modify-write's load
+	barrierLat  = 20  // release overhead of a synchronization barrier
+)
+
 // classPorts caps per-class issue bandwidth (a simplified Skylake port
 // map: 4 ALU ports, 2 load, 1 store-address, 2 branch-capable, one
 // divider). ClassSlice has none: dispatch discards slice markers.

@@ -56,8 +56,8 @@ func (c *Core) DumpState() string {
 	s.Cycle = c.now
 	fmt.Fprintf(&b, "%s, events=%d\n", s, len(c.events))
 	for _, t := range c.threads {
-		fmt.Fprintf(&b, " t%d: mode=%d done=%v haltSeen=%v fence=%v barrier=%v wpStuck=%v pend=%d frq=%d fe=%d inflight=%d stall@%d redirect@%d resolving=%v resolveIdx=%d resolveStall=%v\n",
-			t.id, t.mode, t.done, t.haltSeen, t.fenceStall, t.barrierWait, t.wpStuck,
+		fmt.Fprintf(&b, " t%d: wrong=%v done=%v haltSeen=%v fence=%v barrier=%v wpStuck=%v pend=%d frq=%d fe=%d inflight=%d stall@%d redirect@%d resolving=%v resolveIdx=%d resolveStall=%v\n",
+			t.id, t.shadow != nil, t.done, t.haltSeen, t.fenceStall, t.barrierWait, t.wpStuck,
 			t.pendingMisses, t.queuedMisses(), len(t.frontend), t.inflight,
 			t.fetchStallUntil, t.redirectUntil, t.resolving != nil, resolvingIdx(t.resolving), t.resolving != nil && t.resolving.stall != nil)
 		if h := t.list.Head(); h != nil {

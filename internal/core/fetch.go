@@ -93,7 +93,7 @@ func (c *Core) fetchThread(t *thread) {
 		case t.resolving != nil && t.resolving.stall == nil:
 			c.stats.FetchResolve++
 			stop = c.fetchResolve(t)
-		case t.mode == fmWrong:
+		case t.shadow != nil:
 			c.stats.FetchWrong++
 			stop = c.fetchWrong(t)
 		default:
@@ -230,7 +230,6 @@ func (c *Core) fetchNormal(t *thread) bool {
 	} else {
 		t.fork(wrongPC, d.InSlice, d.SliceID)
 		t.shadowMiss = nil
-		t.convMiss = u
 	}
 	// Redirect bubble: fetch resumes next cycle from the wrong path.
 	return true
@@ -268,7 +267,6 @@ func (c *Core) fetchWrong(t *thread) bool {
 	// is back on control-independent (correct) instructions, which come
 	// from the regular trace.
 	if t.shadowMiss != nil && !t.shadow.InSlice() {
-		t.mode = fmNormal
 		t.shadow = nil
 		t.shadowMiss = nil
 	}

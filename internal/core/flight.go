@@ -89,9 +89,9 @@ func (c *Core) fetchStallReason() string {
 		return "barrier"
 	case t.fenceStall:
 		return "fence"
-	case t.mode == fmWrong && (t.wpStuck || t.shadow == nil || t.shadow.Dead()):
+	case t.shadow != nil && (t.wpStuck || t.shadow.Dead()):
 		return "wrong-path-stall"
-	case t.mode == fmWrong:
+	case t.shadow != nil:
 		return "wrong-path"
 	case t.resolving != nil && t.resolving.stall != nil:
 		return "resolve-stall"

@@ -249,13 +249,13 @@ func (c *Core) issueOne(u *uop) {
 			c.longNext = min(c.longNext, done)
 		}
 	case op.IsAtomic():
-		done = c.loadDone(u) + int64(c.cfg.AtomicExtra)
+		done = c.loadDone(u) + atomicExtra
 	case op.IsStore():
 		// Stores are "done" once their address and data are ready;
 		// memory is updated at commit.
 		done = c.now + 1
 	case op == isa.Barrier:
-		done = c.now + int64(c.cfg.BarrierLat)
+		done = c.now + barrierLat
 	default:
 		done = c.now + int64(op.Class().Latency())
 	}
@@ -270,7 +270,7 @@ func (c *Core) loadDone(u *uop) int64 {
 	if u.fwdStore.u != nil && u.fwdStore.u.id == u.fwdStore.id {
 		s := u.fwdStore.u
 		if s.state == stWaiting || s.state == stIssued || s.state == stDone {
-			return c.now + int64(c.cfg.StoreFwdLat)
+			return c.now + storeFwdLat
 		}
 	}
 	if u.d.MemOOB {

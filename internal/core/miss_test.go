@@ -21,9 +21,9 @@ func runCore(t *testing.T, cfg Config, prog *isa.Program, mem []byte, each func(
 	llc, dram := uncore.Build(uncore.Config{LLCPerCore: 16 << 10, LLCWays: 8,
 		LLCLatency: 30, MemLatency: 150, MemBytesPerCycle: 8})
 	hier := cache.NewHierarchy(cache.HierConfig{
-		L1I: cache.Config{Name: "l1i", SizeBytes: 8 << 10, HitLatency: 1},
-		L1D: cache.Config{Name: "l1d", SizeBytes: 4 << 10, HitLatency: 4},
-		L2:  cache.Config{Name: "l2", SizeBytes: 8 << 10, HitLatency: 14},
+		L1I: cache.Config{Name: "l1i", SizeBytes: 8 << 10, Ways: 8, HitLatency: 1},
+		L1D: cache.Config{Name: "l1d", SizeBytes: 4 << 10, Ways: 8, HitLatency: 4},
+		L2:  cache.Config{Name: "l2", SizeBytes: 8 << 10, Ways: 8, HitLatency: 14},
 	}, llc, dram)
 	c, err := NewCore(0, cfg, hier, []*emu.Machine{emu.New(prog, mem)})
 	if err != nil {

@@ -99,7 +99,6 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	if t.shadowMiss == mi {
 		t.shadow = nil
 		t.shadowMiss = nil
-		t.mode = fmNormal
 		t.wpStuck = false
 	}
 
@@ -254,9 +253,7 @@ func (c *Core) resolveFull(t *thread, u *uop) {
 func (c *Core) resetFetchAfterFlush(t *thread) {
 	t.shadow = nil
 	t.shadowMiss = nil
-	t.convMiss = nil
 	t.wpStuck = false
-	t.mode = fmNormal
 	if c.space.BlockSize() > 1 {
 		c.space.ReleaseAllGaps()
 	}

@@ -81,7 +81,7 @@ func (c *Core) classifyStall(t *thread, head *uop) stallCause {
 		switch {
 		case t.barrierWait:
 			return stallOther
-		case c.now < t.redirectUntil, t.mode == fmWrong, t.wpStuck,
+		case c.now < t.redirectUntil, t.shadow != nil, t.wpStuck,
 			t.resolving != nil, t.fenceStall:
 			return stallBranch
 		default:

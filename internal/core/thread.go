@@ -7,14 +7,6 @@ import (
 	"repro/internal/rob"
 )
 
-// fetchMode is the thread's current instruction source.
-type fetchMode uint8
-
-const (
-	fmNormal fetchMode = iota // the correct path (the Machine)
-	fmWrong                   // a wrong path (the Shadow)
-)
-
 // thread is one hardware context: its architectural machine (the
 // correct-path source) and wrong-path engine, predictor state, rename
 // table, logical-order ROB list, frontend queue, miss table, and the
@@ -41,12 +33,11 @@ type thread struct {
 
 	// Fetch source state. wp is the thread's one wrong-path engine,
 	// re-seeded from m on every mispredict (fork); shadow points at it
-	// while its wrong path is being fetched and is nil otherwise.
-	mode       fetchMode
+	// while its wrong path is being fetched, and is nil while fetch is on
+	// the correct path (m).
 	wp         emu.Shadow
 	shadow     *emu.Shadow
 	shadowMiss *missInfo // in-slice miss whose wrong path is being fetched
-	convMiss   *uop      // pending conventional miss: fetch stalls on its shadow
 	wpStuck    bool      // shadow died before reaching its slice_end
 
 	// resolving is the resolve-fetch target, the first queued miss
@@ -92,7 +83,7 @@ func newThread(id int, c *Core, m *emu.Machine) *thread {
 		c:         c,
 		m:         m,
 		pred:      bpred.New(c.cfg.Predictor),
-		btb:       bpred.NewBTB(c.cfg.BTBSets, c.cfg.BTBWays),
+		btb:       bpred.NewBTB(btbSets, btbWays),
 		lastILine: -1,
 	}
 }
@@ -110,8 +101,8 @@ func (t *thread) nextFetchPC() int {
 		}
 		return -1
 	}
-	if t.mode == fmWrong {
-		if t.wpStuck || t.shadow == nil || t.shadow.Dead() {
+	if t.shadow != nil {
+		if t.wpStuck || t.shadow.Dead() {
 			return -1
 		}
 		return t.shadow.NextPC()
@@ -127,5 +118,4 @@ func (t *thread) nextFetchPC() int {
 func (t *thread) fork(startPC int, inSlice bool, sliceID uint64) {
 	t.wp.Reseed(t.m, startPC, inSlice, sliceID)
 	t.shadow = &t.wp
-	t.mode = fmWrong
 }

@@ -239,15 +239,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if id == "10" {
-		// Fig. 10's multicore runs must be able to size their LLC. Any
-		// benchmark will do: Validate needs one, and the LLC rule does not
-		// depend on which.
-		if err := (blp.Options{Benchmark: blp.Benchmarks[0], Cores: p.Cores}).Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
 	format := r.URL.Query().Get("format")
 	switch format {
 	case "", "json", "csv":

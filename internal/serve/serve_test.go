@@ -112,6 +112,14 @@ func TestRunEndpoint(t *testing.T) {
 	if snap = getMetrics(t, ts.URL); snap.Sims.Simulated != 2 {
 		t.Fatalf("simulated %d, want 2", snap.Sims.Simulated)
 	}
+
+	// Any core count runs, not only powers of two.
+	resp = postJSON(t, ts.URL+"/v1/run", `{"benchmark":"cc","scale":6,"cores":3}`)
+	var rr4 RunResponse
+	decodeInto(t, resp, &rr4)
+	if resp.StatusCode != http.StatusOK || rr4.Result == nil || len(rr4.Result.PerCore) != 3 {
+		t.Fatalf("3 cores: status %d, result %+v", resp.StatusCode, rr4.Result)
+	}
 }
 
 // TestRunPolicyEndpoint drives the recovery-policy matrix over the wire:
@@ -182,8 +190,6 @@ func TestRunValidation(t *testing.T) {
 		{"bad policy conf", `{"benchmark":"cc","policy":"throttle:9"}`},
 		{"reserve below sentinel", `{"benchmark":"cc","reserve":-2}`},
 		{"negative watchdog", `{"benchmark":"cc","watchdog_cycles":-1}`},
-		{"3 cores", `{"benchmark":"cc","cores":3}`},
-		{"28 cores", `{"benchmark":"cc","cores":28}`},
 		{"zero reserve under slicing", `{"benchmark":"cc","mode":"outer","reserve":-1}`},
 		{"zero rob block", `{"benchmark":"cc","rob_block_size":-1}`},
 		{"reserve above the RS", `{"benchmark":"cc","reserve":500}`},
@@ -449,10 +455,10 @@ func TestFigureEndpoints(t *testing.T) {
 		"/v1/figures/4?delta=x":         http.StatusBadRequest,
 		"/v1/figures/4?format=yaml":     http.StatusBadRequest,
 		"/v1/figures/table1?cores=zero": http.StatusBadRequest,
-		"/v1/figures/10?cores=3":        http.StatusBadRequest,
-		"/v1/figures/10?cores=28":       http.StatusBadRequest,
-		// The Fig. 10 pre-check accepts a power-of-two core count.
-		"/v1/figures/10?delta=-10&cores=2&sizedelta=0": http.StatusOK,
+		// Fig. 10 runs any core count the wire bounds admit.
+		"/v1/figures/10?delta=-10&cores=2&sizedelta=0":  http.StatusOK,
+		"/v1/figures/10?delta=-24&cores=3&sizedelta=0":  http.StatusOK,
+		"/v1/figures/10?delta=-24&cores=28&sizedelta=0": http.StatusOK,
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -4,36 +4,22 @@ package sim
 // can also claim better energy efficiency, because fewer instructions
 // need to be processed"). The model is an event-energy proxy: each
 // pipeline and memory event carries a fixed cost, in arbitrary units
-// normalized to one ALU execution = 1. The default weights follow the
+// normalized to one ALU execution = 1. The weights follow the
 // relative magnitudes reported by McPAT-style models for a Skylake-class
 // core (frontend and scheduling dominate per-instruction core energy;
 // DRAM dominates per-access memory energy). Absolute joules are out of
 // scope; the reproduction target is the *relative* energy of baseline vs
 // sliced execution.
-type EnergyModel struct {
-	PerFetchDispatch float64 // fetch+decode+rename+dispatch per instruction
-	PerExecute       float64 // schedule+execute+writeback per instruction
-	PerCommit        float64 // retirement bookkeeping
-	PerL1            float64 // L1D access
-	PerL2            float64 // L2 access
-	PerLLC           float64 // LLC access
-	PerDRAM          float64 // DRAM line transfer
-	PerCycleStatic   float64 // leakage/clock per cycle
-}
-
-// DefaultEnergyModel returns the documented default weights.
-func DefaultEnergyModel() EnergyModel {
-	return EnergyModel{
-		PerFetchDispatch: 2.0,
-		PerExecute:       1.0,
-		PerCommit:        0.5,
-		PerL1:            1.0,
-		PerL2:            4.0,
-		PerLLC:           15.0,
-		PerDRAM:          120.0,
-		PerCycleStatic:   0.5,
-	}
-}
+const (
+	perFetchDispatch = 2.0   // fetch+decode+rename+dispatch per instruction
+	perExecute       = 1.0   // schedule+execute+writeback per instruction
+	perCommit        = 0.5   // retirement bookkeeping
+	perL1            = 1.0   // L1D access
+	perL2            = 4.0   // L2 access
+	perLLC           = 15.0  // LLC access
+	perDRAM          = 120.0 // DRAM line transfer
+	perCycleStatic   = 0.5   // leakage/clock per cycle
+)
 
 // Energy is the per-component breakdown of one run.
 type Energy struct {
@@ -50,29 +36,19 @@ func (e Energy) Total() float64 {
 	return e.Frontend + e.Execute + e.Commit + e.Caches + e.DRAM + e.Static
 }
 
-// UsefulFraction is the share of dynamic (non-static) energy spent on
-// instructions that committed: wrong-path work and slice-marker overhead
-// are the waste the selective-flush mechanism reduces (Fig. 6).
-func (e Energy) UsefulFraction(committed, dispatched uint64) float64 {
-	if dispatched == 0 {
-		return 0
-	}
-	return float64(committed) / float64(dispatched)
-}
-
 // EstimateEnergy applies the model to a run's counters.
-func EstimateEnergy(m EnergyModel, r *Result) Energy {
+func EstimateEnergy(r *Result) Energy {
 	s := r.Total
 	dispatched := s.DispCorrect + s.DispWrong + s.DispOverhead
 	executed := s.DispCorrect + s.DispWrong // markers never execute
 	return Energy{
-		Frontend: m.PerFetchDispatch * float64(dispatched),
-		Execute:  m.PerExecute * float64(executed),
-		Commit:   m.PerCommit * float64(s.Committed),
-		Caches: m.PerL1*float64(r.L1DAccesses) +
-			m.PerL2*float64(r.L2Accesses) +
-			m.PerLLC*float64(r.LLCAccesses),
-		DRAM:   m.PerDRAM * float64(r.DRAMLines),
-		Static: m.PerCycleStatic * float64(r.Cycles),
+		Frontend: perFetchDispatch * float64(dispatched),
+		Execute:  perExecute * float64(executed),
+		Commit:   perCommit * float64(s.Committed),
+		Caches: perL1*float64(r.L1DAccesses) +
+			perL2*float64(r.L2Accesses) +
+			perLLC*float64(r.LLCAccesses),
+		DRAM:   perDRAM * float64(r.DRAMLines),
+		Static: perCycleStatic * float64(r.Cycles),
 	}
 }

@@ -3,9 +3,8 @@ package sim
 import "testing"
 
 func TestEnergyComponents(t *testing.T) {
-	m := DefaultEnergyModel()
 	res := runOddEven(t, false, nil)
-	e := EstimateEnergy(m, res)
+	e := EstimateEnergy(res)
 	if e.Total() <= 0 || e.Frontend <= 0 || e.DRAM < 0 {
 		t.Fatalf("degenerate energy: %+v", e)
 	}
@@ -21,14 +20,15 @@ func TestEnergyComponents(t *testing.T) {
 func TestEnergySlicedReducesWaste(t *testing.T) {
 	base := runOddEven(t, false, nil)
 	sl := runOddEven(t, true, nil)
-	bd := base.Total.DispCorrect + base.Total.DispWrong + base.Total.DispOverhead
-	sd := sl.Total.DispCorrect + sl.Total.DispWrong + sl.Total.DispOverhead
-	eb := EstimateEnergy(DefaultEnergyModel(), base)
-	es := EstimateEnergy(DefaultEnergyModel(), sl)
-	if es.UsefulFraction(sl.Total.Committed, sd) <= eb.UsefulFraction(base.Total.Committed, bd) {
+	useful := func(r *Result) float64 {
+		s := r.Total
+		return float64(s.Committed) / float64(s.DispCorrect+s.DispWrong+s.DispOverhead)
+	}
+	eb := EstimateEnergy(base)
+	es := EstimateEnergy(sl)
+	if useful(sl) <= useful(base) {
 		t.Fatalf("useful-energy fraction did not improve: %.3f vs %.3f",
-			es.UsefulFraction(sl.Total.Committed, sd),
-			eb.UsefulFraction(base.Total.Committed, bd))
+			useful(sl), useful(base))
 	}
 	// With the big wrong-path reduction, total frontend energy drops.
 	if es.Frontend >= eb.Frontend {

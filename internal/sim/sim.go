@@ -88,20 +88,6 @@ func (m MemConfig) hierConfig() cache.HierConfig {
 	}
 }
 
-// Validate reports a hierarchy the cache model cannot size exactly: a
-// level whose set count is not a power of two (cache.Config.Validate).
-// The LLC grows with Uncore.Cores, so with both shipped configurations
-// the core count must be a power of two.
-func (m MemConfig) Validate() error {
-	hc := m.hierConfig()
-	for _, c := range []cache.Config{hc.L1I, hc.L1D, hc.L2, m.Uncore.LLC()} {
-		if err := c.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DefaultWatchdogCycles is the no-commit watchdog threshold used when
 // Config.WatchdogCycles is zero.
 const DefaultWatchdogCycles = 1_000_000
@@ -130,8 +116,7 @@ type Config struct {
 }
 
 // Validate reports a configuration Run cannot simulate: fewer than one
-// core, a negative watchdog threshold, a memory hierarchy the cache model
-// cannot size exactly (MemConfig.Validate), or a core configuration
+// core, a negative watchdog threshold, or a core configuration
 // core.Config.Validate rejects.
 func (c Config) Validate() error {
 	if c.Cores < 1 {
@@ -139,9 +124,6 @@ func (c Config) Validate() error {
 	}
 	if c.WatchdogCycles < 0 {
 		return fmt.Errorf("sim: WatchdogCycles must not be negative, got %d", c.WatchdogCycles)
-	}
-	if err := c.Mem.Validate(); err != nil {
-		return fmt.Errorf("sim: memory hierarchy for %d cores: %w", c.Cores, err)
 	}
 	return c.Core.Validate()
 }

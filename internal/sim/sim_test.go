@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -172,24 +171,9 @@ func TestOddEvenSMT(t *testing.T) {
 	t.Logf("smt2: cycles=%d committed=%d", res.Cycles, res.Total.Committed)
 }
 
-// TestRunRejectsNonPowerOfTwoLLC: three cores ask for a 48 KiB LLC of 96
-// sets, which the cache model would round down to 64. Run must refuse
-// before building anything, naming the level and its set count.
-func TestRunRejectsNonPowerOfTwoLLC(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 3
-	cfg.Mem = ScaledMemConfig(3)
-	w := buildOddEven(10, false, 1)
-	w.Progs = []*isa.Program{w.Progs[0], w.Progs[0], w.Progs[0]}
-	_, err := Run(cfg, w)
-	if err == nil || !strings.Contains(err.Error(), "cache llc: 96 sets is not a power of two") {
-		t.Fatalf("3-core run: %v", err)
-	}
-}
-
 // TestConfigValidate: Config.Validate requires at least one core and
-// passes the core's rules through (TestWatchdogConfig and
-// TestRunRejectsNonPowerOfTwoLLC cover the watchdog and the hierarchy).
+// passes the core's rules through (TestWatchdogConfig covers the
+// watchdog).
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config: %v", err)

@@ -32,24 +32,19 @@ type Config struct {
 	LLCMSHRs int
 }
 
-// LLC returns the shared last-level cache's configuration: LLCPerCore
-// for each core, behind the mesh's average hop latency.
-func (cfg Config) LLC() cache.Config {
+// Build constructs the shared LLC and memory: LLCPerCore of LLC for each
+// core, behind the mesh's average hop latency. Every core's private
+// hierarchy should be stacked on the returned LLC.
+func Build(cfg Config) (*cache.Cache, *cache.Memory) {
 	cores := max(cfg.Cores, 1)
 	hops := int(math.Round(math.Sqrt(float64(cores))))
-	return cache.Config{
+	mem := cache.NewMemory(cfg.MemLatency, cfg.MemBytesPerCycle)
+	return cache.New(cache.Config{
 		Name:         "llc",
 		SizeBytes:    cfg.LLCPerCore * cores,
 		Ways:         cfg.LLCWays,
 		HitLatency:   cfg.LLCLatency,
 		ExtraLatency: cfg.MeshHopLatency * hops,
 		MSHRs:        cfg.LLCMSHRs,
-	}
-}
-
-// Build constructs the shared LLC and memory. Every core's private
-// hierarchy should be stacked on the returned LLC.
-func Build(cfg Config) (*cache.Cache, *cache.Memory) {
-	mem := cache.NewMemory(cfg.MemLatency, cfg.MemBytesPerCycle, 64)
-	return cache.New(cfg.LLC(), mem), mem
+	}, mem), mem
 }

@@ -31,7 +31,7 @@ func TestBuildScalesWithCores(t *testing.T) {
 }
 
 func TestBuildDefaults(t *testing.T) {
-	llc, mem := Build(Config{LLCPerCore: 32 << 10, MemLatency: 50})
+	llc, mem := Build(Config{LLCPerCore: 32 << 10, LLCWays: 8, MemLatency: 50})
 	if llc == nil || mem == nil {
 		t.Fatal("zero-core config not clamped")
 	}

@@ -1,7 +1,6 @@
 package blp
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,49 +171,5 @@ func TestRunnerStoreNilDegrades(t *testing.T) {
 	}
 	if r.Store() != nil {
 		t.Error("a run should not attach a store")
-	}
-}
-
-// TestNonPowerOfTwoCoresRejected: the LLC is LLCPerCore × Cores, and the
-// cache model rounds a set count down to a power of two, so any other
-// core count would simulate a smaller LLC than configured. Run and the
-// Runner reject such counts with the level and its set count. The Runner
-// does so before its memo cache and the durable store, so a result an
-// older build stored under the same key is never served. Powers of two
-// still run.
-func TestNonPowerOfTwoCoresRejected(t *testing.T) {
-	st, err := OpenStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	r := NewRunnerStore(1, 0, st)
-	for _, tc := range []struct {
-		o    Options
-		sets int
-	}{
-		{Options{Benchmark: "bfs", Scale: 6, Cores: 3}, 96},
-		{Options{Benchmark: "bfs", Scale: 6, Cores: 28}, 896},
-		{Options{Benchmark: "bfs", Scale: 6, Cores: 3, PaperScaleMem: true}, 6144},
-	} {
-		r.storeSaveResult(tc.o.Key(), &Result{Cycles: 1})
-		want := fmt.Sprintf("cache llc: %d sets is not a power of two", tc.sets)
-		if _, err := Run(tc.o); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Run with %d cores: %v, want %q", tc.o.Cores, err, want)
-		}
-		if res, err := r.Run(tc.o); res != nil || err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Runner with %d cores: result %v, error %v, want %q", tc.o.Cores, res, err, want)
-		}
-	}
-	if s := r.Stats(); s.Simulated != 0 || s.Cached != 0 {
-		t.Errorf("rejected runs reached the Runner's caches: %+v", s)
-	}
-	if hits := st.Stats().Hits; hits != 0 {
-		t.Errorf("rejected runs read the store: %d hits", hits)
-	}
-	for _, cores := range []int{2, 4, 16} {
-		if _, err := Run(Options{Benchmark: "bfs", Scale: 6, Cores: cores}); err != nil {
-			t.Errorf("%d cores: %v", cores, err)
-		}
 	}
 }
