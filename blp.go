@@ -50,19 +50,10 @@ var Benchmarks = kernels.Names
 // InnerSliceable reports whether a benchmark supports inner-loop slicing.
 func InnerSliceable(benchmark string) bool { return kernels.InnerSliceable(benchmark) }
 
-// Zero marks an integer Options field as explicitly zero. Fields whose
-// zero value means "use the default" (Reserve, ROBBlockSize, FRQSize,
-// PRIters) accept Zero to request an actual 0 — e.g. a zero-reserve
-// baseline or a zero-depth-FRQ ablation — which a literal 0 cannot
-// express. Structurally impossible zeros (Reserve under selective
-// flush, ROBBlockSize) fail validation with a clear error instead of
-// silently running the default.
-const Zero = -1
-
-// Options configures one simulation run. The zero value of most fields
+// Options configures one simulation run. The zero value of every field
 // selects the paper's defaults (Table 1 core, scaled memory hierarchy,
-// single core, TAGE). Integer fields documented with "Zero for an
-// explicit 0" follow the Zero sentinel convention above.
+// single core, TAGE); a positive integer means itself, and a negative one
+// is invalid.
 type Options struct {
 	// Benchmark is one of Benchmarks ("bc", "bfs", "cc", "pr", "sssp",
 	// "tc", "ms").
@@ -93,24 +84,17 @@ type Options struct {
 	// only the N ROB entries nearest the branch, staged drain for the
 	// rest; "partial:inf" drains everything), or "throttle:C" (full flush
 	// plus single-slot fetch while a branch with predictor confidence
-	// below C is outstanding). Empty (or "auto") follows Mode: selective
-	// when Mode places slices, conventional otherwise.
+	// below C is outstanding). Empty follows Mode: selective when Mode
+	// places slices, conventional otherwise.
 	Policy string
-	// Reserve overrides the §4.7 resource reservation (0 = default 8;
-	// Zero for an explicit 0, i.e. no entries reserved). An explicit 0
-	// is accepted for baseline runs; combined with slicing the core
-	// rejects it with a §4.7 forward-progress error, because a
-	// reservation-free selective-flush machine architecturally
-	// deadlocks (resolve paths starve behind a packed window).
+	// Reserve overrides the §4.7 resource reservation: the RS/LQ/SQ
+	// entries held for resolve paths under selective flush (0 = default
+	// 8; Fig. 7 sweeps 1..32).
 	Reserve int
 	// ROBBlockSize overrides the blocked linked-list ROB block size
-	// (0 = default 1; Fig. 8 sweeps 1..16). Zero requests an explicit 0,
-	// which the core rejects as structurally invalid — the sentinel is
-	// accepted for uniformity and yields a clear validation error.
+	// (0 = default 1; Fig. 8 sweeps 1..16).
 	ROBBlockSize int
-	// FRQSize overrides the fetch redirect queue depth (0 = default 8;
-	// Zero for an explicit 0: every in-slice miss then falls back to
-	// conventional full-flush recovery).
+	// FRQSize overrides the fetch redirect queue depth (0 = default 8).
 	FRQSize int
 
 	// PaperScaleMem uses the full Table 1 memory hierarchy instead of
@@ -121,18 +105,16 @@ type Options struct {
 	WrongPathMemAccess bool
 	// CheckIndependence enables the §4.1 slice-contract checker.
 	CheckIndependence bool
-	// PRIters is the number of PageRank sweeps (0 = default 3; Zero for
-	// an explicit 0, leaving every score at its 1/n initial value).
+	// PRIters is the number of PageRank sweeps (0 = default 3).
 	PRIters int
 	// WatchdogCycles is the no-commit deadlock watchdog threshold
-	// (0 = sim.DefaultWatchdogCycles; must not be negative).
+	// (0 = sim.DefaultWatchdogCycles).
 	WatchdogCycles int64
 }
 
 // normalized returns o with every defaulted field resolved to its
 // effective value, so that two Options that mean the same simulation
-// compare identically. The Zero sentinel is preserved (it already is
-// unambiguous) and mapped to a literal 0 at the point of use.
+// compare identically.
 func (o Options) normalized() Options {
 	cc := core.DefaultConfig()
 	if o.Scale == 0 {
@@ -168,7 +150,7 @@ func (o Options) normalized() Options {
 	if o.WatchdogCycles == 0 {
 		o.WatchdogCycles = sim.DefaultWatchdogCycles
 	}
-	if o.Policy == "" || o.Policy == "auto" {
+	if o.Policy == "" {
 		o.Policy = autoPolicy(o.Mode)
 	}
 	if sp, err := core.ParsePolicy(o.Policy); err == nil {
@@ -179,21 +161,13 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// autoPolicy is the recovery policy an empty (or "auto") Policy selects:
-// selective when mode places slices, conventional otherwise.
+// autoPolicy is the recovery policy an empty Policy selects: selective
+// when mode places slices, conventional otherwise.
 func autoPolicy(mode SliceMode) string {
 	if mode != SliceNone {
 		return core.PolicySelective
 	}
 	return core.PolicyConventional
-}
-
-// zv maps the Zero sentinel (and any negative value) to a literal 0.
-func zv(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // Key returns the canonical identity of the simulation Run would perform
@@ -289,7 +263,7 @@ func buildSpec(n Options) kernels.Spec {
 		Degree:  n.Degree,
 		Seed:    n.Seed,
 		Mode:    n.Mode,
-		PRIters: n.PRIters, // kernels shares the negative-sentinel convention
+		PRIters: n.PRIters,
 		Threads: n.Cores * n.SMT,
 	}
 }
@@ -305,9 +279,9 @@ func simConfig(n Options) sim.Config {
 	cfg.Core.WrongPathMemAccess = n.WrongPathMemAccess
 	cfg.CheckIndependence = n.CheckIndependence
 	cfg.Core.Predictor = n.Predictor
-	cfg.Core.Reserve = zv(n.Reserve)
-	cfg.Core.ROBBlockSize = zv(n.ROBBlockSize)
-	cfg.Core.FRQSize = zv(n.FRQSize)
+	cfg.Core.Reserve = n.Reserve
+	cfg.Core.ROBBlockSize = n.ROBBlockSize
+	cfg.Core.FRQSize = n.FRQSize
 	cfg.Mem = memConfig(n)
 	cfg.WatchdogCycles = n.WatchdogCycles
 	return cfg
@@ -325,11 +299,10 @@ func memConfig(n Options) sim.MemConfig {
 // run. Each rule lives with the package that owns it, checked on exactly
 // the configurations the run would use: the workload's (an unknown
 // benchmark, inner slicing where §6.1 forbids it, a negative Scale,
-// Degree or thread count; kernels.Spec.Normalize), the policy's
-// (core.ParsePolicy), the machine's (sim.Config.Validate: at least one
-// core, a non-negative watchdog, and core.Config.Validate's SMT,
-// predictor, reserve and ROB rules), and this package's own: a field that
-// takes the Zero sentinel is not below Zero.
+// Degree, PRIters or thread count; kernels.Spec.Normalize), the policy's
+// (core.ParsePolicy), and the machine's (sim.Config.Validate: at least
+// one core, a positive watchdog, and core.Config.Validate's SMT,
+// predictor, reserve, ROB block and FRQ rules). This package owns none.
 func (o Options) Validate() error {
 	if err := o.normalized().validate(); err != nil {
 		return fmt.Errorf("blp: %s (%v): %w", o.Benchmark, o.Mode, err)
@@ -344,14 +317,6 @@ func (n Options) validate() error {
 	}
 	if _, err := core.ParsePolicy(n.Policy); err != nil {
 		return err
-	}
-	for _, f := range [...]struct {
-		name string
-		v    int
-	}{{"Reserve", n.Reserve}, {"ROBBlockSize", n.ROBBlockSize}, {"FRQSize", n.FRQSize}, {"PRIters", n.PRIters}} {
-		if f.v < Zero {
-			return fmt.Errorf("%s %d is below Zero (%d, an explicit 0)", f.name, f.v, Zero)
-		}
 	}
 	return simConfig(n).Validate()
 }

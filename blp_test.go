@@ -1,6 +1,7 @@
 package blp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -51,12 +52,15 @@ func TestBadOptionsFailBeforeBuild(t *testing.T) {
 		{"negative scale", Options{Scale: -2}},
 		{"negative degree", Options{Degree: -4}},
 		{"smt 3", Options{SMT: 3}},
-		{"zero reserve under slicing", Options{Mode: SliceOuter, Reserve: Zero}},
-		{"zero ROB block", Options{ROBBlockSize: Zero}},
+		{"negative reserve", Options{Reserve: -1}},
+		{"negative reserve under slicing", Options{Mode: SliceOuter, Reserve: -1}},
+		{"negative ROB block", Options{ROBBlockSize: -1}},
+		{"negative FRQ under slicing", Options{Mode: SliceOuter, FRQSize: -1}},
+		{"negative pagerank sweeps", Options{Benchmark: "pr", PRIters: -1}},
+		{"auto policy", Options{Policy: "auto"}},
 		{"reserve above the RS", Options{Reserve: 500}},
 		{"negative watchdog", Options{WatchdogCycles: -1}},
 		{"inner slicing on bfs", Options{Benchmark: "bfs", Mode: SliceInner}},
-		{"reserve below Zero", Options{Reserve: -2}},
 	} {
 		o := tc.o
 		if o.Benchmark == "" {
@@ -84,6 +88,25 @@ func TestBadOptionsFailBeforeBuild(t *testing.T) {
 		}
 		if n := r.Stats().Simulated; n != 0 {
 			t.Errorf("%s: the Runner simulated %d runs", tc.name, n)
+		}
+	}
+}
+
+// TestSweepBelowOneFailsBeforeRuns: Options reads 0 as the default, so a
+// Fig. 7 reserve or Fig. 8 block size of 0 would run the default under a
+// 0 column. Both figures reject it, naming the value, and simulate
+// nothing.
+func TestSweepBelowOneFailsBeforeRuns(t *testing.T) {
+	for name, fig := range map[string]func(*Runner) (*Figure, error){
+		"fig7": func(r *Runner) (*Figure, error) { return r.Fig7(-6, []int{0}) },
+		"fig8": func(r *Runner) (*Figure, error) { return r.Fig8(-6, []int{0}) },
+	} {
+		r := NewRunner(1)
+		if _, err := fig(r); err == nil || !strings.Contains(err.Error(), "value 0") {
+			t.Errorf("%s: sweep value 0 gave %v, want an error naming it", name, err)
+		}
+		if n := r.Stats().Simulated; n != 0 {
+			t.Errorf("%s: the Runner simulated %d runs", name, n)
 		}
 	}
 }

@@ -101,11 +101,11 @@ func main() {
 	// Launch every selected figure concurrently — the shared Runner
 	// bounds total simulation concurrency and deduplicates the runs
 	// figures have in common — and print each in selection order as soon
-	// as it (and everything before it) is ready.
+	// as it (and everything before it) is ready. The first figure to fail
+	// ends the program at once, whatever its place in the order.
 	start := time.Now()
 	type outcome struct {
 		f    *blp.Figure
-		err  error
 		dur  time.Duration
 		done chan struct{}
 	}
@@ -113,18 +113,18 @@ func main() {
 	for i := range sel {
 		outs[i] = &outcome{done: make(chan struct{})}
 		go func(i int) {
-			defer close(outs[i].done)
 			figStart := time.Now()
-			outs[i].f, outs[i].err = r.Figure(sel[i], params)
-			outs[i].dur = time.Since(figStart)
+			f, err := r.Figure(sel[i], params)
+			if err != nil {
+				log.Fatalf("fig %s: %v", sel[i], err)
+			}
+			outs[i].f, outs[i].dur = f, time.Since(figStart)
+			close(outs[i].done)
 		}(i)
 	}
 	figs := make([]*blp.Figure, len(sel))
-	for i, id := range sel {
+	for i := range sel {
 		<-outs[i].done
-		if outs[i].err != nil {
-			log.Fatalf("fig %s: %v", id, outs[i].err)
-		}
 		figs[i] = outs[i].f
 		if !*asJSON {
 			fmt.Println(outs[i].f)

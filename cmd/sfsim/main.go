@@ -39,10 +39,10 @@ func main() {
 	cores := flag.Int("cores", 1, "number of cores")
 	smt := flag.Int("smt", 1, "SMT threads per core (1, 2, 4)")
 	predictor := flag.String("predictor", "", "branch predictor: tage (default), gshare, bimodal, static, oracle")
-	reserve := flag.Int("reserve", 0, "reserved entries for resolve paths (0 = default 8, -1 = explicitly none)")
+	reserve := flag.Int("reserve", 0, "reserved entries for resolve paths (0 = default 8)")
 	block := flag.Int("robblock", 0, "ROB block size (0 = 1, pure linked list)")
-	frq := flag.Int("frq", 0, "fetch redirect queue depth (0 = default 8, -1 = explicitly none)")
-	priters := flag.Int("priters", 0, "pagerank sweeps (0 = default 3, -1 = explicitly none)")
+	frq := flag.Int("frq", 0, "fetch redirect queue depth (0 = default 8)")
+	priters := flag.Int("priters", 0, "pagerank sweeps (0 = default 3)")
 	paperMem := flag.Bool("papermem", false, "use the full Table 1 memory hierarchy")
 	check := flag.Bool("checkslices", false, "enable the slice independence checker")
 	compare := flag.Bool("compare", false, "also run the baseline and report the speedup")

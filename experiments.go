@@ -347,14 +347,27 @@ func (r *Runner) Fig6(scaleDelta int) (*Figure, error) {
 	return f, nil
 }
 
+// sweepPoints returns a figure's sweep values, def when vals is empty. A
+// value below 1 is an error: Options reads 0 as the default, so a 0
+// column would label the default's run with a value it did not run.
+func sweepPoints(fig string, vals, def []int) ([]int, error) {
+	if len(vals) == 0 {
+		return def, nil
+	}
+	for _, v := range vals {
+		if v < 1 {
+			return nil, fmt.Errorf("blp: %s sweep value %d is below 1", fig, v)
+		}
+	}
+	return vals, nil
+}
+
 // Fig7 sweeps the §4.7 resource reservation (RS/LQ/SQ entries reserved
-// for resolve paths). A reserve value of 0 is passed to the simulator as
-// the explicit-zero sentinel (see Options.Reserve); the core rejects it
-// under selective flush, surfacing the §4.7 forward-progress argument as
-// an error rather than a silent fallback to the default.
+// for resolve paths).
 func (r *Runner) Fig7(scaleDelta int, reserves []int) (*Figure, error) {
-	if len(reserves) == 0 {
-		reserves = []int{1, 2, 4, 8, 16, 32}
+	reserves, err := sweepPoints("fig7", reserves, []int{1, 2, 4, 8, 16, 32})
+	if err != nil {
+		return nil, err
 	}
 	header := []string{"bench"}
 	for _, rv := range reserves {
@@ -369,12 +382,8 @@ func (r *Runner) Fig7(scaleDelta int, reserves []int) (*Figure, error) {
 	for _, b := range Benchmarks {
 		reqs.add("base/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
 		for _, rv := range reserves {
-			reserve := rv
-			if reserve == 0 {
-				reserve = Zero
-			}
 			reqs.add(fmt.Sprintf("r%d/%s", rv, b), Options{Benchmark: b,
-				Scale: scaled(b, scaleDelta), Mode: BestMode(b), Reserve: reserve})
+				Scale: scaled(b, scaleDelta), Mode: BestMode(b), Reserve: rv})
 		}
 	}
 	if err := reqs.run(r); err != nil {
@@ -397,8 +406,9 @@ func (r *Runner) Fig7(scaleDelta int, reserves []int) (*Figure, error) {
 
 // Fig8 sweeps the blocked linked-list ROB block size.
 func (r *Runner) Fig8(scaleDelta int, blocks []int) (*Figure, error) {
-	if len(blocks) == 0 {
-		blocks = []int{1, 2, 4, 8, 16}
+	blocks, err := sweepPoints("fig8", blocks, []int{1, 2, 4, 8, 16})
+	if err != nil {
+		return nil, err
 	}
 	header := []string{"bench"}
 	for _, bsz := range blocks {

@@ -139,6 +139,9 @@ func (c Config) Validate() error {
 	if c.ROBBlockSize < 1 {
 		return fmt.Errorf("core: ROBBlockSize must be >= 1")
 	}
+	if c.FRQSize < 0 {
+		return fmt.Errorf("core: FRQSize %d is negative", c.FRQSize)
+	}
 	if err := bpred.Validate(c.Predictor); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}

@@ -18,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Reserve = c.SQ },
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.ROBBlockSize = 0 },
+		func(c *Config) { c.FRQSize = -1 },
 		func(c *Config) { c.Recovery = PolicySpec{Kind: PolicySelective}; c.Reserve = 0 },
 		func(c *Config) { c.Recovery = PolicySpec{} },
 		func(c *Config) { c.Predictor = "tagee" },

@@ -82,7 +82,7 @@ type Spec struct {
 	Seed    uint64 // RMAT / data seed
 	Mode    SliceMode
 	Threads int // hardware threads (cores × SMT); parallel loops are chunked
-	PRIters int // pagerank sweeps (0 = DefaultPRIters, negative = explicitly 0)
+	PRIters int // pagerank sweeps (0 = DefaultPRIters)
 }
 
 // DefaultScale returns the baseline input scale per kernel. The paper uses
@@ -109,7 +109,7 @@ func DefaultScale(kernel string) int {
 
 // Normalize fills zero fields with defaults and validates the spec: a
 // known kernel, inner slicing only where §6.1 allows it, and no negative
-// Scale, Degree or Threads.
+// Scale, Degree, Threads or PRIters.
 func (s Spec) Normalize() (Spec, error) {
 	switch {
 	case s.Scale < 0:
@@ -118,6 +118,8 @@ func (s Spec) Normalize() (Spec, error) {
 		return s, fmt.Errorf("kernels: degree %d is negative", s.Degree)
 	case s.Threads < 0:
 		return s, fmt.Errorf("kernels: %d hardware threads (cores × SMT) is negative", s.Threads)
+	case s.PRIters < 0:
+		return s, fmt.Errorf("kernels: %d pagerank sweeps is negative", s.PRIters)
 	}
 	if s.Scale == 0 {
 		s.Scale = DefaultScale(s.Kernel)
@@ -133,8 +135,6 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.PRIters == 0 {
 		s.PRIters = DefaultPRIters
-	} else if s.PRIters < 0 {
-		s.PRIters = 0 // negative sentinel: explicitly zero sweeps
 	}
 	if s.Mode == SliceInner && !InnerSliceable(s.Kernel) {
 		return s, fmt.Errorf("kernels: %s does not support inner slicing (§6.1)", s.Kernel)

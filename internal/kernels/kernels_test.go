@@ -96,20 +96,6 @@ func TestBuildCacheFreshMemory(t *testing.T) {
 	}
 }
 
-func TestPRItersSentinel(t *testing.T) {
-	s, err := Spec{Kernel: "pr", PRIters: -1}.Normalize()
-	if err != nil || s.PRIters != 0 {
-		t.Fatalf("negative sentinel → %d sweeps (err %v), want 0", s.PRIters, err)
-	}
-	s, err = Spec{Kernel: "pr"}.Normalize()
-	if err != nil || s.PRIters != DefaultPRIters {
-		t.Fatalf("unset → %d sweeps (err %v), want %d", s.PRIters, err, DefaultPRIters)
-	}
-	// A zero-sweep run must leave every score at its 1/n initial value —
-	// the workload's Check validates exactly that against refPR(g, 0).
-	runFunctional(t, Spec{Kernel: "pr", Scale: 6, PRIters: -1})
-}
-
 func TestInnerSliceRejected(t *testing.T) {
 	for _, k := range []string{"bfs", "pr", "tc", "ms"} {
 		if _, err := Build(Spec{Kernel: k, Scale: 6, Mode: SliceInner}); err == nil {
@@ -119,12 +105,14 @@ func TestInnerSliceRejected(t *testing.T) {
 }
 
 // TestNormalizeRejectsNegative: a negative scale, degree or thread count
-// used to reach the builders and panic on a negative shift or length.
+// used to reach the builders and panic on a negative shift or length, and
+// pr's sweep loop runs at least once.
 func TestNormalizeRejectsNegative(t *testing.T) {
 	for _, s := range []Spec{
 		{Kernel: "cc", Scale: -2},
 		{Kernel: "cc", Degree: -4},
 		{Kernel: "cc", Threads: -1},
+		{Kernel: "pr", PRIters: -1},
 	} {
 		if _, err := s.Normalize(); err == nil {
 			t.Errorf("%+v accepted", s)

@@ -52,14 +52,7 @@ func buildPR(spec Spec) *sim.Workload {
 		b.Li(rIter, 0)
 		b.Li(rVEnd, int64(hi))
 
-		b.Label("sweep")
-		if spec.PRIters == 0 {
-			// The sweep loop is do-while shaped; only an explicit
-			// zero-sweep run (scores stay at 1/n) needs the guard, and
-			// emitting it conditionally keeps the default instruction
-			// stream — and therefore the paper figures — unchanged.
-			b.Bge(rIter, rIters, "prEnd")
-		}
+		b.Label("sweep") // do-while: Normalize makes PRIters at least 1
 		// Phase A: contrib[v] = score[v] / deg(v).
 		b.Li(rV, int64(lo))
 		b.Bge(rV, rVEnd, "phaseAdone")
@@ -114,7 +107,6 @@ func buildPR(spec Spec) *sim.Workload {
 
 		b.AddI(rIter, rIter, 1)
 		b.Blt(rIter, rIters, "sweep")
-		b.Label("prEnd")
 		b.Halt()
 		progs[t] = b.Build()
 	}

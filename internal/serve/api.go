@@ -58,7 +58,8 @@ import (
 const SchemaVersion = 9
 
 // RunRequest is the wire form of blp.Options. Omitted fields select the
-// paper's defaults exactly as the zero-valued Options fields do.
+// paper's defaults exactly as the zero-valued Options fields do, and a
+// negative integer is invalid, as it is in Options.
 type RunRequest struct {
 	Benchmark string `json:"benchmark"`
 	Mode      string `json:"mode,omitempty"` // "", "none", "outer", "inner"
@@ -71,7 +72,7 @@ type RunRequest struct {
 	SMT   int `json:"smt,omitempty"`
 
 	Predictor    string `json:"predictor,omitempty"`
-	Policy       string `json:"policy,omitempty"` // "", "auto", "selective", "conventional", "partial[:N|:inf]", "throttle[:C]"
+	Policy       string `json:"policy,omitempty"` // "", "selective", "conventional", "partial[:N|:inf]", "throttle[:C]"
 	Reserve      int    `json:"reserve,omitempty"`
 	ROBBlockSize int    `json:"rob_block_size,omitempty"`
 	FRQSize      int    `json:"frq_size,omitempty"`
@@ -92,8 +93,7 @@ const maxInputLog2 = 26
 // here: the mode's spelling, and the bounds an outside caller may not
 // exceed though the library allows them (an input that fits in memory,
 // at most 256 cores, and only the tage or oracle predictor). Every other
-// rule is blp.Options.Validate's. Integer options whose zero value means
-// "default" accept -1 to request an explicit 0.
+// rule is blp.Options.Validate's.
 func (rq RunRequest) Options() (blp.Options, error) {
 	mode, err := kernels.ParseSliceMode(rq.Mode)
 	if err != nil {

@@ -188,10 +188,13 @@ func TestRunValidation(t *testing.T) {
 		{"bad policy", `{"benchmark":"cc","policy":"psychic"}`},
 		{"bad policy depth", `{"benchmark":"cc","policy":"partial:x"}`},
 		{"bad policy conf", `{"benchmark":"cc","policy":"throttle:9"}`},
-		{"reserve below sentinel", `{"benchmark":"cc","reserve":-2}`},
+		{"auto policy", `{"benchmark":"cc","policy":"auto"}`},
+		{"negative reserve", `{"benchmark":"cc","reserve":-2}`},
 		{"negative watchdog", `{"benchmark":"cc","watchdog_cycles":-1}`},
-		{"zero reserve under slicing", `{"benchmark":"cc","mode":"outer","reserve":-1}`},
-		{"zero rob block", `{"benchmark":"cc","rob_block_size":-1}`},
+		{"negative reserve under slicing", `{"benchmark":"cc","mode":"outer","reserve":-1}`},
+		{"negative rob block", `{"benchmark":"cc","rob_block_size":-1}`},
+		{"negative frq", `{"benchmark":"cc","frq_size":-1}`},
+		{"negative pagerank sweeps", `{"benchmark":"pr","pr_iters":-1}`},
 		{"reserve above the RS", `{"benchmark":"cc","reserve":500}`},
 	}
 	for _, tc := range cases {

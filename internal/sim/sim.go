@@ -88,20 +88,20 @@ func (m MemConfig) hierConfig() cache.HierConfig {
 	}
 }
 
-// DefaultWatchdogCycles is the no-commit watchdog threshold used when
-// Config.WatchdogCycles is zero.
+// DefaultWatchdogCycles is DefaultConfig's no-commit watchdog threshold.
 const DefaultWatchdogCycles = 1_000_000
 
-// Config is a whole-system configuration.
+// Config is a whole-system configuration. DefaultConfig sets every field
+// Validate requires.
 type Config struct {
 	Core  core.Config
 	Mem   MemConfig
 	Cores int
-	// MaxCycles aborts runaway simulations.
+	// MaxCycles aborts runaway simulations (at least 1).
 	MaxCycles int64
 	// WatchdogCycles aborts a run (with a diagnostic dump) when no core
-	// commits an instruction for this many consecutive cycles. 0 selects
-	// DefaultWatchdogCycles; negative values fail validation.
+	// commits an instruction for this many consecutive cycles (at least
+	// 1).
 	WatchdogCycles int64
 	// CheckIndependence turns on the emulator's slice-discipline
 	// checker (slower; for tests).
@@ -116,14 +116,25 @@ type Config struct {
 }
 
 // Validate reports a configuration Run cannot simulate: fewer than one
-// core, a negative watchdog threshold, or a core configuration
-// core.Config.Validate rejects.
+// core, a cycle cap or watchdog threshold below 1, a cache level with no
+// ways, or a core configuration core.Config.Validate rejects.
 func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("sim: Cores must be at least 1, got %d", c.Cores)
 	}
-	if c.WatchdogCycles < 0 {
-		return fmt.Errorf("sim: WatchdogCycles must not be negative, got %d", c.WatchdogCycles)
+	if c.MaxCycles < 1 {
+		return fmt.Errorf("sim: MaxCycles must be at least 1, got %d", c.MaxCycles)
+	}
+	if c.WatchdogCycles < 1 {
+		return fmt.Errorf("sim: WatchdogCycles must be at least 1, got %d", c.WatchdogCycles)
+	}
+	for _, l := range [...]struct {
+		name string
+		ways int
+	}{{"L1I", c.Mem.L1IWays}, {"L1D", c.Mem.L1DWays}, {"L2", c.Mem.L2Ways}, {"LLC", c.Mem.Uncore.LLCWays}} {
+		if l.ways < 1 {
+			return fmt.Errorf("sim: %s must have at least 1 way, got %d", l.name, l.ways)
+		}
 	}
 	return c.Core.Validate()
 }
@@ -196,10 +207,6 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		return nil, fmt.Errorf("sim: workload %s has %d programs for %d hardware threads",
 			w.Name, len(w.Progs), threadsTotal)
 	}
-	watchdog := cfg.WatchdogCycles
-	if watchdog == 0 {
-		watchdog = DefaultWatchdogCycles
-	}
 	llc, dram := uncore.Build(cfg.Mem.Uncore)
 	hc := cfg.Mem.hierConfig()
 
@@ -220,11 +227,6 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 			return nil, err
 		}
 		cores[i] = c
-	}
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 2_000_000_000
 	}
 
 	rec := cfg.Core.Recorder
@@ -251,8 +253,8 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 			default:
 			}
 		}
-		if now > maxCycles {
-			return nil, fmt.Errorf("sim: workload %s exceeded %d cycles", w.Name, maxCycles)
+		if now > cfg.MaxCycles {
+			return nil, fmt.Errorf("sim: workload %s exceeded %d cycles", w.Name, cfg.MaxCycles)
 		}
 		// Deadlock watchdog: no commit anywhere for a long time.
 		var committed uint64
@@ -261,7 +263,7 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		}
 		if committed != lastCommit {
 			lastCommit, lastCommitCycle = committed, now
-		} else if now-lastCommitCycle > watchdog {
+		} else if now-lastCommitCycle > cfg.WatchdogCycles {
 			return nil, fmt.Errorf("sim: workload %s deadlocked at cycle %d:\n%s",
 				w.Name, now, deadlockDump(cores, rec))
 		}
@@ -315,11 +317,11 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 					target = next - 1
 				}
 			}
-			if deadline := lastCommitCycle + watchdog; deadline < target {
+			if deadline := lastCommitCycle + cfg.WatchdogCycles; deadline < target {
 				target = deadline
 			}
-			if maxCycles < target {
-				target = maxCycles
+			if cfg.MaxCycles < target {
+				target = cfg.MaxCycles
 			}
 			if target > now {
 				// Cancellation check before committing the jump: a single

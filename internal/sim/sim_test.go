@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -171,9 +172,10 @@ func TestOddEvenSMT(t *testing.T) {
 	t.Logf("smt2: cycles=%d committed=%d", res.Cycles, res.Total.Committed)
 }
 
-// TestConfigValidate: Config.Validate requires at least one core and
-// passes the core's rules through (TestWatchdogConfig covers the
-// watchdog).
+// TestConfigValidate: Config.Validate requires at least one core, a
+// positive cycle cap and watchdog, and at least one way in every cache
+// level, and passes the core's rules through (TestWatchdogConfig covers a
+// negative watchdog).
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config: %v", err)
@@ -182,11 +184,27 @@ func TestConfigValidate(t *testing.T) {
 		"no cores":          func(c *Config) { c.Cores = 0 },
 		"negative cores":    func(c *Config) { c.Cores = -1 },
 		"unknown predictor": func(c *Config) { c.Core.Predictor = "tagee" },
+		"no cycle cap":      func(c *Config) { c.MaxCycles = 0 },
+		"no watchdog":       func(c *Config) { c.WatchdogCycles = 0 },
 	} {
 		c := DefaultConfig()
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A zero-way level used to reach cache.New and panic dividing by
+	// zero inside Run; Run now returns Validate's error naming the level.
+	for level, mut := range map[string]func(*MemConfig){
+		"L1I": func(m *MemConfig) { m.L1IWays = 0 },
+		"L1D": func(m *MemConfig) { m.L1DWays = 0 },
+		"L2":  func(m *MemConfig) { m.L2Ways = 0 },
+		"LLC": func(m *MemConfig) { m.Uncore.LLCWays = 0 },
+	} {
+		c := DefaultConfig()
+		mut(&c.Mem)
+		if _, err := Run(c, buildOddEven(16, false, 1)); err == nil || !strings.Contains(err.Error(), level+" ") {
+			t.Errorf("zero-way %s: Run returned %v, want an error naming the level", level, err)
 		}
 	}
 }

@@ -312,13 +312,13 @@ func describeRun(o Options) string {
 		s += fmt.Sprintf(" smt%d", n.SMT)
 	}
 	if n.Reserve != d.Reserve {
-		s += fmt.Sprintf(" r%d", zv(n.Reserve))
+		s += fmt.Sprintf(" r%d", n.Reserve)
 	}
 	if n.ROBBlockSize != d.ROBBlockSize {
-		s += fmt.Sprintf(" b%d", zv(n.ROBBlockSize))
+		s += fmt.Sprintf(" b%d", n.ROBBlockSize)
 	}
 	if n.FRQSize != d.FRQSize {
-		s += fmt.Sprintf(" frq%d", zv(n.FRQSize))
+		s += fmt.Sprintf(" frq%d", n.FRQSize)
 	}
 	if n.WrongPathMemAccess {
 		s += " wpmem"

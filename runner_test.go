@@ -11,8 +11,9 @@ import (
 )
 
 // Two spellings of the same run — zero-value defaults vs every default
-// written out — must share one canonical key, while the Zero sentinel
-// must produce a distinct one.
+// written out — must share one canonical key, and that key's text is
+// pinned: the memo cache and every durable store are keyed by it, so a
+// normalization change that moved it would leave them all cold.
 func TestOptionsKeyCanonicalization(t *testing.T) {
 	implicit := Options{Benchmark: "cc", Scale: 6}
 	explicit := Options{Benchmark: "cc", Scale: 6, Degree: 16, Seed: 1,
@@ -21,10 +22,12 @@ func TestOptionsKeyCanonicalization(t *testing.T) {
 	if implicit.Key() != explicit.Key() {
 		t.Fatalf("keys differ:\n%s\n%s", implicit.Key(), explicit.Key())
 	}
-	zero := implicit
-	zero.Reserve = Zero
-	if zero.Key() == implicit.Key() {
-		t.Fatal("explicit zero reserve should not share the default's key")
+	const want = "{Benchmark:cc Mode:none Scale:6 Degree:16 Seed:1 Cores:1 SMT:1 " +
+		"Predictor:tage Policy:conventional Reserve:8 ROBBlockSize:1 FRQSize:8 " +
+		"PaperScaleMem:false WrongPathMemAccess:false CheckIndependence:false " +
+		"PRIters:3 WatchdogCycles:1000000}"
+	if got := implicit.Key(); got != want {
+		t.Fatalf("key format moved:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -87,34 +90,6 @@ func TestRunnerPropagatesError(t *testing.T) {
 		{Benchmark: "bfs", Mode: SliceInner}, // §6.1 forbids
 	}); err == nil {
 		t.Fatal("RunAll swallowed an error")
-	}
-}
-
-// The explicit-zero sentinel: previously Reserve/FRQSize/PRIters 0 all
-// silently meant "use the default". Now a baseline zero-reserve run and
-// a zero-depth-FRQ sliced run execute, a zero-sweep PageRank validates,
-// and the structurally impossible combinations (zero reserve under
-// selective flush — an architectural deadlock per §4.7 — and a zero ROB
-// block size) fail fast with a clear error instead of being replaced by
-// the default or timing out in the watchdog.
-func TestExplicitZeroOptions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed ablations are slow")
-	}
-	if _, err := Run(Options{Benchmark: "cc", Scale: 6, Reserve: Zero}); err != nil {
-		t.Fatalf("baseline zero-reserve run: %v", err)
-	}
-	if _, err := Run(Options{Benchmark: "cc", Scale: 6, Mode: SliceOuter, Reserve: Zero}); err == nil {
-		t.Fatal("zero reserve with selective flush should fail §4.7 validation")
-	}
-	if _, err := Run(Options{Benchmark: "cc", Scale: 6, Mode: SliceOuter, FRQSize: Zero}); err != nil {
-		t.Fatalf("zero-FRQ ablation: %v", err)
-	}
-	if _, err := Run(Options{Benchmark: "pr", Scale: 6, PRIters: Zero}); err != nil {
-		t.Fatalf("zero-sweep pagerank: %v", err)
-	}
-	if _, err := Run(Options{Benchmark: "cc", Scale: 6, ROBBlockSize: Zero}); err == nil {
-		t.Fatal("zero ROB block size should fail core validation")
 	}
 }
 
