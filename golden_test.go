@@ -62,6 +62,38 @@ func TestGoldenFig4SmallScale(t *testing.T) {
 	checkGolden(t, "fig4-minscale.golden", f.String())
 }
 
+// TestGoldenFiguresMinScale pins the metrics report of every simulated
+// figure at the minimum input scale, through one Runner as
+// `experiments -fig all -delta -100 -cores 3 -sizedelta 0 -json` prints
+// it: each table's cells, notes and Values. Fig. 10 runs on 3 cores, so
+// its multicore LLC has 96 sets. The Runner's counts pin which runs each
+// figure requests and how many the figures share.
+func TestGoldenFiguresMinScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every figure through the simulator")
+	}
+	r := NewRunner(0)
+	var figs []*Figure
+	for _, id := range FigureIDs() {
+		if id == "table1" {
+			continue
+		}
+		f, err := r.Figure(id, FigureParams{Delta: -100, Cores: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs = append(figs, f)
+	}
+	var sb strings.Builder
+	if err := NewReport(figs...).WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "figures-minscale.golden", sb.String())
+	if s := r.Stats(); s.Simulated != 185 || s.Cached != 133 {
+		t.Errorf("simulated %d / cached %d, want 185 / 133", s.Simulated, s.Cached)
+	}
+}
+
 // TestGoldenPolicyMinScale pins the recovery-policy timing at the minimum
 // input scale: one line per benchmark × core.ConformanceMatrix row on the
 // default 224-entry ROB, giving the counters each recovery mechanism
