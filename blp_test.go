@@ -203,14 +203,19 @@ func TestFigureIDs(t *testing.T) {
 }
 
 // TestFigureHarnessTiny runs the lightest figure end-to-end at a small
-// scale to keep the experiment plumbing covered by `go test`.
+// scale to keep the experiment plumbing covered by `go test`. A repeated
+// sweep value is one run: the figure requests each distinct Options once.
 func TestFigureHarnessTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
 	}
-	f, err := NewRunner(0).Fig7(-6, []int{8}) // tiny inputs (scales clamp at 6)
+	r := NewRunner(0)
+	f, err := r.Fig7(-6, []int{8, 8}) // tiny inputs (scales clamp at 6)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := r.Stats(); s.Simulated != 14 || s.Cached != 0 {
+		t.Errorf("simulated %d / cached %d, want 14 / 0", s.Simulated, s.Cached)
 	}
 	if len(f.Values) == 0 {
 		t.Fatal("no values recorded")

@@ -23,11 +23,11 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	blp "repro"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -46,38 +46,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after all runs) to this file")
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle live-heap numbers before the snapshot
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	r := blp.NewRunner(*jobs)
-	if !*quiet {
-		r.SetProgress(os.Stderr)
-	}
 
 	want := map[string]bool{}
 	if *fig != "all" {
@@ -98,11 +66,33 @@ func main() {
 	}
 	params := blp.FigureParams{Delta: *delta, Cores: *cores, SizeDelta: *sizeDelta}
 
-	// Launch every selected figure concurrently — the shared Runner
-	// bounds total simulation concurrency and deduplicates the runs
-	// figures have in common — and print each in selection order as soon
-	// as it (and everything before it) is ready. The first figure to fail
-	// ends the program at once, whatever its place in the order.
+	r := blp.NewRunner(*jobs)
+	if !*quiet {
+		r.SetProgress(os.Stderr)
+	}
+	stop, err := prof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = run(r, sel, params, *asJSON, *metrics)
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run regenerates the selected figures and writes them: text tables or
+// the JSON report on stdout, the report to metricsPath when set, and with
+// more than one figure the Runner's summary on stderr.
+//
+// Every selected figure is launched concurrently — the shared Runner
+// bounds total simulation concurrency and deduplicates the runs figures
+// have in common — and printed in selection order as soon as it (and
+// everything before it) is ready. The first figure to fail ends the run
+// at once, whatever its place in the order.
+func run(r *blp.Runner, sel []string, params blp.FigureParams, asJSON bool, metricsPath string) error {
 	start := time.Now()
 	type outcome struct {
 		f    *blp.Figure
@@ -110,13 +100,15 @@ func main() {
 		done chan struct{}
 	}
 	outs := make([]*outcome, len(sel))
+	failed := make(chan error, len(sel))
 	for i := range sel {
 		outs[i] = &outcome{done: make(chan struct{})}
 		go func(i int) {
 			figStart := time.Now()
 			f, err := r.Figure(sel[i], params)
 			if err != nil {
-				log.Fatalf("fig %s: %v", sel[i], err)
+				failed <- fmt.Errorf("fig %s: %w", sel[i], err)
+				return
 			}
 			outs[i].f, outs[i].dur = f, time.Since(figStart)
 			close(outs[i].done)
@@ -124,35 +116,40 @@ func main() {
 	}
 	figs := make([]*blp.Figure, len(sel))
 	for i := range sel {
-		<-outs[i].done
+		select {
+		case <-outs[i].done:
+		case err := <-failed:
+			return err
+		}
 		figs[i] = outs[i].f
-		if !*asJSON {
+		if !asJSON {
 			fmt.Println(outs[i].f)
 			fmt.Printf("(generated in %v)\n\n", outs[i].dur.Round(time.Second))
 		}
 	}
 	report := blp.NewReport(figs...)
-	if *asJSON {
+	if asJSON {
 		if err := report.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	if *metrics != "" {
-		f, err := os.Create(*metrics)
+	if metricsPath != "" {
+		f, err := os.Create(metricsPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := report.WriteJSON(f); err != nil {
 			f.Close()
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if len(sel) > 1 {
 		printSummary(os.Stderr, r, time.Since(start))
 	}
+	return nil
 }
 
 // printSummary reports how much work the shared run cache saved.

@@ -18,13 +18,12 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 
 	blp "repro"
 	"repro/internal/kernels"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -54,26 +53,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer writeFile(*memprofile, func(w io.Writer) error {
-			runtime.GC() // settle live-heap numbers before the snapshot
-			return pprof.Lookup("allocs").WriteTo(w, 0)
-		})
-	}
 
 	m, err := kernels.ParseSliceMode(*mode)
 	if err != nil {
@@ -111,12 +90,28 @@ func main() {
 		log.Print("warning: -compare has no effect without a sliced -mode (outer or inner)")
 	}
 
-	// -compare runs the baseline concurrently and unrecorded, so only the
-	// measured run's events are printed and exported.
+	stop, err := prof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = run(opts, rec, *compare, *events, *tracePath, *timelinePath)
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates opts with rec attached, prints the result and writes the
+// recordings. With compare and a sliced mode it also runs the unsliced
+// baseline, concurrently and unrecorded, so only the measured run's
+// events are printed and exported, and prints the speedup.
+func run(opts blp.Options, rec *blp.FlightRecorder, compare bool, events int, tracePath, timelinePath string) error {
 	var wg sync.WaitGroup
 	var base *blp.Result
 	var baseErr error
-	if *compare && m != blp.SliceNone {
+	if compare && opts.Mode != blp.SliceNone {
 		b := opts
 		b.Mode = blp.SliceNone
 		wg.Add(1)
@@ -128,24 +123,24 @@ func main() {
 	res, err := blp.RunRecorded(context.Background(), opts, rec)
 	wg.Wait()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if baseErr != nil {
-		log.Fatal(baseErr)
+		return baseErr
 	}
 	printResult(opts, res)
 	if base != nil {
 		fmt.Printf("\nbaseline cycles: %d\nspeedup:         %.3f\n",
 			base.Cycles, blp.Speedup(base, res))
 	}
-	writeRecordings(rec, *events, *tracePath, *timelinePath)
+	return writeRecordings(rec, events, tracePath, timelinePath)
 }
 
 // writeRecordings prints the last n recorded events to stderr and exports
 // the recorder's contents to the requested files.
-func writeRecordings(rec *blp.FlightRecorder, n int, tracePath, timelinePath string) {
+func writeRecordings(rec *blp.FlightRecorder, n int, tracePath, timelinePath string) error {
 	if rec == nil {
-		return
+		return nil
 	}
 	if n > 0 {
 		evs := rec.Events()
@@ -154,29 +149,32 @@ func writeRecordings(rec *blp.FlightRecorder, n int, tracePath, timelinePath str
 		}
 	}
 	if tracePath != "" {
-		writeFile(tracePath, rec.WriteChromeTrace)
+		if err := writeFile(tracePath, rec.WriteChromeTrace); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "sfsim: wrote %d pipeline events to %s (%d dropped)\n",
 			len(rec.Events()), tracePath, rec.Dropped())
 	}
 	if timelinePath != "" {
-		writeFile(timelinePath, rec.WriteTimelineCSV)
+		if err := writeFile(timelinePath, rec.WriteTimelineCSV); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "sfsim: wrote %d timeline samples to %s\n",
 			len(rec.Samples()), timelinePath)
 	}
+	return nil
 }
 
-func writeFile(path string, write func(io.Writer) error) {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := write(f); err != nil {
 		f.Close()
-		log.Fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	return f.Close()
 }
 
 func printResult(o blp.Options, r *blp.Result) {

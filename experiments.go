@@ -93,50 +93,137 @@ func scaleNote(delta int) string {
 	return "effective scales clamped: " + strings.Join(clamped, ", ")
 }
 
-// batch accumulates named run requests so a figure can declare every
-// simulation it needs up front, execute the whole set concurrently
-// through the Runner, and then assemble its table serially in
-// deterministic order.
-type batch struct {
-	names []string
-	opts  []Options
-	added map[string]Options
-	res   map[string]*Result
-}
-
-func (b *batch) add(name string, o Options) {
-	if b.added == nil {
-		b.added = map[string]Options{}
-		b.res = map[string]*Result{}
-	}
-	if prev, dup := b.added[name]; dup {
-		if prev != o {
-			panic("blp: conflicting run requests named " + name)
+// grid runs a figure's cells: opt(b, c) for every benchmark b and column
+// c below cols, where a zero Options skips the cell. Each distinct
+// Options runs once and all of them run concurrently through one RunAll,
+// so the figure is assembled afterwards, serially and in deterministic
+// order, from the results by benchmark and column (nil in a skipped
+// cell).
+func (r *Runner) grid(cols int, opt func(b string, c int) Options) (map[string][]*Result, error) {
+	var opts []Options
+	at := map[Options]int{}
+	for _, b := range Benchmarks {
+		for c := range cols {
+			o := opt(b, c)
+			if _, dup := at[o]; !dup && o != (Options{}) {
+				at[o] = len(opts)
+				opts = append(opts, o)
+			}
 		}
-		return // identical duplicate (e.g. a repeated sweep value)
 	}
-	b.added[name] = o
-	b.names = append(b.names, name)
-	b.opts = append(b.opts, o)
-}
-
-func (b *batch) run(r *Runner) error {
-	results, err := r.RunAll(b.opts)
+	results, err := r.RunAll(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, name := range b.names {
-		b.res[name] = results[i]
+	res := map[string][]*Result{}
+	for _, b := range Benchmarks {
+		res[b] = make([]*Result, cols)
+		for c := range cols {
+			if i, ok := at[opt(b, c)]; ok {
+				res[b][c] = results[i]
+			}
+		}
 	}
-	return nil
+	return res, nil
 }
 
-func (b *batch) get(name string) *Result {
-	res, ok := b.res[name]
-	if !ok || res == nil {
-		panic("blp: no result for run request " + name)
+// pairRun is benchmark b's run at scale in grid column c of a figure
+// that pairs its runs: unsliced in an even column, at BestMode in the
+// odd column after it.
+func pairRun(b string, scale, c int) Options {
+	o := Options{Benchmark: b, Scale: scale}
+	if c%2 == 1 {
+		o.Mode = BestMode(b)
 	}
-	return res
+	return o
+}
+
+// speedupCol is one column of a speedup table: the speedup of grid
+// column run over grid column base, set in Values under key with the
+// benchmark for its %s, and the column's harmonic mean under hmean
+// unless that is empty. An ipc column holds run's IPC instead, and is
+// blank in the hmean row.
+type speedupCol struct {
+	head, key, hmean string
+	base, run        int
+	ipc              bool
+}
+
+// speedupRows fills f's table from a grid of runs: the columns' heads, a
+// row per benchmark and, when hmean is set, a closing row of each
+// column's harmonic mean.
+func (f *Figure) speedupRows(res map[string][]*Result, cols []speedupCol, hmean bool) {
+	header := []string{"bench"}
+	for _, c := range cols {
+		header = append(header, c.head)
+	}
+	f.Table = stats.NewTable(header...)
+	perCol := make([][]float64, len(cols))
+	for _, b := range Benchmarks {
+		row := []any{b}
+		for i, c := range cols {
+			v := Speedup(res[b][c.base], res[b][c.run])
+			if c.ipc {
+				v = res[b][c.run].IPC
+			}
+			row = append(row, v)
+			f.set(fmt.Sprintf(c.key, b), v)
+			perCol[i] = append(perCol[i], v)
+		}
+		f.Table.AddRow(row...)
+	}
+	if !hmean {
+		return
+	}
+	row := []any{"hmean"}
+	for i, c := range cols {
+		if c.ipc {
+			row = append(row, "")
+			continue
+		}
+		hm := stats.HarmonicMeanSpeedup(perCol[i])
+		row = append(row, hm)
+		if c.hmean != "" {
+			f.set(c.hmean, hm)
+		}
+	}
+	f.Table.AddRow(row...)
+}
+
+// variant is one column of a figure that compares each benchmark's runs
+// with its unsliced baseline: the baseline's Options changed by edit and,
+// when best, sliced at BestMode. head labels the column; its Values are
+// <bench>/<key> and hmean/<key>.
+type variant struct {
+	head, key string
+	best      bool
+	edit      func(*Options)
+}
+
+// variants runs every benchmark's baseline and each of vs, and fills f
+// with the lead columns, then the variants' speedups, closing with an
+// hmean row when hmean is set.
+func (r *Runner) variants(f *Figure, scaleDelta int, vs []variant, hmean bool, lead ...speedupCol) (*Figure, error) {
+	res, err := r.grid(1+len(vs), func(b string, c int) Options {
+		o := Options{Benchmark: b, Scale: scaled(b, scaleDelta)}
+		if c > 0 {
+			if vs[c-1].best {
+				o.Mode = BestMode(b)
+			}
+			vs[c-1].edit(&o)
+		}
+		return o
+	})
+	if err != nil {
+		return nil, err
+	}
+	cols := lead
+	for i, v := range vs {
+		cols = append(cols, speedupCol{head: v.head, key: "%s/" + v.key, hmean: "hmean/" + v.key, run: i + 1})
+	}
+	f.speedupRows(res, cols, hmean)
+	f.addNote(scaleNote(scaleDelta))
+	return f, nil
 }
 
 // Motivation reproduces the §3 baseline statistics: wrong-path dispatch
@@ -146,18 +233,21 @@ func (r *Runner) Motivation(scaleDelta int) (*Figure, error) {
 		ID:    "motivation",
 		Title: "§3 baseline branch statistics (TAGE vs oracle)",
 		Table: stats.NewTable("bench", "MPKI", "wrongPath/correct", "oracle speedup"),
+		Notes: "paper: +53% wrong-path dispatches, oracle +60% (§3)",
 	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
-		reqs.add("oracle/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta), Predictor: "oracle"})
-	}
-	if err := reqs.run(r); err != nil {
+	res, err := r.grid(2, func(b string, c int) Options {
+		o := Options{Benchmark: b, Scale: scaled(b, scaleDelta)}
+		if c == 1 {
+			o.Predictor = "oracle"
+		}
+		return o
+	})
+	if err != nil {
 		return nil, err
 	}
 	var wpSum, orSum []float64
 	for _, b := range Benchmarks {
-		base, orc := reqs.get("base/"+b), reqs.get("oracle/"+b)
+		base, orc := res[b][0], res[b][1]
 		wp := float64(base.Stats.DispWrong) / float64(base.Stats.DispCorrect)
 		sp := Speedup(base, orc)
 		f.Table.AddRow(b, base.Stats.MPKI(), wp, sp)
@@ -168,7 +258,6 @@ func (r *Runner) Motivation(scaleDelta int) (*Figure, error) {
 	}
 	f.Table.AddRow("mean", "", mean(wpSum), stats.HarmonicMeanSpeedup(orSum))
 	f.set("oracle/hmean", stats.HarmonicMeanSpeedup(orSum))
-	f.Notes = "paper: +53% wrong-path dispatches, oracle +60% (§3)"
 	f.addNote(scaleNote(scaleDelta))
 	return f, nil
 }
@@ -217,37 +306,37 @@ func (r *Runner) Fig4(scaleDelta int) (*Figure, error) {
 		Title: "Speedup vs baseline: slicing placements and perfect prediction",
 		Table: stats.NewTable("bench", "inner", "outer", "perfect"),
 	}
-	var reqs batch
-	for _, b := range Benchmarks {
+	// Columns: baseline, inner (where allowed), outer, perfect.
+	res, err := r.grid(4, func(b string, c int) Options {
 		o := Options{Benchmark: b, Scale: scaled(b, scaleDelta)}
-		reqs.add("base/"+b, o)
-		if InnerSliceable(b) {
-			oi := o
-			oi.Mode = SliceInner
-			reqs.add("inner/"+b, oi)
+		switch c {
+		case 1:
+			if !InnerSliceable(b) {
+				return Options{}
+			}
+			o.Mode = SliceInner
+		case 2:
+			o.Mode = SliceOuter
+		case 3:
+			o.Predictor = "oracle"
 		}
-		oo := o
-		oo.Mode = SliceOuter
-		reqs.add("outer/"+b, oo)
-		op := o
-		op.Predictor = "oracle"
-		reqs.add("perfect/"+b, op)
-	}
-	if err := reqs.run(r); err != nil {
+		return o
+	})
+	if err != nil {
 		return nil, err
 	}
 	var best, bestNoPR, perfect []float64
 	for _, b := range Benchmarks {
-		base := reqs.get("base/" + b)
+		base := res[b][0]
 		inner := "-"
 		innerV := 0.0
-		if InnerSliceable(b) {
-			innerV = Speedup(base, reqs.get("inner/"+b))
+		if res[b][1] != nil {
+			innerV = Speedup(base, res[b][1])
 			inner = fmt.Sprintf("%.3f", innerV)
 			f.set("inner/"+b, innerV)
 		}
-		outerV := Speedup(base, reqs.get("outer/"+b))
-		orcV := Speedup(base, reqs.get("perfect/"+b))
+		outerV := Speedup(base, res[b][2])
+		orcV := Speedup(base, res[b][3])
 		f.Table.AddRow(b, inner, outerV, orcV)
 		f.set("outer/"+b, outerV)
 		f.set("perfect/"+b, orcV)
@@ -275,6 +364,22 @@ func (r *Runner) Fig4(scaleDelta int) (*Figure, error) {
 	return f, nil
 }
 
+// slicedRows runs every benchmark unsliced and at BestMode and hands
+// row the pair in order, orig then sliced, each with the baseline run it
+// is normalized to.
+func (r *Runner) slicedRows(f *Figure, scaleDelta int, row func(b, name string, run, base *Result)) (*Figure, error) {
+	res, err := r.grid(2, func(b string, c int) Options { return pairRun(b, scaled(b, scaleDelta), c) })
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range Benchmarks {
+		row(b, "orig", res[b][0], res[b][0])
+		row(b, "sliced", res[b][1], res[b][0])
+	}
+	f.addNote(scaleNote(scaleDelta))
+	return f, nil
+}
+
 // Fig5 reproduces the cycle stacks (exec/branch/mem/other) of baseline
 // and sliced execution, normalized to the baseline cycle count.
 func (r *Runner) Fig5(scaleDelta int) (*Figure, error) {
@@ -282,33 +387,16 @@ func (r *Runner) Fig5(scaleDelta int) (*Figure, error) {
 		ID:    "fig5",
 		Title: "Cycle stacks, normalized to baseline cycles",
 		Table: stats.NewTable("bench", "run", "exec", "branch", "mem", "other", "total"),
+		Notes: "paper: slicing shrinks the branch component; mem grows slightly",
 	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
-		reqs.add("sliced/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta), Mode: BestMode(b)})
-	}
-	if err := reqs.run(r); err != nil {
-		return nil, err
-	}
-	for _, b := range Benchmarks {
-		base, sl := reqs.get("base/"+b), reqs.get("sliced/"+b)
-		norm := float64(base.Cycles)
-		for _, r := range []struct {
-			name string
-			res  *Result
-		}{{"orig", base}, {"sliced", sl}} {
-			s := r.res.Stats
-			f.Table.AddRow(b, r.name,
-				s.StackExec/norm, s.StackBranch/norm, s.StackMem/norm,
-				s.StackOther/norm, float64(r.res.Cycles)/norm)
-			f.set(fmt.Sprintf("%s/%s/branch", b, r.name), s.StackBranch/norm)
-			f.set(fmt.Sprintf("%s/%s/mem", b, r.name), s.StackMem/norm)
-		}
-	}
-	f.Notes = "paper: slicing shrinks the branch component; mem grows slightly"
-	f.addNote(scaleNote(scaleDelta))
-	return f, nil
+	return r.slicedRows(f, scaleDelta, func(b, name string, run, base *Result) {
+		s, norm := run.Stats, float64(base.Cycles)
+		f.Table.AddRow(b, name,
+			s.StackExec/norm, s.StackBranch/norm, s.StackMem/norm,
+			s.StackOther/norm, float64(run.Cycles)/norm)
+		f.set(fmt.Sprintf("%s/%s/branch", b, name), s.StackBranch/norm)
+		f.set(fmt.Sprintf("%s/%s/mem", b, name), s.StackMem/norm)
+	})
 }
 
 // Fig6 reproduces the dispatched-instruction breakdown: correct path,
@@ -319,179 +407,84 @@ func (r *Runner) Fig6(scaleDelta int) (*Figure, error) {
 		ID:    "fig6",
 		Title: "Dispatched instructions, normalized to correct-path count",
 		Table: stats.NewTable("bench", "run", "correct", "wrongPath", "overhead"),
+		Notes: "paper: slicing cuts wrong-path dispatches; sssp overhead exceeds the saving",
 	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
-		reqs.add("sliced/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta), Mode: BestMode(b)})
-	}
-	if err := reqs.run(r); err != nil {
-		return nil, err
-	}
-	for _, b := range Benchmarks {
-		base, sl := reqs.get("base/"+b), reqs.get("sliced/"+b)
-		norm := float64(base.Stats.DispCorrect)
-		for _, r := range []struct {
-			name string
-			res  *Result
-		}{{"orig", base}, {"sliced", sl}} {
-			s := r.res.Stats
-			f.Table.AddRow(b, r.name, float64(s.DispCorrect)/norm,
-				float64(s.DispWrong)/norm, float64(s.DispOverhead)/norm)
-			f.set(fmt.Sprintf("%s/%s/wrong", b, r.name), float64(s.DispWrong)/norm)
+	return r.slicedRows(f, scaleDelta, func(b, name string, run, base *Result) {
+		s, norm := run.Stats, float64(base.Stats.DispCorrect)
+		f.Table.AddRow(b, name, float64(s.DispCorrect)/norm,
+			float64(s.DispWrong)/norm, float64(s.DispOverhead)/norm)
+		f.set(fmt.Sprintf("%s/%s/wrong", b, name), float64(s.DispWrong)/norm)
+		if name == "sliced" {
+			f.set(b+"/overhead", float64(s.DispOverhead)/norm)
 		}
-		f.set(fmt.Sprintf("%s/overhead", b), float64(sl.Stats.DispOverhead)/norm)
-	}
-	f.Notes = "paper: slicing cuts wrong-path dispatches; sssp overhead exceeds the saving"
-	f.addNote(scaleNote(scaleDelta))
-	return f, nil
+	})
 }
 
-// sweepPoints returns a figure's sweep values, def when vals is empty. A
-// value below 1 is an error: Options reads 0 as the default, so a 0
-// column would label the default's run with a value it did not run.
-func sweepPoints(fig string, vals, def []int) ([]int, error) {
+// sweep returns the variants of a sliced sweep over one Options field:
+// BestMode with set(o, v) for each v of vals (def when vals is empty),
+// headed <name>=<v> and keyed <name><v>. A value below 1 is an error:
+// Options reads 0 as the default, so a 0 column would label the
+// default's run with a value it did not run.
+func sweep(fig, name string, vals, def []int, set func(o *Options, v int)) ([]variant, error) {
 	if len(vals) == 0 {
-		return def, nil
+		vals = def
 	}
-	for _, v := range vals {
+	vs := make([]variant, len(vals))
+	for i, v := range vals {
 		if v < 1 {
 			return nil, fmt.Errorf("blp: %s sweep value %d is below 1", fig, v)
 		}
+		vs[i] = variant{fmt.Sprintf("%s=%d", name, v), fmt.Sprintf("%s%d", name, v), true,
+			func(o *Options) { set(o, v) }}
 	}
-	return vals, nil
+	return vs, nil
 }
 
 // Fig7 sweeps the §4.7 resource reservation (RS/LQ/SQ entries reserved
 // for resolve paths).
 func (r *Runner) Fig7(scaleDelta int, reserves []int) (*Figure, error) {
-	reserves, err := sweepPoints("fig7", reserves, []int{1, 2, 4, 8, 16, 32})
+	vs, err := sweep("fig7", "r", reserves, []int{1, 2, 4, 8, 16, 32}, func(o *Options, v int) { o.Reserve = v })
 	if err != nil {
 		return nil, err
 	}
-	header := []string{"bench"}
-	for _, rv := range reserves {
-		header = append(header, fmt.Sprintf("r=%d", rv))
-	}
-	f := &Figure{
+	return r.variants(&Figure{
 		ID:    "fig7",
 		Title: "Sliced speedup vs entries reserved for resolve paths",
-		Table: stats.NewTable(header...),
-	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
-		for _, rv := range reserves {
-			reqs.add(fmt.Sprintf("r%d/%s", rv, b), Options{Benchmark: b,
-				Scale: scaled(b, scaleDelta), Mode: BestMode(b), Reserve: rv})
-		}
-	}
-	if err := reqs.run(r); err != nil {
-		return nil, err
-	}
-	for _, b := range Benchmarks {
-		base := reqs.get("base/" + b)
-		row := []any{b}
-		for _, rv := range reserves {
-			sp := Speedup(base, reqs.get(fmt.Sprintf("r%d/%s", rv, b)))
-			row = append(row, sp)
-			f.set(fmt.Sprintf("%s/r%d", b, rv), sp)
-		}
-		f.Table.AddRow(row...)
-	}
-	f.Notes = "paper: flat (or improving, bc) to 16 reserved entries, drop at 32"
-	f.addNote(scaleNote(scaleDelta))
-	return f, nil
+		Notes: "paper: flat (or improving, bc) to 16 reserved entries, drop at 32",
+	}, scaleDelta, vs, false)
 }
 
 // Fig8 sweeps the blocked linked-list ROB block size.
 func (r *Runner) Fig8(scaleDelta int, blocks []int) (*Figure, error) {
-	blocks, err := sweepPoints("fig8", blocks, []int{1, 2, 4, 8, 16})
+	vs, err := sweep("fig8", "b", blocks, []int{1, 2, 4, 8, 16}, func(o *Options, v int) { o.ROBBlockSize = v })
 	if err != nil {
 		return nil, err
 	}
-	header := []string{"bench"}
-	for _, bsz := range blocks {
-		header = append(header, fmt.Sprintf("b=%d", bsz))
-	}
-	f := &Figure{
+	return r.variants(&Figure{
 		ID:    "fig8",
 		Title: "Sliced speedup vs ROB block size (gaps/padding overhead)",
-		Table: stats.NewTable(header...),
-	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
-		for _, bsz := range blocks {
-			reqs.add(fmt.Sprintf("b%d/%s", bsz, b), Options{Benchmark: b,
-				Scale: scaled(b, scaleDelta), Mode: BestMode(b), ROBBlockSize: bsz})
-		}
-	}
-	if err := reqs.run(r); err != nil {
-		return nil, err
-	}
-	perBlock := map[int][]float64{}
-	for _, b := range Benchmarks {
-		base := reqs.get("base/" + b)
-		row := []any{b}
-		for _, bsz := range blocks {
-			sp := Speedup(base, reqs.get(fmt.Sprintf("b%d/%s", bsz, b)))
-			row = append(row, sp)
-			f.set(fmt.Sprintf("%s/b%d", b, bsz), sp)
-			perBlock[bsz] = append(perBlock[bsz], sp)
-		}
-		f.Table.AddRow(row...)
-	}
-	row := []any{"hmean"}
-	for _, bsz := range blocks {
-		hm := stats.HarmonicMeanSpeedup(perBlock[bsz])
-		row = append(row, hm)
-		f.set(fmt.Sprintf("hmean/b%d", bsz), hm)
-	}
-	f.Table.AddRow(row...)
-	f.Notes = "paper: ≤4 negligible, −4.1% at 8, −9.5% at 16"
-	f.addNote(scaleNote(scaleDelta))
-	return f, nil
+		Notes: "paper: ≤4 negligible, −4.1% at 8, −9.5% at 16",
+	}, scaleDelta, vs, true)
 }
 
 // Fig9 sweeps input size (1×, 2×, 4×, 8× vertices).
 func (r *Runner) Fig9(scaleDelta int) (*Figure, error) {
-	factors := []int{0, 1, 2, 3} // scale deltas = log2 of the size factor
 	f := &Figure{
 		ID:    "fig9",
 		Title: "Sliced speedup vs input size (×1, ×2, ×4, ×8)",
-		Table: stats.NewTable("bench", "x1", "x2", "x4", "x8"),
+		Notes: "paper: no clear trend; average 1.27-1.31 across sizes",
 	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		for _, d := range factors {
-			sc := scaled(b, scaleDelta) + d
-			reqs.add(fmt.Sprintf("base/%s/x%d", b, d), Options{Benchmark: b, Scale: sc})
-			reqs.add(fmt.Sprintf("sliced/%s/x%d", b, d), Options{Benchmark: b, Scale: sc, Mode: BestMode(b)})
-		}
-	}
-	if err := reqs.run(r); err != nil {
+	// Columns 2d and 2d+1 run the 2^d-times input.
+	res, err := r.grid(8, func(b string, c int) Options { return pairRun(b, scaled(b, scaleDelta)+c/2, c) })
+	if err != nil {
 		return nil, err
 	}
-	perFactor := map[int][]float64{}
-	for _, b := range Benchmarks {
-		row := []any{b}
-		for _, d := range factors {
-			base := reqs.get(fmt.Sprintf("base/%s/x%d", b, d))
-			sl := reqs.get(fmt.Sprintf("sliced/%s/x%d", b, d))
-			sp := Speedup(base, sl)
-			row = append(row, sp)
-			f.set(fmt.Sprintf("%s/x%d", b, 1<<d), sp)
-			perFactor[d] = append(perFactor[d], sp)
-		}
-		f.Table.AddRow(row...)
+	var cols []speedupCol
+	for d := range 4 {
+		cols = append(cols, speedupCol{head: fmt.Sprintf("x%d", 1<<d), key: fmt.Sprintf("%%s/x%d", 1<<d),
+			base: 2 * d, run: 2*d + 1})
 	}
-	row := []any{"hmean"}
-	for _, d := range factors {
-		row = append(row, stats.HarmonicMeanSpeedup(perFactor[d]))
-	}
-	f.Table.AddRow(row...)
-	f.Notes = "paper: no clear trend; average 1.27-1.31 across sizes"
+	f.speedupRows(res, cols, true)
 	f.addNote(scaleNote(scaleDelta))
 	return f, nil
 }
@@ -506,101 +499,42 @@ func (r *Runner) Fig10(scaleDelta, cores, sizeDelta int) (*Figure, error) {
 	f := &Figure{
 		ID:    "fig10",
 		Title: fmt.Sprintf("Sliced speedup: 1 core vs %d cores", cores),
-		Table: stats.NewTable("bench", "1-core", fmt.Sprintf("%d-core", cores)),
+		Notes: "paper: 28-core average 1.29 — the benefit is orthogonal to thread parallelism",
 	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		sc := scaled(b, scaleDelta) + sizeDelta
-		reqs.add("base1/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta)})
-		reqs.add("sl1/"+b, Options{Benchmark: b, Scale: scaled(b, scaleDelta), Mode: BestMode(b)})
-		reqs.add("baseN/"+b, Options{Benchmark: b, Scale: sc, Cores: cores})
-		reqs.add("slN/"+b, Options{Benchmark: b, Scale: sc, Cores: cores, Mode: BestMode(b)})
-	}
-	if err := reqs.run(r); err != nil {
+	// Columns 0 and 1 run one core, 2 and 3 the larger input on cores.
+	res, err := r.grid(4, func(b string, c int) Options {
+		o := pairRun(b, scaled(b, scaleDelta), c)
+		if c >= 2 {
+			o.Scale += sizeDelta
+			o.Cores = cores
+		}
+		return o
+	})
+	if err != nil {
 		return nil, err
 	}
-	var single, multi []float64
-	for _, b := range Benchmarks {
-		s1 := Speedup(reqs.get("base1/"+b), reqs.get("sl1/"+b))
-		sN := Speedup(reqs.get("baseN/"+b), reqs.get("slN/"+b))
-		f.Table.AddRow(b, s1, sN)
-		f.set("1c/"+b, s1)
-		f.set("nc/"+b, sN)
-		single = append(single, s1)
-		multi = append(multi, sN)
-	}
-	f.Table.AddRow("hmean", stats.HarmonicMeanSpeedup(single), stats.HarmonicMeanSpeedup(multi))
-	f.set("hmean/1c", stats.HarmonicMeanSpeedup(single))
-	f.set("hmean/nc", stats.HarmonicMeanSpeedup(multi))
-	f.Notes = "paper: 28-core average 1.29 — the benefit is orthogonal to thread parallelism"
+	f.speedupRows(res, []speedupCol{
+		{head: "1-core", key: "1c/%s", hmean: "hmean/1c", base: 0, run: 1},
+		{head: fmt.Sprintf("%d-core", cores), key: "nc/%s", hmean: "hmean/nc", base: 2, run: 3},
+	}, true)
 	f.addNote(scaleNote(scaleDelta))
 	return f, nil
-}
-
-// fig11Configs are the per-benchmark run variants of Fig. 11, in column
-// order. Modes marked best are resolved per benchmark.
-var fig11Configs = []struct {
-	key  string
-	smt  int
-	best bool
-	pred string
-}{
-	{"smt2", 2, false, ""},
-	{"smt2s", 2, true, ""},
-	{"smt4", 4, false, ""},
-	{"smt4s", 4, true, ""},
-	{"sliced", 1, true, ""},
-	{"perfect", 1, false, "oracle"},
 }
 
 // Fig11 combines SMT (2 and 4 threads) with slicing on a single core.
 func (r *Runner) Fig11(scaleDelta int) (*Figure, error) {
-	f := &Figure{
+	return r.variants(&Figure{
 		ID:    "fig11",
 		Title: "SMT and slicing combinations (single core), speedup vs 1-thread baseline",
-		Table: stats.NewTable("bench", "smt2", "smt2+sliced", "smt4", "smt4+sliced", "sliced", "perfect"),
-	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		sc := scaled(b, scaleDelta)
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: sc})
-		for _, cfg := range fig11Configs {
-			mode := SliceNone
-			if cfg.best {
-				mode = BestMode(b)
-			}
-			reqs.add(cfg.key+"/"+b, Options{Benchmark: b, Scale: sc,
-				SMT: cfg.smt, Mode: mode, Predictor: cfg.pred})
-		}
-	}
-	if err := reqs.run(r); err != nil {
-		return nil, err
-	}
-	for _, b := range Benchmarks {
-		base := reqs.get("base/" + b)
-		row := []any{b}
-		for _, cfg := range fig11Configs {
-			sp := Speedup(base, reqs.get(cfg.key+"/"+b))
-			row = append(row, sp)
-			f.set(fmt.Sprintf("%s/%s", b, cfg.key), sp)
-		}
-		f.Table.AddRow(row...)
-	}
-	f.Notes = "paper: SMT alone beats slicing alone, but slicing adds on top of SMT"
-	f.addNote(scaleNote(scaleDelta))
-	return f, nil
-}
-
-// policyMatrixConfigs are the per-benchmark variants of the policy
-// figure, in column order. Selective resolves BestMode per benchmark.
-var policyMatrixConfigs = []struct {
-	key    string
-	policy string
-	best   bool
-}{
-	{"selective", "selective", true},
-	{"partial16", "partial:16", false},
-	{"throttle2", "throttle:2", false},
+		Notes: "paper: SMT alone beats slicing alone, but slicing adds on top of SMT",
+	}, scaleDelta, []variant{
+		{"smt2", "smt2", false, func(o *Options) { o.SMT = 2 }},
+		{"smt2+sliced", "smt2s", true, func(o *Options) { o.SMT = 2 }},
+		{"smt4", "smt4", false, func(o *Options) { o.SMT = 4 }},
+		{"smt4+sliced", "smt4s", true, func(o *Options) { o.SMT = 4 }},
+		{"sliced", "sliced", true, func(*Options) {}},
+		{"perfect", "perfect", false, func(o *Options) { o.Predictor = "oracle" }},
+	}, false)
 }
 
 // PolicyMatrix compares the recovery-policy matrix (§4.2 and the
@@ -612,50 +546,15 @@ var policyMatrixConfigs = []struct {
 // is not a paper figure — it is the repo's own ablation of what the
 // selective mechanism buys over cheaper recovery tweaks.
 func (r *Runner) PolicyMatrix(scaleDelta int) (*Figure, error) {
-	f := &Figure{
+	return r.variants(&Figure{
 		ID:    "policy",
 		Title: "Recovery-policy matrix: speedup vs conventional full squash",
-		Table: stats.NewTable("bench", "baseIPC", "selective", "partial:16", "throttle:2"),
-	}
-	var reqs batch
-	for _, b := range Benchmarks {
-		sc := scaled(b, scaleDelta)
-		reqs.add("base/"+b, Options{Benchmark: b, Scale: sc})
-		for _, cfg := range policyMatrixConfigs {
-			mode := SliceNone
-			if cfg.best {
-				mode = BestMode(b)
-			}
-			reqs.add(cfg.key+"/"+b, Options{Benchmark: b, Scale: sc,
-				Mode: mode, Policy: cfg.policy})
-		}
-	}
-	if err := reqs.run(r); err != nil {
-		return nil, err
-	}
-	sums := map[string][]float64{}
-	for _, b := range Benchmarks {
-		base := reqs.get("base/" + b)
-		row := []any{b, base.IPC}
-		f.set("baseIPC/"+b, base.IPC)
-		for _, cfg := range policyMatrixConfigs {
-			sp := Speedup(base, reqs.get(cfg.key+"/"+b))
-			row = append(row, sp)
-			f.set(fmt.Sprintf("%s/%s", b, cfg.key), sp)
-			sums[cfg.key] = append(sums[cfg.key], sp)
-		}
-		f.Table.AddRow(row...)
-	}
-	hrow := []any{"hmean", ""}
-	for _, cfg := range policyMatrixConfigs {
-		hm := stats.HarmonicMeanSpeedup(sums[cfg.key])
-		hrow = append(hrow, hm)
-		f.set("hmean/"+cfg.key, hm)
-	}
-	f.Table.AddRow(hrow...)
-	f.Notes = "partial/throttle commit the same instructions as the baseline; only selective changes the fetch stream"
-	f.addNote(scaleNote(scaleDelta))
-	return f, nil
+		Notes: "partial/throttle commit the same instructions as the baseline; only selective changes the fetch stream",
+	}, scaleDelta, []variant{
+		{"selective", "selective", true, func(o *Options) { o.Policy = "selective" }},
+		{"partial:16", "partial16", false, func(o *Options) { o.Policy = "partial:16" }},
+		{"throttle:2", "throttle2", false, func(o *Options) { o.Policy = "throttle:2" }},
+	}, true, speedupCol{head: "baseIPC", key: "baseIPC/%s", ipc: true})
 }
 
 // FigureParams are the inputs of a figure requested by id: every figure

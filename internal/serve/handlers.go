@@ -84,20 +84,31 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runError maps a simulation failure to a response: deadline → 504,
-// client-gone → nothing, anything else → 500 (the request was
-// well-formed; the configuration itself failed validation or simulation
-// deeper in the stack).
-func (s *Server) runError(w http.ResponseWriter, err error) {
+// failure counts a run's failure and names its status: a deadline is a
+// timeout (504), a cancellation is the client going away (0: nothing to
+// answer, nobody's failure), and anything else is an error (500): the
+// request was well-formed, and the configuration failed deeper in the
+// stack.
+func (s *Server) failure(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.addTimeout()
-		writeError(w, http.StatusGatewayTimeout, "run exceeded the server's per-run timeout")
+		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
-		// Client disconnected; the response writer is dead.
+		return 0
 	default:
 		s.metrics.addError()
-		writeError(w, http.StatusInternalServerError, err.Error())
+		return http.StatusInternalServerError
+	}
+}
+
+// runError answers a failed run with the status failure names.
+func (s *Server) runError(w http.ResponseWriter, err error) {
+	switch status := s.failure(err); status {
+	case http.StatusGatewayTimeout:
+		writeError(w, status, "run exceeded the server's per-run timeout")
+	case http.StatusInternalServerError:
+		writeError(w, status, err.Error())
 	}
 }
 
@@ -156,18 +167,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
 			}
 			if err != nil {
+				// A failed item is counted like a failed run, though the
+				// sweep itself streams on.
 				item.Error = err.Error()
-				// Classify like runError: a deadline is a timeout, a
-				// client disconnect is nobody's failure, anything else
-				// is a genuine per-item error and must show up in the
-				// error counter even though the sweep itself streams on.
-				switch {
-				case errors.Is(err, context.DeadlineExceeded):
-					s.metrics.addTimeout()
-				case errors.Is(err, context.Canceled):
-				default:
-					s.metrics.addError()
-				}
+				s.failure(err)
 			} else {
 				item.Result = resultJSON(res)
 			}

@@ -1,18 +1,22 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
+	"time"
 
 	blp "repro"
 )
 
-// TestSweepItemErrorCounted pins per-item error accounting: a sweep item
-// that fails for a non-timeout reason must show up in the server's error
-// counter even though the sweep response itself is a 200 stream. (It
-// used to increment nothing, leaving /metrics blind to failing sweeps.)
+// TestSweepItemErrorCounted pins per-item failure accounting: a sweep
+// item that fails for a non-timeout reason must show up in the server's
+// error counter even though the sweep response itself is a 200 stream
+// (it used to increment nothing, leaving /metrics blind to failing
+// sweeps), and an item that outlives the per-run timeout counts as a
+// timeout, not an error.
 func TestSweepItemErrorCounted(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/sweep", `{"runs":[
@@ -38,6 +42,24 @@ func TestSweepItemErrorCounted(t *testing.T) {
 	}
 	if snap.Timeouts != 0 {
 		t.Errorf("metrics timeouts = %d, want 0 (a watchdog abort is not a timeout)", snap.Timeouts)
+	}
+
+	s, ts := newTestServer(t, Config{RunTimeout: 20 * time.Millisecond})
+	s.runCached = func(ctx context.Context, o blp.Options) (*blp.Result, bool, error) {
+		<-ctx.Done()
+		return nil, false, ctx.Err()
+	}
+	resp = postJSON(t, ts.URL+"/v1/sweep", `{"runs":[{"benchmark":"cc","scale":6}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("timed-out sweep status %d", resp.StatusCode)
+	}
+	if items := readSweepItems(t, resp); len(items) != 1 || items[0].Error == "" {
+		t.Fatalf("timed-out sweep items = %+v, want one failed item", items)
+	}
+	snap = getMetrics(t, ts.URL)
+	if snap.Timeouts != 1 || snap.Errors != 0 {
+		t.Errorf("metrics timeouts = %d, errors = %d after a timed-out sweep item, want 1 and 0",
+			snap.Timeouts, snap.Errors)
 	}
 }
 

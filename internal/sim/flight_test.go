@@ -53,13 +53,14 @@ func TestCollectCacheStatsAggregatesAllCores(t *testing.T) {
 	if res.L1DMisses != wantMisses {
 		t.Fatalf("L1DMisses = %d, want %d", res.L1DMisses, wantMisses)
 	}
+	rate := float64(res.L1DMisses) / float64(res.L1DAccesses)
 	core0 := hiers[0].L1D.Stats().MissRate()
 	core1 := hiers[1].L1D.Stats().MissRate()
-	if !(core0 < res.L1DMissRate && res.L1DMissRate < core1) {
+	if !(core0 < rate && rate < core1) {
 		t.Fatalf("aggregate L1D miss rate %.3f not between core0 %.3f and core1 %.3f",
-			res.L1DMissRate, core0, core1)
+			rate, core0, core1)
 	}
-	if res.L1DMissRate == core0 {
+	if rate == core0 {
 		t.Fatal("aggregate miss rate still equals core 0's (regression)")
 	}
 	if res.L2Misses == 0 || res.LLCMisses == 0 {

@@ -170,10 +170,8 @@ type Result struct {
 	Cycles  int64
 	Total   core.Stats
 	PerCore []core.Stats
-	// CacheStats snapshots selected hierarchy counters.
-	L1DMissRate float64
+	// LLCMissRate is the shared LLC's miss ratio.
 	LLCMissRate float64
-	L2MissRate  float64
 	// DRAMLines counts memory line transfers; DRAMBusy is the fraction
 	// of total cycles the memory bus was transferring.
 	DRAMLines uint64
@@ -377,8 +375,7 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 }
 
 // collectCacheStats fills Result's cache counters, aggregating accesses
-// and misses across every core's private hierarchy (miss rates are
-// computed on the aggregated counts, not core 0's).
+// and misses across every core's private hierarchy.
 func collectCacheStats(res *Result, hiers []*cache.Hierarchy, llc *cache.Cache, dram *cache.Memory, cycles int64) {
 	for _, h := range hiers {
 		l1d, l2 := h.L1D.Stats(), h.L2.Stats()
@@ -386,12 +383,6 @@ func collectCacheStats(res *Result, hiers []*cache.Hierarchy, llc *cache.Cache, 
 		res.L1DMisses += l1d.Misses
 		res.L2Accesses += l2.Accesses
 		res.L2Misses += l2.Misses
-	}
-	if res.L1DAccesses > 0 {
-		res.L1DMissRate = float64(res.L1DMisses) / float64(res.L1DAccesses)
-	}
-	if res.L2Accesses > 0 {
-		res.L2MissRate = float64(res.L2Misses) / float64(res.L2Accesses)
 	}
 	ls := llc.Stats()
 	res.LLCAccesses = ls.Accesses
