@@ -170,7 +170,8 @@ func BenchmarkAblationWrongPathMemory(b *testing.B) {
 // BenchmarkSimThroughput measures raw simulator speed, which sets every
 // experiment's cost, on pr two scales below its default, unsliced and in
 // its best slice mode. ns/kinst is host nanoseconds per 1,000 committed
-// instructions; the workload is built before the timer starts.
+// instructions. The input graph is generated before the timer starts;
+// each run still builds its workload from it.
 func BenchmarkSimThroughput(b *testing.B) {
 	const k = "pr"
 	for _, mode := range []SliceMode{SliceNone, BestMode(k)} {

@@ -4,6 +4,7 @@
 //	sfserved                        # serve on :8344, NumCPU sim workers
 //	sfserved -addr :9000 -jobs 8
 //	sfserved -cache-mb 256 -queue 128 -run-timeout 2m
+//	sfserved -queue 0                 # no waiting room: 429 once every admitted slot is busy
 //	sfserved -store-dir /var/lib/sfserved -store-budget 2048
 //	sfserved -ledger /var/lib/sfserved   # print the ledger summary, exit
 //
@@ -52,12 +53,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sfserved: ")
 
-	addr := flag.String("addr", ":8344", "listen address")
-	jobs := flag.Int("jobs", 0, "max concurrent simulations (0 = NumCPU)")
-	cacheMB := flag.Int("cache-mb", 64, "result-cache budget in MiB (0 = unbounded)")
-	concurrent := flag.Int("concurrent", 0, "max admitted requests (0 = 2x jobs)")
-	queueDepth := flag.Int("queue", 64, "requests waiting for admission before 429s")
-	runTimeout := flag.Duration("run-timeout", 5*time.Minute, "per-run timeout (0 = none)")
+	serveConfig := serveFlags(flag.CommandLine)
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound")
 	storeDir := flag.String("store-dir", "", "durable result-store directory (empty = no persistence)")
 	storeBudget := flag.Int("store-budget", 0, "durable-store disk budget in MiB (0 = unbounded)")
@@ -71,19 +67,7 @@ func main() {
 		return
 	}
 
-	cacheBytes := int64(*cacheMB) << 20
-	if *cacheMB == 0 {
-		cacheBytes = -1 // serve maps 0 to the default; negative = unbounded
-	}
-	cfg := serve.Config{
-		Addr:          *addr,
-		Jobs:          *jobs,
-		CacheBytes:    cacheBytes,
-		MaxConcurrent: *concurrent,
-		QueueDepth:    *queueDepth,
-		RunTimeout:    *runTimeout,
-		Logf:          log.Printf,
-	}
+	cfg := serveConfig()
 	if *storeDir != "" {
 		st, err := blp.OpenStore(*storeDir, int64(*storeBudget)<<20)
 		if err != nil {
@@ -107,5 +91,36 @@ func main() {
 	// Close runs after that, once nothing can append to the ledger).
 	if err := <-drained; err != nil {
 		log.Fatalf("drain: %v", err)
+	}
+}
+
+// serveFlags registers the serving flags on fs and returns the function
+// that maps their parsed values to a serve.Config. serve.Config reads a
+// zero CacheBytes or QueueDepth as its default, so the flags' zeros (an
+// unbounded cache, no waiting room) map to -1.
+func serveFlags(fs *flag.FlagSet) func() serve.Config {
+	addr := fs.String("addr", ":8344", "listen address")
+	jobs := fs.Int("jobs", 0, "max concurrent simulations (0 = NumCPU)")
+	cacheMB := fs.Int("cache-mb", 64, "result-cache budget in MiB (0 = unbounded)")
+	concurrent := fs.Int("concurrent", 0, "max admitted requests (0 = 2x jobs)")
+	queue := fs.Int("queue", 64, "requests waiting for admission before 429s (0 = none: 429 once every admitted slot is busy)")
+	runTimeout := fs.Duration("run-timeout", 5*time.Minute, "per-run timeout (0 = none)")
+	return func() serve.Config {
+		cfg := serve.Config{
+			Addr:          *addr,
+			Jobs:          *jobs,
+			CacheBytes:    int64(*cacheMB) << 20,
+			MaxConcurrent: *concurrent,
+			QueueDepth:    *queue,
+			RunTimeout:    *runTimeout,
+			Logf:          log.Printf,
+		}
+		if *cacheMB == 0 {
+			cfg.CacheBytes = -1
+		}
+		if *queue == 0 {
+			cfg.QueueDepth = -1
+		}
+		return cfg
 	}
 }

@@ -102,9 +102,9 @@ func TestStepEdgeValues(t *testing.T) {
 		{"amin64 unsigned", mem(isa.AMin64), 8, 0, i(-1), 5, 5, 5},
 		{"amin64 takes smaller", mem(isa.AMinX64), 8, 0, 3, 5, 5, 3},
 		{"amin32 unsigned", mem(isa.AMin32), 8, 0, 1, 0x80000000, 0x80000000, 1},
-		// The 32-bit min compares the zero-extended old word with all
-		// 64 bits of the value, then stores the low half.
-		{"amin32 compares full value", mem(isa.AMinX32), 8, 0, 0x1_00000002, 0x9_00000007, 7, 0x9_00000007},
+		// The 32-bit min compares the low halves of the old word and the
+		// value, then stores the low half.
+		{"amin32 compares low half", mem(isa.AMinX32), 8, 0, 0x1_00000002, 0x9_00000007, 7, 0x9_00000002},
 		{"amin32 stores low half", mem(isa.AMinX32), 8, 0, 2, 0x9_00000007, 7, 0x9_00000002},
 	}
 	for _, c := range cases {

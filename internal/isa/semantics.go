@@ -117,11 +117,14 @@ func (op Op) Taken(s1, s2 uint64) bool {
 // Atomic returns the value atomic op stores back, given the old memory
 // word (zero-extended) and the value of its Val register: the sum for
 // the AAdd forms, the unsigned minimum for the AMin forms. A 32-bit form
+// compares the low half of Val, as it compares the memory word, and
 // stores the low half of the result.
 func (op Op) Atomic(old, v uint64) uint64 {
 	switch op {
-	case AMin64, AMin32, AMinX64, AMinX32:
+	case AMin64, AMinX64:
 		return min(old, v)
+	case AMin32, AMinX32:
+		return min(old, v&0xFFFFFFFF)
 	}
 	return old + v
 }

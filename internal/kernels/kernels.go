@@ -12,11 +12,12 @@
 package kernels
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/sim"
 )
 
@@ -139,69 +140,28 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.Mode == SliceInner && !InnerSliceable(s.Kernel) {
 		return s, fmt.Errorf("kernels: %s does not support inner slicing (§6.1)", s.Kernel)
 	}
-	switch s.Kernel {
-	case "bc", "bfs", "cc", "pr", "sssp", "tc", "ms":
-	default:
+	if builders[s.Kernel] == nil {
 		return s, fmt.Errorf("kernels: unknown kernel %q (one of %s)", s.Kernel, strings.Join(Names, ", "))
 	}
 	return s, nil
 }
 
-// Build constructs the workload for a spec. Built workloads are memoized
-// process-wide (singleflight per spec, so concurrent callers share one
-// construction): input generation, CSR build, program assembly, and the
-// host reference are all reused across runs that differ only in core or
-// memory configuration. The simulator mutates the memory image, so each
-// call receives a fresh copy of the pristine image; the programs and the
-// Check closure are immutable at run time and shared.
+// Build constructs a fresh workload for a spec: its memory image, one
+// program per hardware thread, and the host-reference Check. Only the
+// generated input graph is shared between builds (see graphs), so the
+// caller owns everything it receives.
 func Build(spec Spec) (*sim.Workload, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%+v", spec)
-	buildMu.Lock()
-	e, ok := buildCache[key]
-	if !ok {
-		e = &buildEntry{}
-		buildCache[key] = e
-	}
-	buildMu.Unlock()
-	e.once.Do(func() { e.w = buildUncached(spec) })
-	w := *e.w
-	w.Mem = append([]byte(nil), e.w.Mem...)
-	return &w, nil
+	return builders[spec.Kernel](spec), nil
 }
 
-type buildEntry struct {
-	once sync.Once
-	w    *sim.Workload
-}
-
-var (
-	buildMu    sync.Mutex
-	buildCache = map[string]*buildEntry{}
-)
-
-// buildUncached constructs a workload for an already-normalized spec.
-func buildUncached(spec Spec) *sim.Workload {
-	switch spec.Kernel {
-	case "pr":
-		return buildPR(spec)
-	case "bfs":
-		return buildBFS(spec)
-	case "cc":
-		return buildCC(spec)
-	case "sssp":
-		return buildSSSP(spec)
-	case "bc":
-		return buildBC(spec)
-	case "tc":
-		return buildTC(spec)
-	case "ms":
-		return buildMS(spec)
-	}
-	panic("unreachable")
+// builders holds each kernel's workload builder.
+var builders = map[string]func(Spec) *sim.Workload{
+	"bc": buildBC, "bfs": buildBFS, "cc": buildCC, "pr": buildPR,
+	"sssp": buildSSSP, "tc": buildTC, "ms": buildMS,
 }
 
 // chunk returns the [lo,hi) range of n items assigned to thread t of T
@@ -210,21 +170,30 @@ func chunk(n, T, t int) (int, int) {
 	return n * t / T, n * (t + 1) / T
 }
 
-// graphCache memoizes generated graphs across experiment sweeps.
-var (
-	graphMu    sync.Mutex
-	graphCache = map[string]*graph.CSR{}
-)
+// graphBudget bounds the bytes of generated graphs kept resident. A
+// default-scale "experiments -fig all" reads 11 distinct graphs, 7.4 MiB
+// of CSR arrays, so the budget holds them several times over; a single
+// larger graph is still kept alone (memo never evicts its newest entry).
+const graphBudget = 64 << 20
+
+// graphs memoizes generated graphs, the one input worth sharing between
+// builds: the figures vary only the machine over fixed inputs, and RMAT
+// generation is most of a build. Each graph is charged the capacity of
+// its arrays.
+var graphs = memo.New(graphBudget, graphCost)
+
+func graphCost(_ string, g *graph.CSR) int64 {
+	return 4 * int64(cap(g.Offsets)+cap(g.Neigh)+cap(g.Weights))
+}
 
 func getGraph(spec Spec, weighted bool) *graph.CSR {
 	key := fmt.Sprintf("s%d-d%d-seed%d-w%v", spec.Scale, spec.Degree, spec.Seed, weighted)
-	graphMu.Lock()
-	defer graphMu.Unlock()
-	if g, ok := graphCache[key]; ok {
-		return g
+	g, err, _ := graphs.Do(context.TODO(), key, func() (*graph.CSR, error) {
+		return graph.RMAT(spec.Scale, spec.Degree, spec.Seed, weighted), nil
+	})
+	if err != nil {
+		panic(err) // the generation this build joined panicked
 	}
-	g := graph.RMAT(spec.Scale, spec.Degree, spec.Seed, weighted)
-	graphCache[key] = g
 	return g
 }
 

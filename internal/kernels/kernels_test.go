@@ -2,9 +2,12 @@ package kernels
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/graph"
+	"repro/internal/memo"
 )
 
 // modesFor returns every slice mode a kernel supports.
@@ -68,10 +71,10 @@ func TestKernelsDefaultScales(t *testing.T) {
 	}
 }
 
-// Build memoizes constructed workloads; the simulator mutates the memory
-// image, so each call must get a fresh pristine copy while the (runtime-
-// immutable) programs are shared.
-func TestBuildCacheFreshMemory(t *testing.T) {
+// Build builds afresh: two builds of one spec share neither the memory
+// image nor the programs, so a run that mutates either leaves every other
+// build as built.
+func TestBuildIsFresh(t *testing.T) {
 	spec := Spec{Kernel: "cc", Scale: 6}
 	w1, err := Build(spec)
 	if err != nil {
@@ -81,18 +84,55 @@ func TestBuildCacheFreshMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &w1.Mem[0] == &w2.Mem[0] {
-		t.Fatal("cached builds share one memory image")
-	}
 	if !bytes.Equal(w1.Mem, w2.Mem) {
-		t.Fatal("cached build returned a non-pristine image")
-	}
-	if w1.Progs[0] != w2.Progs[0] {
-		t.Fatal("cached builds should share the assembled programs")
+		t.Fatal("two builds of one spec differ")
 	}
 	w1.Mem[0] ^= 0xFF
+	w1.Progs[0].Code[0].Imm ^= 0xFF
 	if w1.Mem[0] == w2.Mem[0] {
 		t.Fatal("mutating one image leaked into the other")
+	}
+	if w1.Progs[0].Code[0] == w2.Progs[0].Code[0] {
+		t.Fatal("mutating one build's program leaked into the other")
+	}
+}
+
+// The kernels that read the same unweighted graph share one generated
+// CSR at a given scale and seed, also when they build at once.
+func TestGraphSharedAcrossKernels(t *testing.T) {
+	kernels := []string{"bc", "cc", "pr"}
+	got := make([]*graph.CSR, len(kernels))
+	var wg sync.WaitGroup
+	for i, k := range kernels {
+		spec, err := Spec{Kernel: k, Scale: 6, Seed: 3}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = getGraph(spec, false)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Errorf("%s got its own graph", kernels[i])
+		}
+	}
+}
+
+// The graph memo is bounded: under a 1-byte budget a second distinct
+// graph evicts the first.
+func TestGraphMemoBounded(t *testing.T) {
+	saved := graphs
+	defer func() { graphs = saved }()
+	graphs = memo.New(1, graphCost)
+	for _, seed := range []uint64{1, 2} {
+		getGraph(Spec{Scale: 6, Degree: 4, Seed: seed}, false)
+	}
+	if st := graphs.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 1 entry and 1 eviction", st)
 	}
 }
 

@@ -1,5 +1,6 @@
-// Package memo provides the byte-budgeted result cache with singleflight
-// deduplication that backs blp.Runner and the serve layer.
+// Package memo provides the byte-budgeted cache with singleflight
+// deduplication that holds blp.Runner's results (and so the serve
+// layer's) and the kernels' generated graphs.
 //
 // A Cache maps string keys to values computed at most once at a time:
 // the first requester of a key runs the compute function while every
@@ -49,8 +50,6 @@ type Cache[V any] struct {
 	cost   func(key string, v V) int64
 	budget int64 // 0 = unbounded
 
-	onEvict func(key string, v V)
-
 	mu       sync.Mutex
 	done     map[string]*list.Element // completed entries, element.Value = *entry[V]
 	inflight map[string]*call[V]
@@ -89,11 +88,6 @@ func New[V any](budgetBytes int64, cost func(key string, v V) int64) *Cache[V] {
 		inflight: make(map[string]*call[V]),
 	}
 }
-
-// OnEvict registers a hook invoked (outside the cache lock) for every
-// entry evicted to make room. Call before the cache is in use; it is not
-// synchronized with Do.
-func (c *Cache[V]) OnEvict(fn func(key string, v V)) { c.onEvict = fn }
 
 // Do returns the cached value for key, or computes it with fn. Exactly
 // one computation per key runs at a time: concurrent duplicates block
@@ -142,23 +136,16 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 		if !finished {
 			cl.err = fmt.Errorf("memo: computation for key %q panicked", key)
 		}
-		var evicted []*entry[V]
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if cl.err == nil {
 			e := &entry[V]{key: key, val: cl.val, cost: c.cost(key, cl.val)}
 			c.done[key] = c.lru.PushFront(e)
 			c.bytes += e.cost
-			evicted = c.evictLocked()
+			c.evictLocked()
 		}
 		c.mu.Unlock()
 		close(cl.done)
-		for _, e := range evicted {
-			c.evictions.Add(1)
-			if c.onEvict != nil {
-				c.onEvict(e.key, e.val)
-			}
-		}
 	}()
 	cl.val, cl.err = fn()
 	finished = true
@@ -167,23 +154,16 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 
 // evictLocked trims the cache to its budget, evicting from the LRU tail
 // but never removing the most recent entry (so a single oversized
-// result is cached alone rather than thrashing). Caller holds c.mu;
-// returned entries are reported to the eviction hook after the lock is
-// released.
-func (c *Cache[V]) evictLocked() []*entry[V] {
-	if c.budget <= 0 {
-		return nil
-	}
-	var out []*entry[V]
-	for c.bytes > c.budget && c.lru.Len() > 1 {
+// result is cached alone rather than thrashing). Caller holds c.mu.
+func (c *Cache[V]) evictLocked() {
+	for c.budget > 0 && c.bytes > c.budget && c.lru.Len() > 1 {
 		el := c.lru.Back()
 		e := el.Value.(*entry[V])
 		c.lru.Remove(el)
 		delete(c.done, e.key)
 		c.bytes -= e.cost
-		out = append(out, e)
+		c.evictions.Add(1)
 	}
-	return out
 }
 
 // Stats returns the cache's counters and resident-set size.

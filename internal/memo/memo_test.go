@@ -172,8 +172,6 @@ func TestWaiterCancellation(t *testing.T) {
 func TestLRUEvictionOrderAndBudget(t *testing.T) {
 	// Budget 10 bytes, 4-byte values: holds 2 entries.
 	c := New[string](10, byteCost)
-	var evicted []string
-	c.OnEvict(func(key string, _ string) { evicted = append(evicted, key) })
 	put := func(k string) {
 		c.Do(bg(), k, func() (string, error) { return "xxxx", nil })
 	}
@@ -181,9 +179,6 @@ func TestLRUEvictionOrderAndBudget(t *testing.T) {
 	put("b")
 	c.Do(bg(), "a", nil) // touch a: now b is least recent
 	put("c")             // 12 bytes > 10: evict b
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", evicted)
-	}
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently used entry a evicted")
 	}
@@ -196,23 +191,11 @@ func TestLRUEvictionOrderAndBudget(t *testing.T) {
 	}
 }
 
-// One oversized insert that trims several entries at once reports every
-// trimmed entry to the OnEvict hook exactly once — and invokes the hook
-// outside the cache lock, proven by the hook re-entering the cache
-// (Stats and Get would deadlock under a held cache mutex).
-func TestOnEvictSeesEveryTrimmedEntryOnceOutsideLock(t *testing.T) {
+// One oversized insert trims several entries at once, counting each as
+// one eviction and leaving none of them resident.
+func TestOneInsertTrimsSeveralEntries(t *testing.T) {
 	// 10-byte budget, 3-byte values: holds 3 entries.
 	c := New[string](10, byteCost)
-	evicted := map[string]int{}
-	c.OnEvict(func(key string, v string) {
-		evicted[key]++
-		// Re-enter the cache: both would deadlock if the hook ran under
-		// the cache lock.
-		c.Stats()
-		if _, ok := c.Get(key); ok {
-			t.Errorf("evicted key %q still resident inside the hook", key)
-		}
-	})
 	put := func(k, v string) {
 		c.Do(bg(), k, func() (string, error) { return v, nil })
 	}
@@ -222,17 +205,13 @@ func TestOnEvictSeesEveryTrimmedEntryOnceOutsideLock(t *testing.T) {
 	// A single insert over budget trims a, b, and c in one Do call
 	// (never-evict-newest keeps "big" itself).
 	put("big", strings.Repeat("y", 9))
-	want := map[string]int{"a": 1, "b": 1, "c": 1}
-	if len(evicted) != len(want) {
-		t.Fatalf("hook saw %v, want %v", evicted, want)
-	}
-	for k, n := range want {
-		if evicted[k] != n {
-			t.Fatalf("hook saw %q %d times, want %d (all: %v)", k, evicted[k], n, evicted)
-		}
-	}
 	if st := c.Stats(); st.Evictions != 3 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 3 evictions / 1 entry", st)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("trimmed entry %q still resident", k)
+		}
 	}
 }
 

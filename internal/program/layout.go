@@ -21,11 +21,12 @@ func NewLayout() *Layout {
 	return &Layout{align: 64}
 }
 
+// grow extends the image with zeros to at least to bytes. Appending
+// amortizes the copies, so a layout of many arrays copies its image a
+// few times rather than once per array.
 func (l *Layout) grow(to uint64) {
-	if uint64(len(l.mem)) < to {
-		grown := make([]byte, to)
-		copy(grown, l.mem)
-		l.mem = grown
+	if n := uint64(len(l.mem)); n < to {
+		l.mem = append(l.mem, make([]byte, to-n)...)
 	}
 }
 
@@ -79,9 +80,10 @@ func (l *Layout) PutU64(addr uint64, v uint64) {
 	binary.LittleEndian.PutUint64(l.mem[addr:], v)
 }
 
-// Image returns the initial memory image. The slice is owned by the
-// caller; the layout must not be reused after Image is taken.
-func (l *Layout) Image() []byte { return l.mem }
+// Image returns the initial memory image, with its capacity trimmed to
+// its length. The slice is owned by the caller; the layout must not be
+// reused after Image is taken.
+func (l *Layout) Image() []byte { return l.mem[:len(l.mem):len(l.mem)] }
 
 // Size returns the current image size in bytes.
 func (l *Layout) Size() uint64 { return uint64(len(l.mem)) }

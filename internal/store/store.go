@@ -256,14 +256,6 @@ func (s *Store) readObject(hash, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Has reports whether an object for key is currently indexed (without
-// validating its contents or touching recency/counters).
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.index[keyHash(key)] != nil
-}
-
 // Put stores payload under key, atomically (temp file + rename): a
 // process killed mid-write leaves no torn object behind. A key that is
 // already present is left untouched — objects are immutable values of

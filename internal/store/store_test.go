@@ -9,6 +9,15 @@ import (
 	"time"
 )
 
+// Has reports whether an object for key is currently indexed, without
+// validating its contents or touching recency or counters: how these
+// tests probe residency.
+func (s *Store) Has(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.index[keyHash(key)] != nil
+}
+
 func mustOpen(t *testing.T, dir, version string, budget int64) *Store {
 	t.Helper()
 	s, err := Open(dir, version, budget)

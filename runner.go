@@ -37,8 +37,8 @@ type Runner struct {
 	sem   chan struct{}
 	cache *memo.Cache[*Result]
 	// store, when non-nil (NewRunnerStore), is the durable second level
-	// behind the cache: consulted on memo miss before simulating,
-	// written through on compute, spilled to on LRU eviction.
+	// behind the cache: consulted on memo miss before simulating and
+	// written through on compute.
 	store *store.Store
 
 	mu        sync.Mutex

@@ -24,24 +24,17 @@ func OpenStore(dir string, budgetBytes int64) (*store.Store, error) {
 }
 
 // NewRunnerStore is NewRunnerCache with a durable second level: on a
-// memo miss the Runner consults st before simulating, fresh results are
-// written through to st, LRU-evicted results are spilled to it, and every
-// fresh computation is appended to its experiment ledger. st may be shared by several Runners in one
-// process; nil st degrades to NewRunnerCache exactly.
+// memo miss the Runner consults st before simulating, every fresh result
+// is written through to st (the one write path: a result the in-memory
+// LRU later evicts is already on disk), and every fresh computation is
+// appended to its experiment ledger. st may be shared by several Runners
+// in one process; nil st degrades to NewRunnerCache exactly.
 //
 // Persistence is an optimization, never a dependency: store I/O errors
 // degrade to cache misses and lost write-backs, not failed simulations.
 func NewRunnerStore(jobs int, cacheBytes int64, st *store.Store) *Runner {
 	r := NewRunnerCache(jobs, cacheBytes)
-	if st == nil {
-		return r
-	}
 	r.store = st
-	// Spill what the in-memory LRU drops, so "evicted" means "demoted
-	// to disk" rather than "forgotten". Write-through on compute makes
-	// the spill a cheap Has-check no-op in the common case; it matters
-	// when an earlier write failed or the store evicted the object.
-	r.cache.OnEvict(func(key string, res *Result) { r.storeSaveResult(key, res) })
 	return r
 }
 
@@ -90,7 +83,7 @@ func (r *Runner) storeLoadResult(key string) (*Result, bool) {
 // storeSaveResult writes a result through to the durable store;
 // failures are dropped (see NewRunnerStore).
 func (r *Runner) storeSaveResult(key string, res *Result) {
-	if r.store == nil || r.store.Has(storeResultPrefix+key) {
+	if r.store == nil {
 		return
 	}
 	if data, err := encodeResult(res); err == nil {
